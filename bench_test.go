@@ -127,17 +127,17 @@ func BenchmarkPLDOff_bbara(b *testing.B) { benchmarkProbe(b, "bbara", false) }
 func BenchmarkPLDOn_s420(b *testing.B)   { benchmarkProbe(b, "s420", true) }
 func BenchmarkPLDOff_s420(b *testing.B)  { benchmarkProbe(b, "s420", false) }
 
-// --- F-WARM: warm-started binary-search probes vs cold ---
+// --- F-WARM: the warm-started binary search ---
 //
-// The warm/cold pairs differ only in Options.NoWarmStart; the results are
-// identical (TestWarmStartMatchesCold in internal/core), so the deltas in
-// ns/op, allocs/op and iters measure exactly what probe seeding saves.
+// Every probe after the first feasible one is seeded from the nearest
+// feasible probe's labels; iters, warmstarts, visits and skips report what
+// the search spent. The warm-versus-cold iteration saving is pinned as a
+// count by TestWarmStartReducesSweeps in internal/core.
 
-func benchmarkSearch(b *testing.B, name string, cold bool) {
+func benchmarkSearch(b *testing.B, name string) {
 	c := benchCase(b, name)
 	opts := core.DefaultOptions()
 	opts.Workers = 1
-	opts.NoWarmStart = cold
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -152,10 +152,8 @@ func benchmarkSearch(b *testing.B, name string, cold bool) {
 	}
 }
 
-func BenchmarkWarmProbes_bbara(b *testing.B) { benchmarkSearch(b, "bbara", false) }
-func BenchmarkColdProbes_bbara(b *testing.B) { benchmarkSearch(b, "bbara", true) }
-func BenchmarkWarmProbes_s420(b *testing.B)  { benchmarkSearch(b, "s420", false) }
-func BenchmarkColdProbes_s420(b *testing.B)  { benchmarkSearch(b, "s420", true) }
+func BenchmarkWarmProbes_bbara(b *testing.B) { benchmarkSearch(b, "bbara") }
+func BenchmarkWarmProbes_s420(b *testing.B)  { benchmarkSearch(b, "s420") }
 
 // --- F-SCALE: runtime growth with circuit size ---
 //

@@ -77,6 +77,12 @@ func main() {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, hopts))
 	}
 
+	// Catch SIGTERM/SIGINT before start-up: journal recovery in server.New
+	// can take a while, and a signal that arrives during it must still end
+	// in a drain (below) rather than the default kill.
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	s, err := server.New(server.Config{
 		Fleet:         *fleet,
 		WorkersPerJob: *workersPer,
@@ -137,8 +143,6 @@ func main() {
 	// SIGTERM/SIGINT: stop admitting (503), finish what is queued and
 	// running within the drain grace, shed or cancel the rest — every
 	// accepted job reaches a terminal, journaled state before exit.
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	<-sigCtx.Done()
 	logger.Info("signal received; draining", "grace", (*drainGrace).String())
 

@@ -62,28 +62,14 @@ type Options struct {
 	Pipelined bool
 	// IterBudget, when positive, aborts a probe (reporting infeasible)
 	// once the label computation exceeds this many iterations. Used by the
-	// ablation harness to bound the conservative n^2 stopping rule.
+	// ablation harness to bound the conservative n^2 stopping rule. A
+	// positive budget also stops the binary search from warm-starting its
+	// probes, so every probe counts iterations from the initial labels.
 	IterBudget int
 	// Relax enables the paper's label-relaxation area optimization: after
 	// convergence, resynthesized covers whose labels can rise without
 	// breaking feasibility revert to single structural LUTs.
 	Relax bool
-	// NoWarmStart disables seeding binary-search probes from the converged
-	// labels of the nearest already-decided feasible probe (labels are
-	// monotone non-increasing in phi, so those labels lower-bound the new
-	// probe's fixpoint; see DESIGN.md, "Warm-started probes"). The final
-	// mapping pass always runs cold, so verdicts, the minimized phi and the
-	// mapped network are identical either way; the flag exists as an escape
-	// hatch and to benchmark cold probes.
-	NoWarmStart bool
-	// NoWorklist disables the dirty-set worklist inside the per-component
-	// Gauss-Seidel sweeps and restores full-membership passes (every member
-	// visited on every sweep). The worklist skips exactly the visits that
-	// would have been decision-cache no-ops, so labels, covers, verdicts and
-	// every pre-existing Stats counter are bit-identical either way (see
-	// DESIGN.md §11); the flag exists as an escape hatch and to benchmark
-	// the work avoidance (Stats.SweepNodeVisits / Stats.DirtySkips).
-	NoWorklist bool
 	// Workers bounds the worker pool of the parallel label engine and the
 	// speculative probe fan-out of the binary search: 0 means
 	// runtime.NumCPU(), 1 forces the strictly sequential path. Every
@@ -93,14 +79,6 @@ type Options struct {
 	// IterBudget implies sequential execution regardless of Workers, so
 	// budget accounting stays globally ordered.
 	Workers int
-	// TaskGrain is the dataflow scheduler's batching target, in node
-	// updates per task: when a worker completes a component and releases a
-	// trivial successor (a singleton, acyclic component), it keeps running
-	// such successors inline until roughly TaskGrain node updates have been
-	// chained, instead of paying queue dispatch per tiny component. 0 means
-	// the default (64); 1 effectively disables chaining. Pure scheduling —
-	// results are bit-identical for every setting.
-	TaskGrain int
 
 	// Resource budgets (0 = unlimited). Exhausting a budget never aborts
 	// the run by default: the affected node falls back to the structural
@@ -173,18 +151,8 @@ func (o Options) withDefaults() Options {
 	case o.LowDepth == 0:
 		o.LowDepth = 3
 	}
-	if o.TaskGrain <= 0 {
-		o.TaskGrain = defaultTaskGrain
-	}
 	return o
 }
-
-// defaultTaskGrain is the default Options.TaskGrain: chaining ~64 node
-// updates per dispatched task amortizes ready-queue traffic over the long
-// runs of near-singleton components real K-bounded condensations exhibit,
-// while staying far below a typical component level's total work, so load
-// balance is unaffected.
-const defaultTaskGrain = 64
 
 // workerCount resolves Workers to an effective pool size.
 func (o Options) workerCount() int {
@@ -249,7 +217,7 @@ type Stats struct {
 	// Concurrency counters (see Options.Workers and internal/stats).
 	Workers            int // effective worker-pool size (1 = sequential)
 	ParallelTasks      int // SCC tasks pulled from the dataflow ready queue
-	InlineTasks        int // trivial components chained inline (TaskGrain batching)
+	InlineTasks        int // trivial components chained inline (taskGrain batching)
 	QueueDepthPeak     int // ready-queue depth high-water mark
 	WorkerOccupancy    int // peak simultaneously busy pool workers
 	BarriersEliminated int // level barriers the dataflow scheduler avoided
@@ -263,8 +231,7 @@ type Stats struct {
 	// Worklist convergence accounting (see DESIGN.md §11). SweepNodeVisits
 	// counts the member visits label sweeps actually performed; DirtySkips
 	// counts the visits the dirty-set worklist elided because no predecessor
-	// label had changed since the member's last decision (always 0 under
-	// Options.NoWorklist, where every sweep visits every member);
+	// label had changed since the member's last decision;
 	// WorklistPeak is the largest number of members any single fast pass
 	// drained — the worklist analogue of QueueDepthPeak.
 	SweepNodeVisits int

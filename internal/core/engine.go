@@ -279,6 +279,9 @@ type Engine struct {
 	an    *analysis
 	cache *decompCache
 	pool  *arenaPool
+	// fullSweep is copied into every checked-out state (see
+	// state.fullSweep); only package tests set it.
+	fullSweep bool
 
 	mu     sync.Mutex
 	states []*state
@@ -341,6 +344,7 @@ func (e *Engine) checkoutState(phi int, opts Options) *state {
 		s = blankState(e.c, e.an, e.pool)
 	}
 	s.resetFor(phi, opts)
+	s.fullSweep = e.fullSweep
 	s.cache = e.cache
 	return s
 }

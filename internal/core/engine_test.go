@@ -8,8 +8,8 @@ import (
 
 // TestEngineReuseBitIdentical pins the engine's core contract: repeated runs
 // on one Engine — analysis shared, decomposition cache warm, arenas and
-// states pooled — produce results bit-identical to the one-shot package
-// functions, for the sequential path and both parallel pool sizes. Labels,
+// states pooled — produce results bit-identical to the reference, for the
+// sequential path and both parallel pool sizes. Labels,
 // phi, LUT count and the serialized netlist are all compared, so any scratch
 // leaking between runs through the pools shows up here.
 func TestEngineReuseBitIdentical(t *testing.T) {
@@ -18,11 +18,7 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("j%d", workers), func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Workers = workers
-			want, err := Minimize(c, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantBLIF := blifBytes(t, want.Mapped)
+			want := reference(t, c, opts)
 
 			e, err := NewEngine(c, opts)
 			if err != nil {
@@ -34,22 +30,7 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("run %d: %v", run, err)
 				}
-				if res.Phi != want.Phi || res.LUTs != want.LUTs {
-					t.Fatalf("run %d diverged: phi %d/%d, LUTs %d/%d",
-						run, res.Phi, want.Phi, res.LUTs, want.LUTs)
-				}
-				if len(res.Labels) != len(want.Labels) {
-					t.Fatalf("run %d: %d labels, want %d", run, len(res.Labels), len(want.Labels))
-				}
-				for i := range res.Labels {
-					if res.Labels[i] != want.Labels[i] {
-						t.Fatalf("run %d: label[%d] = %d, want %d",
-							run, i, res.Labels[i], want.Labels[i])
-					}
-				}
-				if !bytes.Equal(blifBytes(t, res.Mapped), wantBLIF) {
-					t.Fatalf("run %d: mapped netlist diverged from the one-shot path", run)
-				}
+				checkMatchesReference(t, fmt.Sprintf("run %d", run), res, want)
 			}
 			ps := e.PoolStats()
 			if ps.Reuses == 0 {

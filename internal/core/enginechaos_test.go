@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,7 +12,7 @@ import (
 // TestInjectedPanicEngineRecovers: a run that dies to a contained panic
 // mid-probe must poison the arenas it had checked out — PoolStats.Discards
 // counts them — and the next run on the same engine must complete and stay
-// bit-identical to a one-shot run. This is the pooling analogue of
+// bit-identical to the reference. This is the pooling analogue of
 // TestInjectedPanicContained: containment alone is not enough if interrupted
 // scratch re-enters the pool.
 func TestInjectedPanicEngineRecovers(t *testing.T) {
@@ -23,11 +22,7 @@ func TestInjectedPanicEngineRecovers(t *testing.T) {
 			fenceGoroutines(t)
 			opts := DefaultOptions()
 			opts.Workers = workers
-			want, err := Minimize(c, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantBLIF := blifBytes(t, want.Mapped)
+			want := reference(t, c, opts)
 
 			e, err := NewEngine(c, opts)
 			if err != nil {
@@ -57,21 +52,15 @@ func TestInjectedPanicEngineRecovers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("engine did not recover after a contained panic: %v", err)
 			}
-			if res.Phi != want.Phi || res.LUTs != want.LUTs {
-				t.Fatalf("post-panic run diverged: phi %d/%d, LUTs %d/%d",
-					res.Phi, want.Phi, res.LUTs, want.LUTs)
-			}
-			if !bytes.Equal(blifBytes(t, res.Mapped), wantBLIF) {
-				t.Error("post-panic run's netlist diverged from the one-shot path")
-			}
+			checkMatchesReference(t, "post-panic run", res, want)
 		})
 	}
 }
 
 // TestInjectedCancelEngineRecovers: cancellation mid-probe is the other way
 // a run can abandon arenas mid-mutation. The cancelled run's checkouts are
-// poisoned at checkin, and the same engine then serves a clean, bit-identical
-// run under a fresh context.
+// poisoned at checkin, and the same engine then serves a clean run under a
+// fresh context, bit-identical to the reference.
 func TestInjectedCancelEngineRecovers(t *testing.T) {
 	c := faultCircuit(t)
 	for _, workers := range faultWorkerPools {
@@ -79,11 +68,7 @@ func TestInjectedCancelEngineRecovers(t *testing.T) {
 			fenceGoroutines(t)
 			opts := DefaultOptions()
 			opts.Workers = workers
-			want, err := Minimize(c, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantBLIF := blifBytes(t, want.Mapped)
+			want := reference(t, c, opts)
 
 			e, err := NewEngine(c, opts)
 			if err != nil {
@@ -116,13 +101,7 @@ func TestInjectedCancelEngineRecovers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("engine did not recover after cancellation: %v", err)
 			}
-			if res.Phi != want.Phi || res.LUTs != want.LUTs {
-				t.Fatalf("post-cancel run diverged: phi %d/%d, LUTs %d/%d",
-					res.Phi, want.Phi, res.LUTs, want.LUTs)
-			}
-			if !bytes.Equal(blifBytes(t, res.Mapped), wantBLIF) {
-				t.Error("post-cancel run's netlist diverged from the one-shot path")
-			}
+			checkMatchesReference(t, "post-cancel run", res, want)
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -213,12 +212,7 @@ func TestInjectedBudgetExhaustion(t *testing.T) {
 func TestInjectedSlowWorker(t *testing.T) {
 	c := faultCircuit(t)
 	opts := DefaultOptions()
-	opts.Workers = 1
-	want, err := Minimize(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBLIF := blifBytes(t, want.Mapped)
+	want := reference(t, c, opts)
 
 	fenceGoroutines(t)
 	_, off := faultinject.Activate(faultinject.Config{
@@ -230,13 +224,7 @@ func TestInjectedSlowWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Phi != want.Phi || got.LUTs != want.LUTs {
-		t.Fatalf("slow workers changed the result: phi %d/%d, LUTs %d/%d",
-			got.Phi, want.Phi, got.LUTs, want.LUTs)
-	}
-	if !bytes.Equal(blifBytes(t, got.Mapped), wantBLIF) {
-		t.Error("slow workers changed the mapped netlist")
-	}
+	checkMatchesReference(t, "slow workers", got, want)
 }
 
 // loop6mix is loop6 with alternating AND/OR gates: its loop cone function is
@@ -327,15 +315,12 @@ func TestRealBudgetDegradation(t *testing.T) {
 }
 
 // TestGenerousBudgetsBitIdentical: budgets that never trip must leave the
-// result bit-identical to an unbudgeted run — the degradation machinery may
-// not perturb untripped paths.
+// result bit-identical to the unbudgeted reference — the degradation
+// machinery may not perturb untripped paths.
 func TestGenerousBudgetsBitIdentical(t *testing.T) {
 	c := faultCircuit(t)
 	opts := DefaultOptions()
-	want, err := Minimize(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, c, opts)
 	opts.BDDNodeBudget = 1 << 30
 	opts.RothKarpBudget = 1 << 30
 	opts.ArenaByteBudget = 1 << 40
@@ -346,13 +331,7 @@ func TestGenerousBudgetsBitIdentical(t *testing.T) {
 	if got.Stats.Degradations != 0 {
 		t.Fatalf("generous budgets tripped %d times", got.Stats.Degradations)
 	}
-	if got.Phi != want.Phi || got.LUTs != want.LUTs {
-		t.Fatalf("budgets changed the result: phi %d/%d, LUTs %d/%d",
-			got.Phi, want.Phi, got.LUTs, want.LUTs)
-	}
-	if !bytes.Equal(blifBytes(t, got.Mapped), blifBytes(t, want.Mapped)) {
-		t.Error("generous budgets changed the mapped netlist")
-	}
+	checkMatchesReference(t, "generous budgets", got, want)
 }
 
 // TestRandomizedChaos replays seeded random injection plans (panic point +

@@ -30,8 +30,8 @@ type coverRec struct {
 // every per-probe field, and the circuit-invariant analysis (an) is shared
 // read-only across every probe of the engine.
 type state struct {
-	c    *netlist.Circuit
-	an   *analysis
+	c  *netlist.Circuit
+	an *analysis
 	// pool, when non-nil, is the engine's arena pool: arenaFor checks
 	// worker arenas out of it instead of creating them, and checkinState
 	// returns them when the probe's state goes back to the engine.
@@ -62,6 +62,12 @@ type state struct {
 	// staleness is reconciled when the successor component starts), and the
 	// warm pre-seeding runs before any worker is spawned.
 	dirty []bool
+	// fullSweep turns the dirty-set worklist off: every fast pass visits
+	// every updatable member, the behaviour the worklist must reproduce bit
+	// for bit. Production never sets it; package tests select it (through
+	// Engine.fullSweep or directly on a newState) to build the sequential,
+	// full-sweep, cold reference every bit-identity test compares against.
+	fullSweep bool
 	// warmSeeded marks a probe whose decision cache and dirty set were
 	// pre-seeded by seedLabels: components then reconcile their dirty bits
 	// against upstream labels when they start instead of seeding fully
@@ -239,7 +245,7 @@ func (s *state) attach(cache *decompCache, conc *stats.Concurrency, cancel *atom
 func (s *state) seedLabels(seed []int, seedPhi int) {
 	copy(s.labels, seed)
 	s.stats.WarmStarts++
-	if s.opts.NoWorklist || seedPhi <= 0 {
+	if s.fullSweep || seedPhi <= 0 {
 		return
 	}
 	for _, n := range s.c.Nodes {
@@ -513,7 +519,7 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 	// same L, already decided — or a PO max against an unchanged L), which
 	// is why labels, covers and every pre-worklist Stats counter are
 	// bit-identical to full-membership sweeps. See DESIGN.md §11.
-	worklist := !s.opts.NoWorklist
+	worklist := !s.fullSweep
 	if worklist {
 		if s.warmSeeded {
 			for _, id := range updatable {

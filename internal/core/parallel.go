@@ -7,6 +7,13 @@ import (
 	"turbosyn/internal/faultinject"
 )
 
+// taskGrain is the scheduler's batching target in node updates per
+// dispatched task: chaining ~64 node updates amortizes ready-queue traffic
+// over the long runs of near-singleton components real K-bounded
+// condensations exhibit, while staying far below a typical component level's
+// total work, so load balance is unaffected.
+const taskGrain = 64
+
 // runParallel is the dataflow-scheduled variant of run: every component of
 // the SCC condensation carries an atomic count of unfinished predecessor
 // components, enters a bounded ready queue the moment that count hits zero,
@@ -24,9 +31,9 @@ import (
 // Real K-bounded condensations are dominated by long runs of near-singleton
 // components; to keep those from paying one queue round-trip each, a worker
 // that releases a trivial successor (singleton, acyclic) chains it inline
-// until roughly Options.TaskGrain node updates have accumulated, and only
-// then returns to the queue. Chaining is pure scheduling: an inline run is
-// exactly a push immediately followed by a pop by the same worker.
+// until roughly taskGrain node updates have accumulated, and only then
+// returns to the queue. Chaining is pure scheduling: an inline run is exactly
+// a push immediately followed by a pop by the same worker.
 func (s *state) runParallel() (bool, error) {
 	s.conc.SetWorkers(s.workers)
 	nc := s.sccs.NumComps()
@@ -206,7 +213,7 @@ func (s *state) runParallel() (bool, error) {
 					faultinject.Delay()
 					runOne(comp, ws, ar)
 					grain += updates[comp]
-					comp = finish(comp, grain < s.opts.TaskGrain)
+					comp = finish(comp, grain < taskGrain)
 				}
 				busy.Add(-1)
 			}

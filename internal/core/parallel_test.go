@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -61,8 +60,8 @@ func blifBytes(t *testing.T, c *netlist.Circuit) []byte {
 // TestParallelMatchesSequentialGolden is the determinism contract of
 // Options.Workers: for every circuit, K and algorithm, the parallel engine
 // (dataflow-scheduled label sweeps, shared sharded cache, speculative
-// search) must return the exact result of the sequential engine — same phi,
-// same converged labels, same LUT count, and a byte-identical mapped
+// search) must return the exact result of the sequential reference — same
+// phi, same converged labels, same LUT count, and a byte-identical mapped
 // netlist.
 func TestParallelMatchesSequentialGolden(t *testing.T) {
 	fenceGoroutines(t)
@@ -81,13 +80,7 @@ func TestParallelMatchesSequentialGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-
-			opts.Workers = 1
-			want, err := Minimize(c, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantBLIF := blifBytes(t, want.Mapped)
+			want := reference(t, c, opts)
 
 			pools := []int{2, 4}
 			if testing.Short() {
@@ -99,32 +92,15 @@ func TestParallelMatchesSequentialGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				if got.Phi != want.Phi {
-					t.Errorf("workers=%d: phi %d, sequential %d", workers, got.Phi, want.Phi)
-				}
-				if got.LUTs != want.LUTs {
-					t.Errorf("workers=%d: LUTs %d, sequential %d", workers, got.LUTs, want.LUTs)
-				}
-				if len(got.Labels) != len(want.Labels) {
-					t.Fatalf("workers=%d: %d labels, sequential %d",
-						workers, len(got.Labels), len(want.Labels))
-				}
-				for id := range want.Labels {
-					if got.Labels[id] != want.Labels[id] {
-						t.Fatalf("workers=%d: label[%d] = %d, sequential %d",
-							workers, id, got.Labels[id], want.Labels[id])
-					}
-				}
-				if !bytes.Equal(blifBytes(t, got.Mapped), wantBLIF) {
-					t.Errorf("workers=%d: mapped netlist differs from sequential", workers)
-				}
+				checkMatchesReference(t, fmt.Sprintf("workers=%d", workers), got, want)
 			}
 		})
 	}
 }
 
 // TestFeasibleParallelMatchesSequential covers the single-probe entry point
-// across feasible and infeasible targets.
+// across feasible and infeasible targets: sequential and parallel verdicts
+// must both be the reference's (feasible exactly from its phi upward).
 func TestFeasibleParallelMatchesSequential(t *testing.T) {
 	fenceGoroutines(t)
 	c := fsmCircuit(4, 8, 4)()
@@ -135,34 +111,31 @@ func TestFeasibleParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ref := reference(t, c, opts)
 	for phi := 1; phi <= 4; phi++ {
-		opts.Workers = 1
-		want, _, err := Feasible(c, phi, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Workers = 4
-		got, _, err := Feasible(c, phi, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("phi=%d: parallel verdict %v, sequential %v", phi, got, want)
+		for _, workers := range []int{1, 4} {
+			opts.Workers = workers
+			got, _, err := Feasible(c, phi, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := phi >= ref.Phi; got != want {
+				t.Errorf("phi=%d workers=%d: verdict %v, reference %v", phi, workers, got, want)
+			}
 		}
 	}
 }
 
 // TestSchedulerStressRandom hammers the dataflow scheduler (run under -race
 // via the CI race job): randomized FSM circuits, probes across the
-// feasibility boundary, worker counts {2, 8, GOMAXPROCS} and both TaskGrain
-// extremes, each checked for a verdict identical to the sequential probe
-// and — on feasible probes — bit-identical converged labels. Infeasible
-// probes abort mid-iteration, so their intermediate labels legitimately
-// depend on scheduling; only their verdict is pinned.
+// feasibility boundary and worker counts {2, 8, GOMAXPROCS}, each checked
+// for a verdict identical to the reference probe (sequential, full sweeps,
+// cold) and — on feasible probes — bit-identical converged labels.
+// Infeasible probes abort mid-iteration, so their intermediate labels
+// legitimately depend on scheduling; only their verdict is pinned.
 func TestSchedulerStressRandom(t *testing.T) {
 	fenceGoroutines(t)
-	workerPools := []int{2, 8, runtime.GOMAXPROCS(0)}
-	grains := []int{1, 64}
+	workerPools := identityWorkerPools()[1:]
 	seeds := []int64{11, 12, 13, 14}
 	if testing.Short() {
 		seeds = seeds[:2]
@@ -185,36 +158,33 @@ func TestSchedulerStressRandom(t *testing.T) {
 			// cannot change any result.
 			conc := &stats.Concurrency{}
 			cache := newDecompCache()
-			probe := func(phi, workers, grain int) (bool, []int) {
+			probe := func(phi, workers int, fullSweep bool) (bool, []int) {
 				opts := base
 				opts.Workers = workers
-				opts.TaskGrain = grain
-				opts = opts.withDefaults()
 				s := newState(c, phi, opts)
+				s.fullSweep = fullSweep
 				s.attach(cache, conc, nil)
 				ok, err := s.run()
 				if err != nil {
-					t.Fatalf("phi=%d workers=%d grain=%d: unexpected run error: %v", phi, workers, grain, err)
+					t.Fatalf("phi=%d workers=%d: unexpected run error: %v", phi, workers, err)
 				}
 				return ok, s.labels
 			}
 			for phi := 1; phi <= 4; phi++ {
-				wantOK, wantLabels := probe(phi, 1, 0)
+				wantOK, wantLabels := probe(phi, 1, true)
 				for _, workers := range workerPools {
-					for _, grain := range grains {
-						gotOK, gotLabels := probe(phi, workers, grain)
-						if gotOK != wantOK {
-							t.Fatalf("phi=%d workers=%d grain=%d: verdict %v, sequential %v",
-								phi, workers, grain, gotOK, wantOK)
-						}
-						if !gotOK {
-							continue
-						}
-						for id := range wantLabels {
-							if gotLabels[id] != wantLabels[id] {
-								t.Fatalf("phi=%d workers=%d grain=%d: label[%d] = %d, sequential %d",
-									phi, workers, grain, id, gotLabels[id], wantLabels[id])
-							}
+					gotOK, gotLabels := probe(phi, workers, false)
+					if gotOK != wantOK {
+						t.Fatalf("phi=%d workers=%d: verdict %v, reference %v",
+							phi, workers, gotOK, wantOK)
+					}
+					if !gotOK {
+						continue
+					}
+					for id := range wantLabels {
+						if gotLabels[id] != wantLabels[id] {
+							t.Fatalf("phi=%d workers=%d: label[%d] = %d, reference %d",
+								phi, workers, id, gotLabels[id], wantLabels[id])
 						}
 					}
 				}

@@ -107,7 +107,9 @@ func (e *Engine) minimizeSearch(ub int, opts Options, total *Stats, conc *stats.
 	// far, so the best probe's converged labels always qualify as a seed.
 	// The warm store owns its buffer: the probe's label array returns to the
 	// engine with the state and is overwritten by the next checkout.
-	warm := !opts.NoWarmStart && opts.IterBudget <= 0
+	// A positive IterBudget keeps every probe cold, so the n^2 ablation
+	// counts iterations from the initial labels.
+	warm := opts.IterBudget <= 0
 	var warmLabels []int
 	warmPhi := 0
 	var ring *obs.Ring
@@ -243,7 +245,6 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 	// in the search loop), and a stored slice is never mutated again — the
 	// probe copied it out of its state before checkin, and seeding copies it
 	// into the new probe's state.
-	warm := !opts.NoWarmStart
 	var warmLabels []int
 	warmPhi := 0
 
@@ -321,9 +322,7 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 		if p.ok {
 			best = mid
 			opts.Progress.SetBestPhi(mid)
-			if warm {
-				warmLabels, warmPhi = p.labels, mid
-			}
+			warmLabels, warmPhi = p.labels, mid
 			hi = mid - 1
 		} else {
 			lo = mid + 1

@@ -1,20 +1,22 @@
 package core
 
 import (
-	"bytes"
+	"fmt"
 	"testing"
 
 	"turbosyn/internal/decomp"
+	"turbosyn/internal/retime"
 )
 
 // TestWarmStartMatchesCold is the correctness contract of the warm-started
 // binary search: seeding probes from the labels of the nearest feasible
-// probe must not change anything observable — same minimized phi, same
-// converged labels, same LUT count, byte-identical mapped netlist. Labels
-// are monotone non-increasing in phi, so the seed lower-bounds the probe's
-// fixpoint and the monotone iteration lands on the same fixpoint; this test
-// pins that argument (and the cold final mapping pass) across the golden
-// circuit matrix, sequentially and under the speculative parallel search.
+// probe must not change anything observable — the default Minimize returns
+// the cold reference's minimized phi, converged labels, LUT count and
+// byte-identical mapped netlist. Labels are monotone non-increasing in phi,
+// so the seed lower-bounds the probe's fixpoint and the monotone iteration
+// lands on the same fixpoint; this test pins that argument (and the cold
+// final mapping pass) across the golden circuit matrix, sequentially and
+// under the speculative parallel search.
 func TestWarmStartMatchesCold(t *testing.T) {
 	sawWarmStart := false
 	for _, tc := range goldenCases() {
@@ -32,14 +34,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-
-			opts.Workers = 1
-			opts.NoWarmStart = true
-			cold, err := Minimize(c, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			coldBLIF := blifBytes(t, cold.Mapped)
+			cold := reference(t, c, opts)
 
 			pools := []int{1, 4}
 			if testing.Short() {
@@ -47,7 +42,6 @@ func TestWarmStartMatchesCold(t *testing.T) {
 			}
 			for _, workers := range pools {
 				opts.Workers = workers
-				opts.NoWarmStart = false
 				warm, err := Minimize(c, opts)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -55,21 +49,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 				if warm.Stats.WarmStarts > 0 {
 					sawWarmStart = true
 				}
-				if warm.Phi != cold.Phi {
-					t.Errorf("workers=%d: warm phi %d, cold %d", workers, warm.Phi, cold.Phi)
-				}
-				if warm.LUTs != cold.LUTs {
-					t.Errorf("workers=%d: warm LUTs %d, cold %d", workers, warm.LUTs, cold.LUTs)
-				}
-				for id := range cold.Labels {
-					if warm.Labels[id] != cold.Labels[id] {
-						t.Fatalf("workers=%d: warm label[%d] = %d, cold %d",
-							workers, id, warm.Labels[id], cold.Labels[id])
-					}
-				}
-				if !bytes.Equal(blifBytes(t, warm.Mapped), coldBLIF) {
-					t.Errorf("workers=%d: warm mapped netlist differs from cold", workers)
-				}
+				checkMatchesReference(t, fmt.Sprintf("workers=%d", workers), warm, cold)
 			}
 		})
 	}
@@ -78,10 +58,13 @@ func TestWarmStartMatchesCold(t *testing.T) {
 	}
 }
 
-// TestWarmStartReducesSweeps pins the point of warm-starting: on a search
-// deep enough to probe below its first feasible phi, the warm search must
-// spend no more label iterations than the cold one, and must report the
-// probes it seeded.
+// TestWarmStartReducesSweeps pins the point of warm-starting as a count: on
+// a search deep enough to probe below its first feasible phi, the default
+// (warm) Minimize must spend no more label iterations than the same search
+// run cold, and must report the probes it seeded. The cold search is
+// replayed probe by probe — the TurboMap upper-bound search over [1,
+// Period], the TurboSYN search below it, the cold mapping pass — with every
+// probe's verdict checked against the reference of its phase.
 func TestWarmStartReducesSweeps(t *testing.T) {
 	c := fsmCircuit(7, 8, 5)()
 	opts := DefaultOptions()
@@ -92,13 +75,38 @@ func TestWarmStartReducesSweeps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ref := reference(t, c, opts)
 
-	opts.NoWarmStart = true
-	cold, err := Minimize(c, opts)
-	if err != nil {
-		t.Fatal(err)
+	coldIters := 0
+	search := func(ub int, opts Options) int {
+		refPhi := reference(t, c, opts).Phi
+		lo, hi := 1, ub
+		for lo <= hi {
+			mid := (lo + hi) / 2
+			ok, s := coldProbe(t, c, mid, opts, false)
+			if s.stats.WarmStarts != 0 {
+				t.Fatalf("cold probe at phi %d reports %d warm starts", mid, s.stats.WarmStarts)
+			}
+			if ok != (mid >= refPhi) {
+				t.Fatalf("cold probe at phi %d: feasible %v, reference phi %d", mid, ok, refPhi)
+			}
+			coldIters += s.stats.Iterations
+			if ok {
+				hi = mid - 1
+			} else {
+				lo = mid + 1
+			}
+		}
+		return lo
 	}
-	opts.NoWarmStart = false
+	tmOpts := opts
+	tmOpts.Decompose = false
+	ub := search(max(retime.Period(c), 1), tmOpts)
+	if best := search(ub, opts); best != ref.Phi {
+		t.Fatalf("cold search found phi %d, reference %d", best, ref.Phi)
+	}
+	coldIters += ref.Stats.Iterations // the mapping pass is cold on both sides
+
 	warm, err := Minimize(c, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -106,11 +114,8 @@ func TestWarmStartReducesSweeps(t *testing.T) {
 	if warm.Stats.WarmStarts == 0 {
 		t.Fatal("warm search seeded no probe")
 	}
-	if cold.Stats.WarmStarts != 0 {
-		t.Fatalf("cold search reports %d warm starts", cold.Stats.WarmStarts)
+	if warm.Stats.Iterations > coldIters {
+		t.Errorf("warm search used %d iterations, cold only %d", warm.Stats.Iterations, coldIters)
 	}
-	if warm.Stats.Iterations > cold.Stats.Iterations {
-		t.Errorf("warm search used %d iterations, cold only %d",
-			warm.Stats.Iterations, cold.Stats.Iterations)
-	}
+	checkMatchesReference(t, "warm search", warm, ref)
 }

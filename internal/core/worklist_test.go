@@ -1,40 +1,61 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"testing"
 
+	"turbosyn/internal/bench"
 	"turbosyn/internal/decomp"
 	"turbosyn/internal/faultinject"
+	"turbosyn/internal/netlist"
 )
 
-// TestWorklistMatchesFullSweep is the determinism contract of
-// Options.NoWorklist: the dirty-set worklist skips exactly the member visits
-// that full sweeps would have elided as decision-cache no-ops, so for every
-// circuit, warm/cold mode, worker count and task grain the worklist path
-// must return the exact result of the full-sweep path — same phi, same
-// converged labels, same LUT count, byte-identical mapped netlist. For the
-// cold sequential configuration the iteration trajectories are identical
-// step for step, so every work counter must match too and the visit/skip
-// accounting must balance against the full-sweep visit total. (Warm probes
-// pre-decide carried-over labels, which legitimately changes the fast-pass
-// trajectory — there only results are pinned, not counters.)
+// suiteCases are the quick benchmark-suite circuits (FSM SOPs plus a
+// datapath carry chain, the slice the warm-cache gate also runs), as golden
+// cases under the TurboSYN defaults.
+func suiteCases() []goldenCase {
+	quick := map[string]bool{"bbara": true, "bbsse": true, "cse": true, "s420": true}
+	var cases []goldenCase
+	for _, cs := range bench.Suite() {
+		if quick[cs.Name] {
+			c := cs.Circuit
+			cases = append(cases, goldenCase{cs.Name, 5, true, func() *netlist.Circuit { return c }})
+		}
+	}
+	return cases
+}
+
+// TestWorklistMatchesFullSweep is the determinism contract of the dirty-set
+// worklist: it skips exactly the member visits that full sweeps would have
+// elided as decision-cache no-ops, so for every circuit and worker count the
+// default Minimize — warm-started, worklist on — must return the reference
+// result (sequential, full sweeps, cold; see reference): same phi, same
+// converged labels, same LUT count, byte-identical mapped netlist. On the
+// benchmark-suite circuits the worklist must also report the visits it
+// elided.
+//
+// At probe level the claim is sharper. A cold sequential probe follows the
+// full-sweep trajectory step for step, so on every probe of the reference
+// scan the verdict, the labels and every work counter must match, and the
+// visits the worklist made plus the ones it skipped must add up to the
+// reference's visits.
 func TestWorklistMatchesFullSweep(t *testing.T) {
 	fenceGoroutines(t)
-	workerPools := []int{1, 2, 8}
-	grains := []int{1, 64}
+	workerPools := identityWorkerPools()
 	cases := goldenCases()
+	golden := len(cases)
 	if testing.Short() {
 		// The race CI job runs -short: keep one decomposing FSM, the
-		// mapping-only FSM and the cheap LFSR, one worker pool per mode.
+		// mapping-only FSM and the cheap LFSR on two worker pools.
 		workerPools = []int{1, 8}
-		grains = grains[1:]
 		cases = []goldenCase{cases[0], cases[3], cases[5]}
+	} else {
+		cases = append(cases, suiteCases()...)
 	}
-	for _, tc := range cases {
+	for i, tc := range cases {
+		suite := i >= golden
 		t.Run(tc.name, func(t *testing.T) {
 			c := tc.build()
 			if !c.IsKBounded(tc.k) {
@@ -43,83 +64,59 @@ func TestWorklistMatchesFullSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, cold := range []bool{false, true} {
-				mode := "warm"
-				if cold {
-					mode = "cold"
-				}
-				base := DefaultOptions()
-				base.K = tc.k
-				base.Decompose = tc.decompose
-				base.NoWarmStart = cold
+			opts := DefaultOptions()
+			opts.K = tc.k
+			opts.Decompose = tc.decompose
+			want := reference(t, c, opts)
 
-				// Full-sweep reference: sequential, worklist off. The
-				// parallel determinism contract pins every other
-				// configuration to this result.
-				ref := base
-				ref.Workers = 1
-				ref.NoWorklist = true
-				want, err := Minimize(c, ref)
+			for _, workers := range workerPools {
+				opts.Workers = workers
+				got, err := Minimize(c, opts)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("j%d: %v", workers, err)
 				}
-				wantBLIF := blifBytes(t, want.Mapped)
-				if want.Stats.DirtySkips != 0 {
-					t.Fatalf("%s: full sweeps reported %d dirty skips", mode, want.Stats.DirtySkips)
+				checkMatchesReference(t, fmt.Sprintf("j%d", workers), got, want)
+				if suite && got.Stats.DirtySkips == 0 {
+					t.Errorf("j%d: the worklist elided no visits", workers)
 				}
+			}
 
-				for _, workers := range workerPools {
-					for _, grain := range grains {
-						opts := base
-						opts.Workers = workers
-						opts.TaskGrain = grain
-						got, err := Minimize(c, opts)
-						if err != nil {
-							t.Fatalf("%s j%d g%d: %v", mode, workers, grain, err)
-						}
-						if got.Phi != want.Phi || got.LUTs != want.LUTs {
-							t.Errorf("%s j%d g%d: phi %d/%d, LUTs %d/%d",
-								mode, workers, grain, got.Phi, want.Phi, got.LUTs, want.LUTs)
-						}
-						for id := range want.Labels {
-							if got.Labels[id] != want.Labels[id] {
-								t.Fatalf("%s j%d g%d: label[%d] = %d, full sweep %d",
-									mode, workers, grain, id, got.Labels[id], want.Labels[id])
-							}
-						}
-						if !bytes.Equal(blifBytes(t, got.Mapped), wantBLIF) {
-							t.Errorf("%s j%d g%d: mapped netlist differs from full-sweep path",
-								mode, workers, grain)
-						}
-						if workers != 1 || !cold {
-							continue
-						}
-						// Cold sequential: trajectories identical, so all
-						// work counters match and skips balance visits.
-						for _, cnt := range []struct {
-							name      string
-							got, want int
-						}{
-							{"Iterations", got.Stats.Iterations, want.Stats.Iterations},
-							{"CutChecks", got.Stats.CutChecks, want.Stats.CutChecks},
-							{"ExpandBuilds", got.Stats.ExpandBuilds, want.Stats.ExpandBuilds},
-							{"ExpandReuses", got.Stats.ExpandReuses, want.Stats.ExpandReuses},
-							{"Decompositions", got.Stats.Decompositions, want.Stats.Decompositions},
-							{"DecompAttempts", got.Stats.DecompAttempts, want.Stats.DecompAttempts},
-							{"PLDChecks", got.Stats.PLDChecks, want.Stats.PLDChecks},
-							{"PLDHits", got.Stats.PLDHits, want.Stats.PLDHits},
-						} {
-							if cnt.got != cnt.want {
-								t.Errorf("cold j1 g%d: %s = %d, full sweep %d",
-									grain, cnt.name, cnt.got, cnt.want)
-							}
-						}
-						if got.Stats.SweepNodeVisits+got.Stats.DirtySkips != want.Stats.SweepNodeVisits {
-							t.Errorf("cold j1 g%d: visits %d + skips %d != full-sweep visits %d",
-								grain, got.Stats.SweepNodeVisits, got.Stats.DirtySkips,
-								want.Stats.SweepNodeVisits)
-						}
+			for phi := 1; phi <= want.Phi; phi++ {
+				refOK, ref := coldProbe(t, c, phi, opts, true)
+				gotOK, got := coldProbe(t, c, phi, opts, false)
+				if gotOK != refOK || refOK != (phi == want.Phi) {
+					t.Fatalf("phi=%d: worklist verdict %v, full sweep %v, reference phi %d",
+						phi, gotOK, refOK, want.Phi)
+				}
+				for id := range ref.labels {
+					if got.labels[id] != ref.labels[id] {
+						t.Fatalf("phi=%d: label[%d] = %d, full sweep %d",
+							phi, id, got.labels[id], ref.labels[id])
 					}
+				}
+				if ref.stats.DirtySkips != 0 {
+					t.Fatalf("phi=%d: full sweeps reported %d dirty skips", phi, ref.stats.DirtySkips)
+				}
+				for _, cnt := range []struct {
+					name      string
+					got, want int
+				}{
+					{"Iterations", got.stats.Iterations, ref.stats.Iterations},
+					{"CutChecks", got.stats.CutChecks, ref.stats.CutChecks},
+					{"ExpandBuilds", got.stats.ExpandBuilds, ref.stats.ExpandBuilds},
+					{"ExpandReuses", got.stats.ExpandReuses, ref.stats.ExpandReuses},
+					{"Decompositions", got.stats.Decompositions, ref.stats.Decompositions},
+					{"DecompAttempts", got.stats.DecompAttempts, ref.stats.DecompAttempts},
+					{"PLDChecks", got.stats.PLDChecks, ref.stats.PLDChecks},
+					{"PLDHits", got.stats.PLDHits, ref.stats.PLDHits},
+				} {
+					if cnt.got != cnt.want {
+						t.Errorf("phi=%d: %s = %d, full sweep %d", phi, cnt.name, cnt.got, cnt.want)
+					}
+				}
+				if got.stats.SweepNodeVisits+got.stats.DirtySkips != ref.stats.SweepNodeVisits {
+					t.Errorf("phi=%d: visits %d + skips %d != full-sweep visits %d",
+						phi, got.stats.SweepNodeVisits, got.stats.DirtySkips, ref.stats.SweepNodeVisits)
 				}
 			}
 		})
@@ -129,18 +126,14 @@ func TestWorklistMatchesFullSweep(t *testing.T) {
 // TestWorklistAvoidsWork pins the perf claim behind the worklist: on the
 // warm-started binary search (the default Minimize path) the dirty-set drain
 // must elide a nonzero number of member visits and record a worklist
-// high-water mark no larger than the biggest updatable set could allow.
+// high-water mark, without moving the result off the reference; and a cold
+// probe at the optimum must visit strictly fewer members than full sweeps.
 func TestWorklistAvoidsWork(t *testing.T) {
 	fenceGoroutines(t)
 	c := faultCircuit(t)
 	opts := DefaultOptions()
 	opts.Workers = 1
-	full := opts
-	full.NoWorklist = true
-	want, err := Minimize(c, full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, c, opts)
 	got, err := Minimize(c, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -148,24 +141,24 @@ func TestWorklistAvoidsWork(t *testing.T) {
 	if got.Stats.DirtySkips == 0 {
 		t.Error("worklist elided no visits on the warm search")
 	}
-	if got.Stats.SweepNodeVisits >= want.Stats.SweepNodeVisits {
-		t.Errorf("worklist visits %d not below full-sweep visits %d",
-			got.Stats.SweepNodeVisits, want.Stats.SweepNodeVisits)
-	}
 	if got.Stats.WorklistPeak <= 0 {
 		t.Errorf("WorklistPeak = %d, want > 0", got.Stats.WorklistPeak)
 	}
-	if got.Phi != want.Phi || got.LUTs != want.LUTs {
-		t.Fatalf("worklist changed the result: phi %d/%d, LUTs %d/%d",
-			got.Phi, want.Phi, got.LUTs, want.LUTs)
+	checkMatchesReference(t, "j1", got, want)
+
+	_, full := coldProbe(t, c, want.Phi, opts, true)
+	_, drained := coldProbe(t, c, want.Phi, opts, false)
+	if drained.stats.SweepNodeVisits >= full.stats.SweepNodeVisits {
+		t.Errorf("worklist visits %d not below full-sweep visits %d",
+			drained.stats.SweepNodeVisits, full.stats.SweepNodeVisits)
 	}
 }
 
 // TestInjectedPanicWorklistWarmRecovers: a contained panic mid-probe leaves
 // per-probe dirty bits and warm pre-decided labels behind on states that go
 // back to the engine's pool. The next run on the same engine must reconcile
-// or reset all of it — completing bit-identically to the full-sweep one-shot
-// path, with the interrupted run's arenas poisoned (Discards > 0).
+// or reset all of it — completing bit-identically to the reference, with the
+// interrupted run's arenas poisoned (Discards > 0).
 func TestInjectedPanicWorklistWarmRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered by make chaos (-count 2, no -short); trimmed from the -short race budget")
@@ -176,13 +169,7 @@ func TestInjectedPanicWorklistWarmRecovers(t *testing.T) {
 			fenceGoroutines(t)
 			opts := DefaultOptions()
 			opts.Workers = workers
-			full := opts
-			full.NoWorklist = true
-			want, err := Minimize(c, full)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantBLIF := blifBytes(t, want.Mapped)
+			want := reference(t, c, opts)
 
 			e, err := NewEngine(c, opts)
 			if err != nil {
@@ -212,13 +199,7 @@ func TestInjectedPanicWorklistWarmRecovers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("engine did not recover after a contained panic: %v", err)
 			}
-			if res.Phi != want.Phi || res.LUTs != want.LUTs {
-				t.Fatalf("post-panic worklist run diverged from full sweeps: phi %d/%d, LUTs %d/%d",
-					res.Phi, want.Phi, res.LUTs, want.LUTs)
-			}
-			if !bytes.Equal(blifBytes(t, res.Mapped), wantBLIF) {
-				t.Error("post-panic worklist run's netlist diverged from the full-sweep path")
-			}
+			checkMatchesReference(t, "post-panic run", res, want)
 		})
 	}
 }
@@ -226,7 +207,7 @@ func TestInjectedPanicWorklistWarmRecovers(t *testing.T) {
 // TestInjectedCancelWorklistMidDrain: cancellation from a sweep checkpoint
 // aborts a fast pass mid-drain, stranding half-cleared dirty bits. The
 // engine must poison the interrupted checkouts and the next run must drain
-// to the same fixpoint as the full-sweep one-shot path.
+// to the reference's fixpoint.
 func TestInjectedCancelWorklistMidDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered by make chaos (-count 2, no -short); trimmed from the -short race budget")
@@ -237,13 +218,7 @@ func TestInjectedCancelWorklistMidDrain(t *testing.T) {
 			fenceGoroutines(t)
 			opts := DefaultOptions()
 			opts.Workers = workers
-			full := opts
-			full.NoWorklist = true
-			want, err := Minimize(c, full)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantBLIF := blifBytes(t, want.Mapped)
+			want := reference(t, c, opts)
 
 			e, err := NewEngine(c, opts)
 			if err != nil {
@@ -276,13 +251,7 @@ func TestInjectedCancelWorklistMidDrain(t *testing.T) {
 			if err != nil {
 				t.Fatalf("engine did not recover after cancellation: %v", err)
 			}
-			if res.Phi != want.Phi || res.LUTs != want.LUTs {
-				t.Fatalf("post-cancel worklist run diverged from full sweeps: phi %d/%d, LUTs %d/%d",
-					res.Phi, want.Phi, res.LUTs, want.LUTs)
-			}
-			if !bytes.Equal(blifBytes(t, res.Mapped), wantBLIF) {
-				t.Error("post-cancel worklist run's netlist diverged from the full-sweep path")
-			}
+			checkMatchesReference(t, "post-cancel run", res, want)
 		})
 	}
 }

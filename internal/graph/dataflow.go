@@ -12,81 +12,3 @@ func (s *SCCs) InDegrees() []int {
 	}
 	return deg
 }
-
-// OutDegrees returns the out-degree of every component in the condensation
-// DAG: the number of distinct successor components it releases on
-// completion.
-func (s *SCCs) OutDegrees() []int {
-	deg := make([]int, s.NumComps())
-	for c := range s.DAG {
-		deg[c] = len(s.DAG[c])
-	}
-	return deg
-}
-
-// ReadyIter yields components of the condensation in dataflow order: a
-// component becomes available the moment its last predecessor is marked
-// Done, with no level barriers in between. It is the sequential reference
-// semantics of the parallel dependency-counted scheduler (internal/core):
-// the scheduler replaces ReadyIter's pending counters with atomics and its
-// ready list with a work queue, but the availability rule — pending hits
-// zero exactly once, after every predecessor completed — is the same.
-//
-// Usage: Next pops an available component (components become available in
-// s.Order-relative order for determinism); Done marks a popped component
-// complete, which may make successors available. The iterator is exhausted
-// when every component has been popped; if Next returns ok == false while
-// components remain, the caller has popped components without completing
-// them (call Done first).
-type ReadyIter struct {
-	s       *SCCs
-	pending []int // unfinished predecessor count per component
-	ready   []int // available components, FIFO
-	popped  int   // components handed out by Next
-}
-
-// ReadyOrder returns a fresh dataflow iterator over the condensation.
-func (s *SCCs) ReadyOrder() *ReadyIter {
-	it := &ReadyIter{s: s, pending: s.InDegrees()}
-	// Seed with the in-degree-zero components in s.Order order, so the
-	// no-contention iteration (Done right after Next) visits a topological
-	// order that prefers earlier components — matching the sequential sweep.
-	for _, c := range s.Order {
-		if it.pending[c] == 0 {
-			it.ready = append(it.ready, c)
-		}
-	}
-	return it
-}
-
-// Next pops the next available component. ok is false when no component is
-// currently available (either the iteration is exhausted, or every remaining
-// component waits on a popped-but-not-Done one).
-func (it *ReadyIter) Next() (c int, ok bool) {
-	if len(it.ready) == 0 {
-		return 0, false
-	}
-	c = it.ready[0]
-	it.ready = it.ready[1:]
-	it.popped++
-	return c, true
-}
-
-// Done marks component c complete: successors whose last unfinished
-// predecessor was c become available. Completing a component twice, or one
-// whose predecessors are incomplete, corrupts the iteration; Done panics on
-// counters that would go negative to surface such bugs.
-func (it *ReadyIter) Done(c int) {
-	for _, d := range it.s.DAG[c] {
-		it.pending[d]--
-		if it.pending[d] < 0 {
-			panic("graph: ReadyIter.Done released a component twice")
-		}
-		if it.pending[d] == 0 {
-			it.ready = append(it.ready, d)
-		}
-	}
-}
-
-// Exhausted reports whether every component has been popped.
-func (it *ReadyIter) Exhausted() bool { return it.popped == it.s.NumComps() }

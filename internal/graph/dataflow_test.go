@@ -16,19 +16,15 @@ func randomSCCs(rng *rand.Rand) *SCCs {
 	return StronglyConnected(g)
 }
 
-// In/out-degrees must count exactly the condensation's edges, and the
-// in-degree-zero components must be exactly the roots of the DAG.
+// In-degrees must count exactly the condensation's edges into each
+// component, so the in-degree-zero components are exactly the DAG's roots.
 func TestDegreesMatchDAG(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60}
 	f := func(seed int64) bool {
 		s := randomSCCs(rand.New(rand.NewSource(seed)))
-		in, out := s.InDegrees(), s.OutDegrees()
+		in := s.InDegrees()
 		pred := Reverse(s.DAG)
 		for c := 0; c < s.NumComps(); c++ {
-			if out[c] != len(s.DAG[c]) {
-				t.Logf("component %d: out-degree %d, DAG lists %d", c, out[c], len(s.DAG[c]))
-				return false
-			}
 			if in[c] != len(pred[c]) {
 				t.Logf("component %d: in-degree %d, reverse DAG lists %d", c, in[c], len(pred[c]))
 				return false
@@ -38,118 +34,5 @@ func TestDegreesMatchDAG(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Draining ReadyOrder with Done immediately after Next must yield every
-// component exactly once, in a topological order of the condensation.
-func TestReadyOrderIsTopological(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 60}
-	f := func(seed int64) bool {
-		s := randomSCCs(rand.New(rand.NewSource(seed)))
-		it := s.ReadyOrder()
-		pos := make([]int, s.NumComps())
-		for i := range pos {
-			pos[i] = -1
-		}
-		i := 0
-		for {
-			c, ok := it.Next()
-			if !ok {
-				break
-			}
-			if pos[c] != -1 {
-				t.Logf("component %d yielded twice", c)
-				return false
-			}
-			pos[c] = i
-			i++
-			it.Done(c)
-		}
-		if !it.Exhausted() || i != s.NumComps() {
-			t.Logf("yielded %d of %d components", i, s.NumComps())
-			return false
-		}
-		for c := 0; c < s.NumComps(); c++ {
-			for _, d := range s.DAG[c] {
-				if pos[d] <= pos[c] {
-					t.Logf("edge %d->%d violates the ready order", c, d)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A component must never become available before all its predecessors are
-// Done, no matter how completion is interleaved. The test holds a random
-// subset of popped components open, asserting that everything Next yields
-// has fully-completed predecessors, and that withheld Done calls block the
-// successors (the scheduler's safety property: no label is read before it
-// is final).
-func TestReadyOrderRespectsDependenciesUnderInterleaving(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 80; trial++ {
-		s := randomSCCs(rng)
-		pred := Reverse(s.DAG)
-		it := s.ReadyOrder()
-		done := make([]bool, s.NumComps())
-		var open []int // popped but not yet Done
-		yielded := 0
-		for yielded < s.NumComps() || len(open) > 0 {
-			c, ok := it.Next()
-			if ok {
-				for _, p := range pred[c] {
-					if !done[p] {
-						t.Fatalf("component %d became ready before predecessor %d completed", c, p)
-					}
-				}
-				yielded++
-				open = append(open, c)
-			}
-			// Complete a random open component; when Next stalled we must
-			// complete one, otherwise the iteration cannot make progress.
-			if len(open) > 0 && (!ok || rng.Intn(2) == 0) {
-				i := rng.Intn(len(open))
-				it.Done(open[i])
-				done[open[i]] = true
-				open[i] = open[len(open)-1]
-				open = open[:len(open)-1]
-			}
-		}
-		if yielded != s.NumComps() || !it.Exhausted() {
-			t.Fatalf("yielded %d of %d components", yielded, s.NumComps())
-		}
-	}
-}
-
-// The first components out of a fresh iterator are exactly the DAG roots,
-// in s.Order-relative order — the determinism anchor the scheduler's
-// initial seeding relies on.
-func TestReadyOrderSeedsRootsInOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 40; trial++ {
-		s := randomSCCs(rng)
-		in := s.InDegrees()
-		var roots []int
-		for _, c := range s.Order {
-			if in[c] == 0 {
-				roots = append(roots, c)
-			}
-		}
-		it := s.ReadyOrder()
-		for i, want := range roots {
-			c, ok := it.Next()
-			if !ok {
-				t.Fatalf("iterator stalled after %d of %d roots", i, len(roots))
-			}
-			if c != want {
-				t.Fatalf("root %d yielded as %d, want %d", i, c, want)
-			}
-		}
 	}
 }

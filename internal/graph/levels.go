@@ -18,23 +18,3 @@ func (s *SCCs) Levels() []int {
 	}
 	return levels
 }
-
-// LevelGroups buckets component ids by their Levels value. Groups are
-// returned shallowest first, and components inside a group keep their
-// relative order from s.Order, so iterating groups front to back visits the
-// condensation in a topological order.
-func (s *SCCs) LevelGroups() [][]int {
-	levels := s.Levels()
-	maxLevel := -1
-	for _, l := range levels {
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	groups := make([][]int, maxLevel+1)
-	for _, c := range s.Order {
-		l := levels[c]
-		groups[l] = append(groups[l], c)
-	}
-	return groups
-}
