@@ -57,7 +57,7 @@ chaos:
 	$(GO) test -race -count 2 -timeout 20m \
 		-run 'TestInjected|TestRandomizedChaos|TestRealBudgetDegradation|TestGenerousBudgets|TestCancelBeforeStart|TestFeasibleContextCancel|TestTraceFlush|TestCacheDirSurvives' \
 		./internal/core
-	$(GO) test -race -count 2 ./internal/faultinject ./internal/decomp/cachelog
+	$(GO) test -race -count 2 ./internal/faultinject ./internal/decomp/cachelog ./internal/recordlog
 	$(GO) test -race -timeout 10m -run 'TestSynthesizeCancel|TestSynthesizeDeadline|TestSynthesizeExpired' .
 	$(GO) test -race -count 2 -timeout 15m -run 'TestChaos|TestJournal' ./internal/server
 	$(GO) test -race -count 2 ./internal/jobqueue
@@ -108,10 +108,12 @@ daemon-trace-smoke:
 cache-warm:
 	TURBOSYN_CACHE_DIR=$(CURDIR)/.decomp-cache $(GO) test -run TestCacheWarmSuite -count=1 -timeout 20m -v .
 
-# Native fuzzing smoke over the BLIF reader: 30s of coverage-guided input
-# generation against the parse-or-error-cleanly contract.
+# Native fuzzing smoke: 30s of coverage-guided input generation against the
+# BLIF reader's parse-or-error-cleanly contract, then 30s against the record
+# log loader (any file loads without error to a re-framable valid prefix).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadBLIF -fuzztime 30s -run '^$$' ./internal/netlist
+	$(GO) test -fuzz FuzzRecordlogLoad -fuzztime 30s -run '^$$' ./internal/recordlog
 
 # One iteration of the PLD, scaling and warm-probe benchmarks; sanity,
 # not statistics. The Scale benchmarks run j1/jN sub-benchmarks, so the

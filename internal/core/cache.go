@@ -127,7 +127,7 @@ func (dc *decompCache) openLog(opts Options) {
 	entries, err := lg.Load()
 	if err != nil {
 		// A real I/O error reading the log: start cold but keep the handle —
-		// Append rewrites unreadable logs from scratch.
+		// the flush may still succeed once the error clears.
 		if opts.Logger != nil {
 			opts.Logger.Warn("decomp cache load failed", "path", lg.Path(), "err", err)
 		}

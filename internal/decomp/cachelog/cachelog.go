@@ -4,32 +4,25 @@
 // internal/core) to the decomposition outcome: a tree over the canonical
 // function, or a recorded failure.
 //
-// The format is built for crash tolerance rather than compaction: a header
-// carries a magic number and format version, and every record is length-
-// framed and CRC-checksummed. The loader accepts any valid prefix and stops
-// at the first short, corrupt or undecodable record — so a flush interrupted
-// at any byte still leaves a loadable log, and concurrent appenders (each
-// record lands in one O_APPEND write) at worst truncate each other's tail.
-// Version-mismatched or unrecognizable logs are discarded and rewritten
-// rather than repaired; entries are pure functions of their keys, so losing
-// or duplicating records only costs recomputation, never correctness.
+// The file format and its crash guarantees belong to internal/recordlog;
+// this package encodes the entries. Entries are pure functions of their
+// keys, so losing or duplicating records only costs recomputation.
 package cachelog
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
 	"turbosyn/internal/decomp"
 	"turbosyn/internal/logic"
+	"turbosyn/internal/recordlog"
 )
 
 // Version is the log format version. Bump it whenever the record encoding
-// or the core cache-key scheme changes; old logs are then discarded on the
+// or the core cache-key scheme changes; old logs are then set aside on the
 // next flush. CI keys its cache restoration on this value.
 const Version = 1
 
@@ -39,6 +32,8 @@ var magic = [4]byte{'T', 'S', 'D', 'C'}
 // corruption. The largest legitimate entry — a multi-node tree of 16-var
 // functions — stays far below this.
 const maxRecord = 1 << 22
+
+var logFormat = recordlog.Format{Magic: magic, Version: Version, MaxRecord: maxRecord}
 
 // Entry is one persisted cache entry. A nil Tree records a decomposition
 // failure (the search proved, within its budgets, that no tree exists) —
@@ -67,111 +62,40 @@ func Open(dir string) (*Log, error) {
 // Path returns the log file's path.
 func (l *Log) Path() string { return l.path }
 
-// Load reads every decodable entry. A missing file yields no entries and no
-// error. Corruption — a bad magic, a version mismatch, a truncated or
-// checksum-failing record — is not an error either: loading stops at the
-// last valid prefix and returns what was recovered (nothing, for a
-// version-mismatched log). The error is reserved for real I/O failures.
+// Load reads the decodable entries of the log's valid prefix: none for a
+// missing or version-skewed log. Corruption is not an error; the error is
+// reserved for real I/O failures.
 func (l *Log) Load() ([]Entry, error) {
-	data, err := os.ReadFile(l.path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
+	payloads, _, err := logFormat.Load(l.path)
 	if err != nil {
 		return nil, fmt.Errorf("cachelog: %w", err)
 	}
-	if len(data) < 8 || [4]byte(data[:4]) != magic || binary.LittleEndian.Uint32(data[4:8]) != Version {
-		return nil, nil
-	}
 	var entries []Entry
-	data = data[8:]
-	for len(data) >= 8 {
-		n := binary.LittleEndian.Uint32(data[:4])
-		sum := binary.LittleEndian.Uint32(data[4:8])
-		if n == 0 || n > maxRecord || uint64(len(data)) < 8+uint64(n) {
-			break
-		}
-		payload := data[8 : 8+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		e, err := decodeEntry(payload)
+	for _, p := range payloads {
+		e, err := decodeEntry(p)
 		if err != nil {
 			break
 		}
 		entries = append(entries, e)
-		data = data[8+n:]
 	}
 	return entries, nil
 }
 
-// Append adds entries to the log in one write. A missing file is created
-// with a fresh header; an unreadable or version-mismatched file is replaced
-// wholesale (written to a temp file, then renamed into place, so a reader
-// never observes a half-rewritten log).
+// Append adds entries to the log in one write, under recordlog's policy for
+// missing, torn and version-skewed logs.
 func (l *Log) Append(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	var records []byte
-	for _, e := range entries {
-		payload := encodeEntry(e)
-		records = binary.LittleEndian.AppendUint32(records, uint32(len(payload)))
-		records = binary.LittleEndian.AppendUint32(records, crc32.ChecksumIEEE(payload))
-		records = append(records, payload...)
+	payloads := make([][]byte, len(entries))
+	for i, e := range entries {
+		payloads[i] = encodeEntry(e)
 	}
-	header := append([]byte(nil), magic[:]...)
-	header = binary.LittleEndian.AppendUint32(header, Version)
-
-	existing, err := os.ReadFile(l.path)
-	switch {
-	case errors.Is(err, os.ErrNotExist), err == nil && len(existing) == 0:
-		// Fresh log: header and records in one write, so a concurrent
-		// creator race degrades to a parseable prefix, never a torn header.
-		return l.writeAppend(append(header, records...))
-	case err != nil:
-		return fmt.Errorf("cachelog: %w", err)
-	case len(existing) < 8 || [4]byte(existing[:4]) != magic || binary.LittleEndian.Uint32(existing[4:8]) != Version:
-		// Unrecognizable or version-skewed log: discard and rewrite.
-		return l.rewrite(append(header, records...))
-	default:
-		return l.writeAppend(records)
+	f, err := logFormat.OpenAppend(l.path, payloads)
+	if err == nil {
+		err = f.Close()
 	}
-}
-
-func (l *Log) writeAppend(b []byte) error {
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("cachelog: %w", err)
-	}
-	_, werr := f.Write(b)
-	cerr := f.Close()
-	if werr != nil {
-		return fmt.Errorf("cachelog: %w", werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("cachelog: %w", cerr)
-	}
-	return nil
-}
-
-func (l *Log) rewrite(b []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(l.path), ".decomp.log.tmp*")
-	if err != nil {
-		return fmt.Errorf("cachelog: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("cachelog: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("cachelog: %w", err)
-	}
-	if err := os.Rename(name, l.path); err != nil {
-		os.Remove(name)
 		return fmt.Errorf("cachelog: %w", err)
 	}
 	return nil
@@ -228,14 +152,10 @@ func decodeEntry(b []byte) (Entry, error) {
 	}
 	flag := b[0]
 	b = b[1:]
-	switch flag {
-	case 0:
-		if len(b) != 0 {
-			return Entry{}, errCorrupt
-		}
-		return e, nil
-	case 1:
-	default:
+	if flag == 0 && len(b) == 0 {
+		return e, nil // recorded failure
+	}
+	if flag != 1 {
 		return Entry{}, errCorrupt
 	}
 	ni, b, err := readUvarint(b)
@@ -253,7 +173,7 @@ func decodeEntry(b []byte) (Entry, error) {
 			return Entry{}, errCorrupt
 		}
 		b = rest
-		wb := 8 * wordsFor(int(nv))
+		wb := 8 << max(0, int(nv)-6) // the truth table's 64-bit words
 		if len(b) < wb {
 			return Entry{}, errCorrupt
 		}
@@ -283,26 +203,4 @@ func decodeEntry(b []byte) (Entry, error) {
 	}
 	e.Tree = t
 	return e, nil
-}
-
-func wordsFor(nvar int) int {
-	if nvar <= 6 {
-		return 1
-	}
-	return 1 << uint(nvar-6)
-}
-
-// ReadHeaderVersion reports the version in an existing log file, for tools
-// and tests; ok=false when the file is missing or has no valid header.
-func ReadHeaderVersion(path string) (uint32, bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, false
-	}
-	defer f.Close()
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil || [4]byte(hdr[:4]) != magic {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint32(hdr[4:8]), true
 }

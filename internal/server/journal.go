@@ -5,26 +5,22 @@
 // answer for. On restart those jobs are recovered: resumed when their spec
 // still parses, reported failed otherwise — never silently lost.
 //
-// The on-disk format follows internal/decomp/cachelog: a magic+version
-// header, then length-framed CRC32-checksummed records, each appended in
-// one O_APPEND write. The loader accepts any valid prefix and stops at the
-// first short or corrupt record, so a crash mid-append costs at most the
-// record being written. Unlike the decomp cache, journal entries are not
-// recomputable — so an append failure is surfaced to admission (the job is
-// refused durability-first) instead of being shrugged off.
+// The file format and its crash and durability guarantees belong to
+// internal/recordlog; the journal encodes records as JSON. Unlike decomp
+// cache entries, journal records are not recomputable — so an append
+// failure refuses the job at admission instead of being shrugged off.
 package server
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"turbosyn/internal/faultinject"
+	"turbosyn/internal/recordlog"
 )
 
 // JournalVersion is the journal format version; logs of another version are
@@ -34,6 +30,8 @@ const JournalVersion = 1
 var journalMagic = [4]byte{'T', 'S', 'J', 'L'}
 
 const maxJournalRecord = 16 << 20 // an inline BLIF upload can be large
+
+var journalFormat = recordlog.Format{Magic: journalMagic, Version: JournalVersion, MaxRecord: maxJournalRecord}
 
 // journalRecord is one framed JSON payload.
 type journalRecord struct {
@@ -51,9 +49,8 @@ type journalRecord struct {
 // Journal is the append-only job journal. Safe for concurrent use; every
 // record lands in one write syscall under the mutex.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	mu sync.Mutex
+	f  *os.File
 }
 
 // OpenJournal opens (creating as needed) the journal inside dir. An
@@ -63,37 +60,12 @@ func OpenJournal(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	path := filepath.Join(dir, "jobs.journal")
-	if data, err := os.ReadFile(path); err == nil && len(data) > 0 {
-		if len(data) < 8 || [4]byte(data[:4]) != journalMagic ||
-			binary.LittleEndian.Uint32(data[4:8]) != JournalVersion {
-			if err := os.Rename(path, path+".bad"); err != nil {
-				return nil, fmt.Errorf("journal: quarantine unrecognized log: %w", err)
-			}
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := journalFormat.OpenAppend(filepath.Join(dir, "jobs.journal"), nil)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	if st.Size() == 0 {
-		hdr := append([]byte(nil), journalMagic[:]...)
-		hdr = binary.LittleEndian.AppendUint32(hdr, JournalVersion)
-		if _, err := f.Write(hdr); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("journal: %w", err)
-		}
-	}
-	return &Journal{f: f, path: path}, nil
+	return &Journal{f: f}, nil
 }
-
-// Path returns the journal file's path.
-func (j *Journal) Path() string { return j.path }
 
 // Close closes the underlying file. Nil-receiver safe, like every Journal
 // method: a daemon without a journal directory carries a nil *Journal.
@@ -121,9 +93,11 @@ func (j *Journal) append(rec journalRecord) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
+	if len(payload) > maxJournalRecord {
+		// The loader would stop at this record and lose every later one.
+		return fmt.Errorf("journal: %d-byte record over the %d-byte limit", len(payload), maxJournalRecord)
+	}
+	frame := journalFormat.Frame(nil, payload)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -167,32 +141,15 @@ type PendingJob struct {
 // collide with recovered ones). A missing journal is empty, not an error;
 // corruption truncates the replay at the last valid prefix.
 func LoadJournal(dir string) (pending []PendingJob, maxSeq uint64, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, "jobs.journal"))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
-	}
+	payloads, _, err := journalFormat.Load(filepath.Join(dir, "jobs.journal"))
 	if err != nil {
 		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
-	if len(data) < 8 || [4]byte(data[:4]) != journalMagic ||
-		binary.LittleEndian.Uint32(data[4:8]) != JournalVersion {
-		return nil, 0, nil
-	}
-	data = data[8:]
 	accepted := map[string]PendingJob{}
 	var order []string
-	for len(data) >= 8 {
-		n := binary.LittleEndian.Uint32(data[:4])
-		sum := binary.LittleEndian.Uint32(data[4:8])
-		if n == 0 || n > maxJournalRecord || uint64(len(data)) < 8+uint64(n) {
-			break
-		}
-		payload := data[8 : 8+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
+	for _, p := range payloads {
 		var rec journalRecord
-		if json.Unmarshal(payload, &rec) != nil {
+		if json.Unmarshal(p, &rec) != nil {
 			break
 		}
 		switch rec.Op {
@@ -209,7 +166,6 @@ func LoadJournal(dir string) (pending []PendingJob, maxSeq uint64, err error) {
 		case "T":
 			delete(accepted, rec.ID)
 		}
-		data = data[8+n:]
 	}
 	for _, id := range order {
 		if pj, ok := accepted[id]; ok {
@@ -221,42 +177,23 @@ func LoadJournal(dir string) (pending []PendingJob, maxSeq uint64, err error) {
 
 // CompactJournal rewrites dir's journal to contain only the still-pending
 // records (temp file + rename, so a crash mid-compaction leaves the old
-// journal intact). Called at startup after recovery re-admits the pending
-// jobs; it bounds journal growth across restarts.
+// journal intact; a journal with a foreign header is moved aside to
+// jobs.journal.bad first, not overwritten). Called at startup after recovery
+// re-admits the pending jobs; it bounds journal growth across restarts.
 func CompactJournal(dir string, pending []PendingJob) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	path := filepath.Join(dir, "jobs.journal")
-	var buf []byte
-	buf = append(buf, journalMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, JournalVersion)
+	payloads := make([][]byte, 0, len(pending))
 	for _, pj := range pending {
 		spec := pj.Spec
-		payload, err := json.Marshal(journalRecord{Op: "A", ID: pj.ID, Seq: pj.Seq, Spec: &spec})
+		p, err := json.Marshal(journalRecord{Op: "A", ID: pj.ID, Seq: pj.Seq, Spec: &spec})
 		if err != nil {
 			return fmt.Errorf("journal: %w", err)
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-		buf = append(buf, payload...)
+		payloads = append(payloads, p)
 	}
-	tmp, err := os.CreateTemp(dir, ".jobs.journal.tmp*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
+	if err := journalFormat.Rewrite(filepath.Join(dir, "jobs.journal"), payloads); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil

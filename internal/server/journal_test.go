@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -290,5 +294,102 @@ func TestJournalCompactionConcurrentWithAppends(t *testing.T) {
 	got, maxSeq, err = LoadJournal(dir)
 	if err != nil || len(got) != 2 || maxSeq != 2 {
 		t.Fatalf("reopened journal: pending=%d maxSeq=%d err=%v, want 2 pending", len(got), maxSeq, err)
+	}
+}
+
+// TestJournalVersionSkewQuarantinedAtStartup: daemon start-up must set a
+// journal of another format version aside, not compact it away — the
+// replay reads it as empty, and the compaction that follows must not
+// overwrite what it could not read.
+func TestJournalVersionSkewQuarantinedAtStartup(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.journal")
+	skewed := binary.LittleEndian.AppendUint32(append([]byte(nil), journalMagic[:]...), JournalVersion+1)
+	skewed = append(skewed, "records of a future format"...)
+	if err := os.WriteFile(path, skewed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Fleet: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	bad, err := os.ReadFile(path + ".bad")
+	if err != nil {
+		t.Fatalf("version-skewed journal was not quarantined: %v", err)
+	}
+	if !bytes.Equal(bad, skewed) {
+		t.Fatalf("quarantined journal = %q, want the original bytes", bad)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, journalFormat.Header()) {
+		t.Fatalf("fresh journal = %x, %v; want a bare current header", got, err)
+	}
+}
+
+// TestJournalFixtureReplay: the committed format-1 journal (four accepted
+// jobs, two of them terminal) replays to the two pending jobs, and
+// re-encoding every record reproduces the file byte for byte.
+func TestJournalFixtureReplay(t *testing.T) {
+	fixture := filepath.Join("..", "recordlog", "testdata", "jobs.journal")
+	data, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "jobs.journal"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pending, maxSeq, err := LoadJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 2 || pending[0].ID != "j-00000002" || pending[1].ID != "j-00000004" || maxSeq != 4 {
+		t.Fatalf("replay: pending=%+v maxSeq=%d", pending, maxSeq)
+	}
+	if pending[1].Spec.Generator == nil || pending[1].Spec.Generator.Seed != 7 {
+		t.Fatalf("replayed spec = %+v", pending[1].Spec)
+	}
+	payloads, _, err := journalFormat.Load(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := journalFormat.Header()
+	for _, p := range payloads {
+		var rec journalRecord
+		if err := json.Unmarshal(p, &rec); err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = journalFormat.Frame(out, b)
+	}
+	if len(payloads) != 6 || !bytes.Equal(out, data) {
+		t.Fatalf("re-encoded %d records differ from the committed bytes", len(payloads))
+	}
+}
+
+// TestJournalRefusesUnloadableRecord: a record longer than the loader
+// accepts is refused at append time (admission then refuses the job),
+// instead of being written where it would hide every later record.
+func TestJournalRefusesUnloadableRecord(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	// JSON escapes '<' as six bytes, so a BLIF under the body limit can
+	// still marshal past the record limit.
+	huge := JobSpec{Tenant: "t", BLIF: strings.Repeat("<", maxJournalRecord/6+1)}
+	if err := j.Accepted(newJobForTest(jobID(1), 1, huge)); err == nil {
+		t.Fatal("oversized record was journaled")
+	}
+	if err := j.Accepted(newJobForTest(jobID(2), 2, JobSpec{Tenant: "t", BLIF: "x"})); err != nil {
+		t.Fatal(err)
+	}
+	if pending, _, err := LoadJournal(dir); err != nil || len(pending) != 1 || pending[0].ID != jobID(2) {
+		t.Fatalf("pending = %+v, %v; want only %s", pending, err, jobID(2))
 	}
 }
