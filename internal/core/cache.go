@@ -8,7 +8,6 @@ import (
 	"turbosyn/internal/decomp"
 	"turbosyn/internal/decomp/cachelog"
 	"turbosyn/internal/obs"
-	"turbosyn/internal/stats"
 )
 
 // decompCache memoizes decomp.Decompose outcomes behind mutex-striped
@@ -68,18 +67,18 @@ func (dc *decompCache) shardFor(key string) int {
 // lookup returns the cached outcome (entry.tree nil = cached failure) and
 // whether the key was present, charging the hit/miss to the calling run's
 // counter set.
-func (dc *decompCache) lookup(key string, conc *stats.Concurrency) (decompEntry, bool) {
+func (dc *decompCache) lookup(key string, conc *counters) (decompEntry, bool) {
 	sh := &dc.shards[dc.shardFor(key)]
 	sh.mu.Lock()
 	entry, ok := sh.m[key]
 	sh.mu.Unlock()
 	if ok {
-		conc.AddCacheHit()
+		conc.cacheHits.Add(1)
 		if entry.persisted {
-			conc.AddCachePersistedHit()
+			conc.cachePersisted.Add(1)
 		}
 	} else {
-		conc.AddCacheMiss()
+		conc.cacheMisses.Add(1)
 	}
 	return entry, ok
 }

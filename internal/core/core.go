@@ -30,7 +30,6 @@ import (
 	"turbosyn/internal/logic"
 	"turbosyn/internal/netlist"
 	"turbosyn/internal/obs"
-	"turbosyn/internal/stats"
 )
 
 // Options configures the label computation and mapping generation.
@@ -214,13 +213,13 @@ type Stats struct {
 	// would-be degradation aborts the run with a *BudgetError instead.
 	Degradations int
 
-	// Concurrency counters (see Options.Workers and internal/stats).
+	// Concurrency counters (see Options.Workers), counted live in the
+	// call's counter set (obs.go) and folded in once per entry point.
 	Workers            int // effective worker-pool size (1 = sequential)
 	ParallelTasks      int // SCC tasks pulled from the dataflow ready queue
 	InlineTasks        int // trivial components chained inline (taskGrain batching)
 	QueueDepthPeak     int // ready-queue depth high-water mark
 	WorkerOccupancy    int // peak simultaneously busy pool workers
-	BarriersEliminated int // level barriers the dataflow scheduler avoided
 	CacheShardHits     int // sharded decomposition-cache hits
 	CacheShardMisses   int // sharded decomposition-cache misses
 	CachePersistedHits int // hits served by entries loaded from a CacheDir log
@@ -275,7 +274,6 @@ func (s *Stats) Add(s2 Stats) {
 	if s2.WorkerOccupancy > s.WorkerOccupancy {
 		s.WorkerOccupancy = s2.WorkerOccupancy
 	}
-	s.BarriersEliminated += s2.BarriersEliminated
 	s.CacheShardHits += s2.CacheShardHits
 	s.CacheShardMisses += s2.CacheShardMisses
 	s.CachePersistedHits += s2.CachePersistedHits
@@ -292,35 +290,6 @@ func (s *Stats) Add(s2 Stats) {
 	}
 	if s2.TraceDropped > s.TraceDropped {
 		s.TraceDropped = s2.TraceDropped
-	}
-}
-
-// fold merges a scheduler-counter snapshot into s. Called once per public
-// API entry point, over counters shared by every probe of that call.
-func (s *Stats) fold(cs stats.ConcurrencySnapshot) {
-	if cs.Workers > s.Workers {
-		s.Workers = cs.Workers
-	}
-	s.ParallelTasks += cs.Tasks
-	s.InlineTasks += cs.InlineRuns
-	if cs.QueueDepthPeak > s.QueueDepthPeak {
-		s.QueueDepthPeak = cs.QueueDepthPeak
-	}
-	if cs.BusyWorkersPeak > s.WorkerOccupancy {
-		s.WorkerOccupancy = cs.BusyWorkersPeak
-	}
-	s.BarriersEliminated += cs.BarriersEliminated
-	s.CacheShardHits += cs.CacheHits
-	s.CacheShardMisses += cs.CacheMisses
-	s.CachePersistedHits += cs.CachePersistedHits
-	s.CacheNPNHits += cs.CacheNPNHits
-	s.ProbesLaunched += cs.ProbesLaunched
-	s.ProbesCancelled += cs.ProbesCancelled
-	// WorklistDepthPeak mirrors the per-sweep drain sizes already folded in
-	// through the per-probe Stats, so max (idempotent) rather than add; the
-	// live DirtySkips gauge is likewise only a mirror and is never folded.
-	if cs.WorklistDepthPeak > s.WorklistPeak {
-		s.WorklistPeak = cs.WorklistDepthPeak
 	}
 }
 

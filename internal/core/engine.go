@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"turbosyn/internal/graph"
 	"turbosyn/internal/netlist"
 	"turbosyn/internal/obs"
 	"turbosyn/internal/retime"
-	"turbosyn/internal/stats"
 )
 
 // analysis is everything the label engine derives from the circuit alone —
@@ -19,7 +19,7 @@ import (
 // decomposition and condensation levels, per-component member order, the
 // condensation in-degrees, and the per-component work summary the dataflow
 // scheduler needs (updatable member counts, triviality flags, the number of
-// schedulable components and of levels carrying work).
+// schedulable components).
 type analysis struct {
 	order  []int
 	sccs   *graph.SCCs
@@ -51,10 +51,9 @@ type analysis struct {
 	sameOff  []int32
 
 	// Dataflow-scheduler work summary (see runParallel).
-	updates    []int  // updatable members per component
-	trivial    []bool // singleton, acyclic components (inline-chainable)
-	workCount  int    // components with at least one updatable member
-	workLevels int    // condensation levels carrying schedulable work
+	updates   []int  // updatable members per component
+	trivial   []bool // singleton, acyclic components (inline-chainable)
+	workCount int    // components with at least one updatable member
 }
 
 // members returns component comp's members in comb topo order.
@@ -142,14 +141,9 @@ func analyze(c *netlist.Circuit) *analysis {
 			}
 		}
 	}
-	levelSeen := make([]bool, nc)
 	for comp := 0; comp < nc; comp++ {
 		if an.updates[comp] > 0 {
 			an.workCount++
-			if !levelSeen[an.levels[comp]] {
-				levelSeen[an.levels[comp]] = true
-				an.workLevels++
-			}
 		}
 		if members := an.members(comp); len(members) == 1 {
 			id := int(members[0])
@@ -327,11 +321,12 @@ func (e *Engine) Close() error {
 // and FreeBytes to pin the pool's footprint bound.
 func (e *Engine) PoolStats() PoolStats { return e.pool.snapshot() }
 
-// checkoutState returns a probe state wired to the engine: analysis shared,
-// arena pool attached, per-probe fields reset for (phi, opts). The caller
-// must attach the run's counters/cancel flag and guard, and must return the
-// state with checkinState on every path.
-func (e *Engine) checkoutState(phi int, opts Options) *state {
+// checkoutState returns a probe state wired to the engine and to call c:
+// analysis shared, arena pool attached, per-probe fields reset for
+// (phi, opts), the call's counters and guard attached, and the launch
+// counted. cancel, when non-nil, lets a speculative search abandon the
+// probe. The caller must return the state with checkinState on every path.
+func (e *Engine) checkoutState(phi int, opts Options, c *call, cancel *atomic.Bool) *state {
 	e.mu.Lock()
 	var s *state
 	if n := len(e.states); n > 0 {
@@ -346,6 +341,10 @@ func (e *Engine) checkoutState(phi int, opts Options) *state {
 	s.resetFor(phi, opts)
 	s.fullSweep = e.fullSweep
 	s.cache = e.cache
+	s.conc = c.conc
+	s.guard = c.guard
+	s.cancel = cancel
+	c.conc.probesLaunched.Add(1)
 	return s
 }
 
@@ -375,6 +374,44 @@ func (e *Engine) checkinState(s *state) {
 	e.mu.Unlock()
 }
 
+// call is the bookkeeping of one public entry point (FeasibleContext,
+// MapAtRatioContext, MinimizeContext): its defaulted options, the context
+// guard, and the live counter set that every probe of the call shares and
+// the progress tracker samples. begin opens a call; end closes it on every
+// exit path, folding the counters and trace totals into the call's Stats
+// exactly once.
+type call struct {
+	opts  Options
+	guard *runGuard
+	conc  *counters
+}
+
+// begin defaults and validates opts and opens a call guarded by ctx.
+func (e *Engine) begin(ctx context.Context, opts Options) (*call, error) {
+	opts = opts.withDefaults()
+	if err := validateInput(e.c, opts); err != nil {
+		return nil, err
+	}
+	c := &call{opts: opts, guard: startGuard(ctx), conc: &counters{}}
+	opts.Progress.SetSampler(c.conc.sampler(opts.Trace))
+	return c, nil
+}
+
+// end releases the guard and folds the counters and trace totals into st.
+// A non-nil err is returned as an abort of phase (see wrapAbort), carrying
+// best, the smallest feasible phi proven (-1 when none), and st.
+func (c *call) end(st *Stats, err error, phase string, best int) error {
+	c.guard.release()
+	c.conc.fold(st)
+	if c.opts.Trace != nil {
+		st.TraceEvents, st.TraceDropped = c.opts.Trace.Totals()
+	}
+	if err != nil {
+		return wrapAbort(err, phase, best, *st)
+	}
+	return nil
+}
+
 // Feasible is FeasibleContext with a background context.
 func (e *Engine) Feasible(phi int, opts Options) (bool, Stats, error) {
 	return e.FeasibleContext(context.Background(), phi, opts)
@@ -385,41 +422,33 @@ func (e *Engine) Feasible(phi int, opts Options) (bool, Stats, error) {
 // Equivalent to the package-level FeasibleContext, minus the per-call
 // analysis and cache construction.
 func (e *Engine) FeasibleContext(ctx context.Context, phi int, opts Options) (bool, Stats, error) {
-	opts = opts.withDefaults()
-	if err := validateInput(e.c, opts); err != nil {
+	c, err := e.begin(ctx, opts)
+	if err != nil {
 		return false, Stats{}, err
 	}
 	if phi < 1 {
+		c.guard.release()
 		return false, Stats{}, nil
 	}
-	guard := startGuard(ctx)
-	defer guard.release()
-	conc := &stats.Concurrency{}
-	s := e.checkoutState(phi, opts)
+	s := e.checkoutState(phi, c.opts, c, nil)
 	defer e.checkinState(s)
-	s.attach(e.cache, conc, nil)
-	s.guard = guard
-	opts.Progress.SetSampler(liveCounters(conc, opts.Trace))
 	var ring *obs.Ring
 	var t0 int64
-	if opts.Trace != nil {
-		ring = opts.Trace.NewRing("probe")
+	if c.opts.Trace != nil {
+		ring = c.opts.Trace.NewRing("probe")
 		t0 = ring.Now()
 	}
-	conc.AddProbeLaunched()
 	ok, err := s.run()
 	if ring != nil {
 		ring.Span(obs.OpProbe, t0, int64(phi), probeVerdict(ok, err))
 	}
-	if opts.Logger != nil {
-		opts.Logger.Debug("probe", "phi", phi, "feasible", ok,
+	if c.opts.Logger != nil {
+		c.opts.Logger.Debug("probe", "phi", phi, "feasible", ok,
 			"iterations", s.stats.Iterations, "cutChecks", s.stats.CutChecks, "err", err)
 	}
 	st := s.stats
-	st.fold(conc.Snapshot())
-	foldTrace(&st, opts.Trace)
-	if err != nil {
-		return false, st, wrapAbort(err, "probe", -1, st)
+	if err := c.end(&st, err, "probe", -1); err != nil {
+		return false, st, err
 	}
 	return ok, st, nil
 }
@@ -432,44 +461,31 @@ func (e *Engine) MapAtRatio(phi int, opts Options) (*Result, error) {
 // MapAtRatioContext computes labels and a mapped LUT network for a specific
 // feasible phi on the engine's circuit. It fails if phi is infeasible.
 func (e *Engine) MapAtRatioContext(ctx context.Context, phi int, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := validateInput(e.c, opts); err != nil {
+	c, err := e.begin(ctx, opts)
+	if err != nil {
 		return nil, err
 	}
-	guard := startGuard(ctx)
-	defer guard.release()
-	conc := &stats.Concurrency{}
-	opts.Progress.SetSampler(liveCounters(conc, opts.Trace))
-	opts.Progress.SetPhase("map")
-	var ring *obs.Ring
-	var t0 int64
-	if opts.Trace != nil {
-		ring = opts.Trace.NewRing("map")
-		t0 = ring.Now()
+	res, st, err := e.mapAtRatio(phi, c)
+	if err := c.end(&st, err, "map", -1); err != nil {
+		return nil, err
 	}
-	res, st, err := e.mapAtRatio(phi, opts, conc, guard)
-	if ring != nil {
-		ring.Span(obs.OpMap, t0, int64(phi), probeVerdict(err == nil, err))
-	}
-	if err != nil {
-		st.fold(conc.Snapshot())
-		foldTrace(&st, opts.Trace)
-		return nil, wrapAbort(err, "map", -1, st)
-	}
-	res.Stats.fold(conc.Snapshot())
-	foldTrace(&res.Stats, opts.Trace)
+	res.Stats = st
 	return res, nil
 }
 
-// mapAtRatio is MapAtRatio over a search-wide counter set and context guard;
-// the caller folds the counters into the final Stats exactly once. The
-// returned Stats carry the partial work even when err != nil.
-func (e *Engine) mapAtRatio(phi int, opts Options, conc *stats.Concurrency, guard *runGuard) (*Result, Stats, error) {
-	s := e.checkoutState(phi, opts)
+// mapAtRatio is the mapping pass of call c at phi: one probe, then (when it
+// is feasible) relaxation and mapping generation. It returns the pass's
+// work, partial when err != nil; the caller sets Result.Stats.
+func (e *Engine) mapAtRatio(phi int, c *call) (res *Result, st Stats, err error) {
+	opts := c.opts
+	opts.Progress.SetPhase("map")
+	if opts.Trace != nil {
+		ring := opts.Trace.NewRing("map")
+		t0 := ring.Now()
+		defer func() { ring.Span(obs.OpMap, t0, int64(phi), probeVerdict(err == nil, err)) }()
+	}
+	s := e.checkoutState(phi, opts, c, nil)
 	defer e.checkinState(s)
-	s.attach(e.cache, conc, nil)
-	s.guard = guard
-	conc.AddProbeLaunched()
 	ok, err := s.run()
 	if err != nil {
 		return nil, s.stats, err
@@ -494,7 +510,6 @@ func (e *Engine) mapAtRatio(phi int, opts Options, conc *stats.Concurrency, guar
 		Mapped: m,
 		LUTs:   m.NumGates(),
 		OrigOf: origOf,
-		Stats:  s.stats,
 		Opts:   opts,
 	}, s.stats, nil
 }
@@ -510,36 +525,28 @@ func (e *Engine) Minimize(opts Options) (*Result, error) {
 // search — speculative lookaheads included — checks its state and arenas out
 // of the engine instead of rebuilding the circuit analysis.
 func (e *Engine) MinimizeContext(ctx context.Context, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := validateInput(e.c, opts); err != nil {
+	c, err := e.begin(ctx, opts)
+	if err != nil {
 		return nil, err
 	}
-	guard := startGuard(ctx)
-	defer guard.release()
-	// One counter set spans the whole search — every probe, speculative or
-	// not, and the final mapping pass. (The decomposition cache is the
-	// engine's and spans runs.)
-	conc := &stats.Concurrency{}
-	opts.Progress.SetSampler(liveCounters(conc, opts.Trace))
+	opts = c.opts
+	// One call spans the whole search — every probe, speculative or not,
+	// and the final mapping pass. (The decomposition cache is the engine's
+	// and spans calls.)
 	var total Stats
 	fail := func(err error, phase string, best int) (*Result, error) {
 		if opts.Logger != nil {
 			opts.Logger.Warn("search aborted", "phase", phase, "bestPhi", best, "err", err)
 		}
-		total.fold(conc.Snapshot())
-		foldTrace(&total, opts.Trace)
-		return nil, wrapAbort(err, phase, best, total)
+		return nil, c.end(&total, err, phase, best)
 	}
-	ub := retime.Period(e.c)
-	if ub < 1 {
-		ub = 1
-	}
+	ub := max(retime.Period(e.c), 1)
 	if opts.Decompose && opts.Pipelined {
 		// Paper's UB: TurboMap's optimum seeds TurboSYN's search.
 		opts.Progress.SetPhase("turbomap-ub")
 		tmOpts := opts
 		tmOpts.Decompose = false
-		tm, err := e.minimizeSearch(ub, tmOpts, &total, conc, guard)
+		tm, err := e.minimizeSearch(ub, tmOpts, c, &total)
 		if err != nil {
 			return fail(err, "turbomap-ub", tm)
 		}
@@ -549,28 +556,16 @@ func (e *Engine) MinimizeContext(ctx context.Context, opts Options) (*Result, er
 		ub = tm
 	}
 	opts.Progress.SetPhase("search")
-	best, err := e.minimizeSearch(ub, opts, &total, conc, guard)
+	best, err := e.minimizeSearch(ub, opts, c, &total)
 	if err != nil {
 		return fail(err, "search", best)
 	}
-	opts.Progress.SetPhase("map")
-	var mapRing *obs.Ring
-	var t0 int64
-	if opts.Trace != nil {
-		mapRing = opts.Trace.NewRing("map")
-		t0 = mapRing.Now()
-	}
-	res, st, err := e.mapAtRatio(best, opts, conc, guard)
-	if mapRing != nil {
-		mapRing.Span(obs.OpMap, t0, int64(best), probeVerdict(err == nil, err))
-	}
+	res, st, err := e.mapAtRatio(best, c)
+	total.Add(st)
 	if err != nil {
-		total.Add(st)
 		return fail(err, "map", best)
 	}
-	total.Add(res.Stats)
+	c.end(&total, nil, "", best)
 	res.Stats = total
-	res.Stats.fold(conc.Snapshot())
-	foldTrace(&res.Stats, opts.Trace)
 	return res, nil
 }

@@ -14,7 +14,6 @@ import (
 	"turbosyn/internal/logic"
 	"turbosyn/internal/netlist"
 	"turbosyn/internal/obs"
-	"turbosyn/internal/stats"
 )
 
 // coverRec is the realization recorded for a gate on the final (consistent)
@@ -44,8 +43,7 @@ type state struct {
 	// levels is the longest-path layering of the condensation. The
 	// sequential sweep uses it to bound sccIsolated's predecessor walk (on
 	// that path "lower level" does imply "finished"); the dataflow
-	// scheduler counts the level waves it no longer waits on
-	// (Stats.BarriersEliminated) and gates the walk on compDone instead.
+	// scheduler gates the walk on compDone instead.
 	levels []int
 
 	// Decision cache: a gate is re-decided only when its L changed since
@@ -84,7 +82,9 @@ type state struct {
 	// iterations; this cache removes the repeated Roth-Karp window scans.
 	// It is safe to share across workers and probes (see cache.go).
 	cache *decompCache
-	conc  *stats.Concurrency
+	// conc is the live counter set of the public call this probe belongs
+	// to, shared with every other probe of the call.
+	conc *counters
 	// rec, when non-nil, is the run's span recorder (Options.Trace). Worker
 	// arenas attach their rings from it; nil keeps every hook a single
 	// pointer check.
@@ -146,7 +146,7 @@ func newState(c *netlist.Circuit, phi int, opts Options) *state {
 	s := blankState(c, analyze(c), nil)
 	s.resetFor(phi, opts)
 	s.cache = newDecompCache()
-	s.conc = &stats.Concurrency{}
+	s.conc = &counters{}
 	return s
 }
 
@@ -214,15 +214,6 @@ func (s *state) resetFor(phi int, opts Options) {
 			s.labels[n.ID] = 1 // the paper's initial lower bound
 		}
 	}
-}
-
-// attach shares a search-wide decomposition cache, concurrency counters and
-// cancellation flag with this probe (see Minimize: one cache and one counter
-// set span every probe of the binary search).
-func (s *state) attach(cache *decompCache, conc *stats.Concurrency, cancel *atomic.Bool) {
-	s.cache = cache
-	s.conc = conc
-	s.cancel = cancel
 }
 
 // seedLabels warm-starts this probe from labels converged at seedPhi (a
@@ -328,7 +319,7 @@ func (s *state) degrade(st *Stats, ar *arena, resource string, node, limit int) 
 		return false
 	}
 	st.Degradations++
-	s.conc.AddDegradation()
+	s.conc.degradations.Add(1)
 	if ar.ring != nil {
 		ar.ring.Instant(obs.OpDegrade, int64(node), int64(limit))
 	}
@@ -353,20 +344,31 @@ func (s *state) computeL(v int) int {
 // exhausted under Strict, or a contained panic — and the verdict carries no
 // information; stats still reflect the partial work done.
 //
-// With workers > 1 the per-component work is scheduled dataflow-style over
-// the condensation (see parallel.go); with workers == 1, or whenever an
-// iteration budget demands globally ordered accounting, components run
-// strictly sequentially in topological order. Both paths produce identical
-// labels, covers and verdicts: a component's computation reads only its own
-// members and upstream components, and upstream components are final before
-// the component starts in either schedule.
+// With more than one worker and more than one component carrying work, the
+// per-component work is scheduled dataflow-style over the condensation (see
+// parallel.go); otherwise, and whenever an iteration budget demands globally
+// ordered accounting, components run strictly sequentially in topological
+// order. Both paths produce identical labels, covers and verdicts: a
+// component's computation reads only its own members and upstream
+// components, and upstream components are final before the component starts
+// in either schedule.
 func (s *state) run() (bool, error) {
-	defer s.conc.AddProbeFinished()
+	defer s.conc.probesFinished.Add(1)
 	s.failed.Store(false)
-	if s.workers > 1 && s.opts.IterBudget <= 0 {
-		return s.runParallel()
+	workers := s.workers
+	if s.opts.IterBudget > 0 {
+		workers = 1
 	}
-	s.conc.SetWorkers(1)
+	raise(&s.conc.workers, workers)
+	if workers > 1 {
+		// With no component carrying work the outputs alone decide.
+		if s.an.workCount == 0 {
+			return s.finishRun(s.checkOutputs())
+		}
+		if workers = min(workers, s.an.workCount); workers > 1 {
+			return s.runParallel(workers)
+		}
+	}
 	ar := s.arenaFor(0)
 	for _, comp := range s.sccs.Order {
 		if s.safeRunComp(comp, &s.stats, ar) != compConverged {
@@ -455,7 +457,7 @@ func (s *state) runComp(comp int, st *Stats, ar *arena) compOutcome {
 	if b > st.ArenaPeakBytes {
 		st.ArenaPeakBytes = b
 	}
-	s.conc.ObserveArenaBytes(b)
+	raise(&s.conc.arenaPeakBytes, b)
 	if lim := s.opts.ArenaByteBudget; lim > 0 && b > lim {
 		// The arena outgrew its budget: release the retained scratch back to
 		// the allocator. Arenas are pure scratch, so results are unaffected;
@@ -543,7 +545,7 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 			return compInfeasible
 		}
 		st.Iterations++
-		s.conc.AddIteration()
+		s.conc.iterations.Add(1)
 		changed := false
 		visited := 0
 		for _, id32 := range updatable {
@@ -570,9 +572,9 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 		if visited > st.WorklistPeak {
 			st.WorklistPeak = visited
 		}
-		s.conc.AddNodeUpdates(visited)
-		s.conc.AddDirtySkips(len(updatable) - visited)
-		s.conc.ObserveWorklist(visited)
+		s.conc.nodeVisits.Add(int64(visited))
+		s.conc.dirtySkips.Add(int64(len(updatable) - visited))
+		gauge(&s.conc.worklistDepth, &s.conc.worklistPeak, visited)
 		if !changed {
 			// Recording pass: re-decide everything at the converged
 			// labels and keep the covers — the worklist never thins this
@@ -580,7 +582,7 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 			// sweep. A change here means the Gauss-Seidel sweep raced
 			// itself, or a warm-seeded decision went stale; keep iterating.
 			st.Iterations++
-			s.conc.AddIteration()
+			s.conc.iterations.Add(1)
 			for ui, id32 := range updatable {
 				if ui&checkpointMask == checkpointMask && s.stopped() {
 					return compCancelled
@@ -595,7 +597,7 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 				}
 			}
 			st.SweepNodeVisits += len(updatable)
-			s.conc.AddNodeUpdates(len(updatable))
+			s.conc.nodeVisits.Add(int64(len(updatable)))
 			if !changed {
 				return compConverged
 			}
@@ -818,7 +820,7 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		key := decompKey(s.opts.K, h+1, canonPrio, canon, effort)
 		entry, cached := s.cache.lookup(key, s.conc)
 		if cached && !ctr.Identity() {
-			s.conc.AddCacheNPNHit()
+			s.conc.cacheNPN.Add(1)
 		}
 		if ar.ring != nil {
 			if cached {

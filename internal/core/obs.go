@@ -1,9 +1,10 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"turbosyn/internal/obs"
 	"turbosyn/internal/prof"
-	"turbosyn/internal/stats"
 )
 
 // phase switches both observability planes for the calling worker in one
@@ -26,42 +27,94 @@ func (s *state) attachRing(ar *arena, label string) {
 	}
 }
 
-// liveCounters builds the progress tracker's sampler: a closure the ticker
-// goroutine calls at its reporting interval to read the run's shared atomic
-// counters (and, when tracing, the recorder's event totals).
-func liveCounters(conc *stats.Concurrency, rec *obs.Recorder) func() obs.Counters {
-	return func() obs.Counters {
-		cs := conc.Snapshot()
-		c := obs.Counters{
-			Workers:         cs.Workers,
-			NodesLabeled:    cs.NodeUpdates,
-			NodesSkipped:    cs.DirtySkips,
-			Iterations:      cs.Iterations,
-			ProbesLaunched:  cs.ProbesLaunched,
-			ProbesFinished:  cs.ProbesFinished,
-			ReadyQueueDepth: cs.QueueDepth,
-			QueueDepthPeak:  cs.QueueDepthPeak,
-			WorklistDepth:   cs.WorklistDepth,
-			WorklistPeak:    cs.WorklistDepthPeak,
-			Degradations:    cs.Degradations,
-			ArenaPeakBytes:  cs.ArenaPeakBytes,
-			CacheHits:       cs.CacheHits,
-			CacheMisses:     cs.CacheMisses,
-			CachePersisted:  cs.CachePersistedHits,
-		}
-		if rec != nil {
-			c.TraceEvents, c.TraceDropped = rec.Totals()
-		}
-		return c
+// counters is the live counter set of one public entry point, shared by
+// every probe of the call and written directly where the events happen:
+// scheduler, cache and search events one atomic add each, label-sweep
+// totals once per sweep (never per node). The progress ticker samples it
+// while the run is live — a monotone, slightly torn view, which is all a
+// progress report needs — and call.end folds it into the call's Stats once.
+// Peaks are lock-free running maxima (see raise).
+type counters struct {
+	workers         atomic.Int64 // widest worker pool of any probe
+	tasks           atomic.Int64 // components pulled from the ready queue
+	inlineTasks     atomic.Int64 // trivial components chained inline (taskGrain)
+	queueDepth      atomic.Int64 // ready-queue depth at the last push or pull
+	queueDepthPeak  atomic.Int64
+	busyPeak        atomic.Int64 // peak simultaneously busy pool workers
+	cacheHits       atomic.Int64
+	cacheMisses     atomic.Int64
+	cachePersisted  atomic.Int64 // hits served by entries loaded from a CacheDir log
+	cacheNPN        atomic.Int64 // hits reached through a non-identity NPN transform
+	probesLaunched  atomic.Int64
+	probesCancelled atomic.Int64 // speculative probes that lost their branch
+	probesFinished  atomic.Int64 // launched minus finished = probes in flight
+	iterations      atomic.Int64 // live mirror of Stats.Iterations
+	nodeVisits      atomic.Int64 // live mirror of Stats.SweepNodeVisits
+	dirtySkips      atomic.Int64 // live mirror of Stats.DirtySkips
+	worklistDepth   atomic.Int64 // members the last fast pass drained
+	worklistPeak    atomic.Int64
+	degradations    atomic.Int64 // live mirror of Stats.Degradations
+	arenaPeakBytes  atomic.Int64 // busiest scratch arena's footprint
+}
+
+// raise lifts peak to v if v is larger (a lock-free running maximum).
+func raise(peak *atomic.Int64, v int) {
+	for cur := peak.Load(); int64(v) > cur && !peak.CompareAndSwap(cur, int64(v)); cur = peak.Load() {
 	}
 }
 
-// foldTrace records the recorder's event totals into st (once, at a public
-// API boundary).
-func foldTrace(st *Stats, rec *obs.Recorder) {
-	if rec != nil {
-		st.TraceEvents, st.TraceDropped = rec.Totals()
+// gauge records a live depth and raises its high-water mark.
+func gauge(cur, peak *atomic.Int64, v int) {
+	cur.Store(int64(v))
+	raise(peak, v)
+}
+
+// sampler builds the progress tracker's sampler: a closure the ticker
+// goroutine calls at its reporting interval to read the counters (and, when
+// tracing, the recorder's event totals).
+func (c *counters) sampler(rec *obs.Recorder) func() obs.Counters {
+	return func() obs.Counters {
+		out := obs.Counters{
+			Workers:         int(c.workers.Load()),
+			NodesLabeled:    int(c.nodeVisits.Load()),
+			NodesSkipped:    int(c.dirtySkips.Load()),
+			Iterations:      int(c.iterations.Load()),
+			ProbesLaunched:  int(c.probesLaunched.Load()),
+			ProbesFinished:  int(c.probesFinished.Load()),
+			ReadyQueueDepth: int(c.queueDepth.Load()),
+			QueueDepthPeak:  int(c.queueDepthPeak.Load()),
+			WorklistDepth:   int(c.worklistDepth.Load()),
+			WorklistPeak:    int(c.worklistPeak.Load()),
+			Degradations:    int(c.degradations.Load()),
+			ArenaPeakBytes:  int(c.arenaPeakBytes.Load()),
+			CacheHits:       int(c.cacheHits.Load()),
+			CacheMisses:     int(c.cacheMisses.Load()),
+			CachePersisted:  int(c.cachePersisted.Load()),
+		}
+		if rec != nil {
+			out.TraceEvents, out.TraceDropped = rec.Totals()
+		}
+		return out
 	}
+}
+
+// fold merges the counters that exist only here into st. The live mirrors
+// (iterations, visits, skips, degradations, arena bytes) are already in st
+// through the per-probe Stats and are not folded again; the worklist peak
+// is a max, so folding it is idempotent.
+func (c *counters) fold(st *Stats) {
+	st.Workers = max(st.Workers, int(c.workers.Load()))
+	st.ParallelTasks += int(c.tasks.Load())
+	st.InlineTasks += int(c.inlineTasks.Load())
+	st.QueueDepthPeak = max(st.QueueDepthPeak, int(c.queueDepthPeak.Load()))
+	st.WorkerOccupancy = max(st.WorkerOccupancy, int(c.busyPeak.Load()))
+	st.CacheShardHits += int(c.cacheHits.Load())
+	st.CacheShardMisses += int(c.cacheMisses.Load())
+	st.CachePersistedHits += int(c.cachePersisted.Load())
+	st.CacheNPNHits += int(c.cacheNPN.Load())
+	st.ProbesLaunched += int(c.probesLaunched.Load())
+	st.ProbesCancelled += int(c.probesCancelled.Load())
+	st.WorklistPeak = max(st.WorklistPeak, int(c.worklistPeak.Load()))
 }
 
 // probeVerdict encodes a probe outcome as the OpProbe span argument.

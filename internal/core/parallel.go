@@ -34,8 +34,9 @@ const taskGrain = 64
 // until roughly taskGrain node updates have accumulated, and only then
 // returns to the queue. Chaining is pure scheduling: an inline run is exactly
 // a push immediately followed by a pop by the same worker.
-func (s *state) runParallel() (bool, error) {
-	s.conc.SetWorkers(s.workers)
+//
+// run calls it with 2 <= workers <= the number of components carrying work.
+func (s *state) runParallel(workers int) (bool, error) {
 	nc := s.sccs.NumComps()
 
 	// Per-component work summary, precomputed once per circuit in analyze
@@ -46,29 +47,6 @@ func (s *state) runParallel() (bool, error) {
 	updates := s.an.updates // updatable members per component
 	trivial := s.an.trivial
 	workCount := s.an.workCount
-	if workCount == 0 {
-		return s.finishRun(s.checkOutputs())
-	}
-	workers := s.workers
-	if workers > workCount {
-		workers = workCount
-	}
-	if workers <= 1 {
-		// A single worker's dataflow order is the topological sweep; skip
-		// the queue machinery entirely.
-		ar := s.arenaFor(0)
-		for _, comp := range s.sccs.Order {
-			if s.safeRunComp(comp, &s.stats, ar) != compConverged {
-				return s.finishRun(false)
-			}
-		}
-		return s.finishRun(s.checkOutputs())
-	}
-
-	// Record what the retired level-synchronized scheduler would have cost
-	// on this condensation: one barrier wait between consecutive levels
-	// that carry schedulable work.
-	s.conc.AddBarriersEliminated(s.an.workLevels - 1)
 
 	// Scheduler bookkeeping lives on the pooled state (pendingBuf,
 	// compDoneBuf): the condensation of a 100k-gate netlist has on the order
@@ -126,10 +104,10 @@ func (s *state) runParallel() (bool, error) {
 					cascade = append(cascade, d)
 				case wantInline && next < 0 && trivial[d]:
 					next = d
-					s.conc.AddInlineRun()
+					s.conc.inlineTasks.Add(1)
 				default:
 					ready <- d
-					s.conc.ObserveQueueDepth(len(ready))
+					gauge(&s.conc.queueDepth, &s.conc.queueDepthPeak, len(ready))
 				}
 			}
 			if remaining.Add(-1) == 0 {
@@ -173,7 +151,7 @@ func (s *state) runParallel() (bool, error) {
 			finish(comp, false)
 		} else {
 			ready <- comp
-			s.conc.ObserveQueueDepth(len(ready))
+			gauge(&s.conc.queueDepth, &s.conc.queueDepthPeak, len(ready))
 		}
 	}
 	// Hand every worker its scratch arena before launch: arenaFor grows
@@ -205,11 +183,11 @@ func (s *state) runParallel() (bool, error) {
 				}
 			}()
 			for comp := range ready {
-				s.conc.ObserveQueueDepth(len(ready))
-				s.conc.ObserveBusyWorkers(int(busy.Add(1)))
+				gauge(&s.conc.queueDepth, &s.conc.queueDepthPeak, len(ready))
+				raise(&s.conc.busyPeak, int(busy.Add(1)))
 				grain := 0
 				for comp >= 0 {
-					s.conc.AddTask()
+					s.conc.tasks.Add(1)
 					faultinject.Delay()
 					runOne(comp, ws, ar)
 					grain += updates[comp]

@@ -11,7 +11,6 @@ import (
 	"turbosyn/internal/decomp"
 	"turbosyn/internal/logic"
 	"turbosyn/internal/netlist"
-	"turbosyn/internal/stats"
 )
 
 // goldenCase is one circuit/configuration of the equivalence matrix. The
@@ -156,14 +155,14 @@ func TestSchedulerStressRandom(t *testing.T) {
 			// One cache and counter set per circuit: the cache is keyed on
 			// full Decompose inputs, so sharing it across configurations
 			// cannot change any result.
-			conc := &stats.Concurrency{}
+			conc := &counters{}
 			cache := newDecompCache()
 			probe := func(phi, workers int, fullSweep bool) (bool, []int) {
 				opts := base
 				opts.Workers = workers
 				s := newState(c, phi, opts)
 				s.fullSweep = fullSweep
-				s.attach(cache, conc, nil)
+				s.cache, s.conc = cache, conc
 				ok, err := s.run()
 				if err != nil {
 					t.Fatalf("phi=%d workers=%d: unexpected run error: %v", phi, workers, err)
@@ -200,7 +199,7 @@ func TestSchedulerStressRandom(t *testing.T) {
 // storm every key must be present, and the counters must account for every
 // lookup exactly once.
 func TestDecompCacheConcurrentStress(t *testing.T) {
-	conc := &stats.Concurrency{}
+	conc := &counters{}
 	cache := newDecompCache()
 
 	type entry struct {
@@ -253,13 +252,12 @@ func TestDecompCacheConcurrentStress(t *testing.T) {
 			t.Errorf("key %q missing after stress", e.key)
 		}
 	}
-	snap := conc.Snapshot()
+	hits, misses := int(conc.cacheHits.Load()), int(conc.cacheMisses.Load())
 	lookups := goroutines*rounds + len(entries)
-	if snap.CacheHits+snap.CacheMisses != lookups {
-		t.Errorf("hits %d + misses %d != lookups %d",
-			snap.CacheHits, snap.CacheMisses, lookups)
+	if hits+misses != lookups {
+		t.Errorf("hits %d + misses %d != lookups %d", hits, misses, lookups)
 	}
-	if snap.CacheMisses < len(entries) {
-		t.Errorf("misses %d cannot be below distinct keys %d", snap.CacheMisses, len(entries))
+	if misses < len(entries) {
+		t.Errorf("misses %d cannot be below distinct keys %d", misses, len(entries))
 	}
 }

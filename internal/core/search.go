@@ -7,7 +7,6 @@ import (
 
 	"turbosyn/internal/netlist"
 	"turbosyn/internal/obs"
-	"turbosyn/internal/stats"
 )
 
 // The package-level entry points are thin wrappers over a throwaway Engine:
@@ -90,78 +89,6 @@ func warmUseful(phi, seedPhi int) bool {
 	return 2*phi >= seedPhi
 }
 
-// minimizeSearch binary-searches the smallest feasible phi in [1, ub].
-// ub must be feasible. The accumulated statistics cover exactly the probes
-// on the canonical binary-search path, so totals match the sequential
-// search; speculative probes count only through the shared conc counters.
-// On an aborting error the returned phi is the best feasible one proven
-// before the abort (-1 when none), so the caller can report partial
-// progress. Every probe checks its state (and through it, worker arenas)
-// out of the engine; newState never runs on this path.
-func (e *Engine) minimizeSearch(ub int, opts Options, total *Stats, conc *stats.Concurrency, guard *runGuard) (int, error) {
-	workers := opts.workerCount()
-	if workers > 1 && opts.IterBudget <= 0 && ub > 2 {
-		return e.speculativeSearch(ub, opts, total, conc, guard, workers)
-	}
-	// Every later probe targets a phi below the best feasible one found so
-	// far, so the best probe's converged labels always qualify as a seed.
-	// The warm store owns its buffer: the probe's label array returns to the
-	// engine with the state and is overwritten by the next checkout.
-	// A positive IterBudget keeps every probe cold, so the n^2 ablation
-	// counts iterations from the initial labels.
-	warm := opts.IterBudget <= 0
-	var warmLabels []int
-	warmPhi := 0
-	var ring *obs.Ring
-	if opts.Trace != nil {
-		ring = opts.Trace.NewRing("search")
-	}
-	lo, hi := 1, ub
-	best := -1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		s := e.checkoutState(mid, opts)
-		s.attach(e.cache, conc, nil)
-		s.guard = guard
-		if warm && warmLabels != nil && warmUseful(mid, warmPhi) {
-			s.seedLabels(warmLabels, warmPhi)
-		}
-		var t0 int64
-		if ring != nil {
-			t0 = ring.Now()
-		}
-		conc.AddProbeLaunched()
-		ok, err := s.run()
-		if ring != nil {
-			ring.Span(obs.OpProbe, t0, int64(mid), probeVerdict(ok, err))
-		}
-		if opts.Logger != nil {
-			opts.Logger.Debug("probe", "phi", mid, "feasible", ok,
-				"iterations", s.stats.Iterations, "cutChecks", s.stats.CutChecks, "err", err)
-		}
-		total.Add(s.stats)
-		if err != nil {
-			e.checkinState(s)
-			return best, err
-		}
-		if ok {
-			best = mid
-			opts.Progress.SetBestPhi(mid)
-			warmLabels = append(warmLabels[:0], s.labels...)
-			warmPhi = mid
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-		e.checkinState(s)
-	}
-	if best < 0 {
-		return -1, fmt.Errorf("core: no feasible target up to %d for %s (is the upper bound wrong?)",
-			ub, e.c.Name)
-	}
-	return best, nil
-}
-
 // probe is one asynchronous feasibility decision at a fixed phi.
 type probe struct {
 	phi    int
@@ -178,13 +105,23 @@ type probe struct {
 	spanned bool
 }
 
-// speculativeSearch runs the same binary search as minimizeSearch but
-// probes ahead: alongside the midpoint it launches the midpoints of both
-// possible next intervals, so whichever way the current probe resolves, the
-// next decision is already in flight. The probe for the branch not taken is
-// cancelled (state.run notices via its cancel flag and aborts between
-// sweeps). Verdicts are deterministic per phi, so the search visits exactly
-// the phis the sequential search would and returns the same minimum.
+// minimizeSearch binary-searches the smallest feasible phi in [1, ub] for
+// call c; ub must be feasible. Each step decides Problem 2 at the midpoint.
+// The search is width probes wide: alongside the midpoint it launches the
+// midpoints of both possible next intervals while width allows, so
+// whichever way the current probe resolves, the next decision is already in
+// flight. The probe for the branch not taken is cancelled (state.run
+// notices via its cancel flag and aborts between sweeps). Verdicts are
+// deterministic per phi, so the search visits exactly the phis a
+// one-probe-wide search would and returns the same minimum. total
+// accumulates the work of exactly the midpoint probes, so it does not
+// depend on the width; lookaheads count only through the call's counters.
+//
+// The width is min(3, workers), with the worker pool split evenly between
+// the concurrent probes (inner worker counts never change results, only
+// scheduling). It is 1 when ub <= 2, where the search is at most two probes
+// long, and under a positive IterBudget, whose probes also start cold so the
+// n^2 ablation counts iterations from the initial labels.
 //
 // Every probe goroutine checks a state out of the engine and returns it at
 // exit: concurrent probes simply hold distinct pooled states, and a
@@ -196,21 +133,17 @@ type probe struct {
 // InternalError instead of killing the process), and the wind-down joins
 // every probe ever launched — cancelled lookaheads included — before
 // returning, so no goroutine outlives the search and no probe's error is
-// dropped on the floor.
-func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *stats.Concurrency, guard *runGuard, workers int) (best int, err error) {
-	// Split the pool between concurrent probes: the midpoint probe is the
-	// one blocking progress, the two lookahead probes ride along. Inner
-	// worker counts never change results, only scheduling.
-	maxProbes := 3
-	if workers < maxProbes {
-		maxProbes = workers
-	}
-	inner := workers / maxProbes
-	if inner < 1 {
-		inner = 1
+// dropped on the floor. On an aborting error the returned phi is the best
+// feasible one proven before the abort (-1 when none), so the caller can
+// report partial progress.
+func (e *Engine) minimizeSearch(ub int, opts Options, c *call, total *Stats) (best int, err error) {
+	workers := opts.workerCount()
+	width := min(3, workers)
+	if opts.IterBudget > 0 || ub <= 2 {
+		width = 1
 	}
 	popts := opts
-	popts.Workers = inner
+	popts.Workers = workers / width
 
 	var ring *obs.Ring
 	if opts.Trace != nil {
@@ -232,19 +165,18 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 			ring.Span(obs.OpProbe, p.t0, int64(p.phi), v)
 		}
 		if opts.Logger != nil {
-			opts.Logger.Debug("probe", "phi", p.phi, "feasible", p.ok,
-				"cancelled", cancelled, "iterations", p.stats.Iterations, "err", p.err)
+			opts.Logger.Debug("probe", "phi", p.phi, "feasible", p.ok, "cancelled", cancelled,
+				"iterations", p.stats.Iterations, "cutChecks", p.stats.CutChecks, "err", p.err)
 		}
 	}
 
 	// Warm-start store: every launch targets a phi at or below hi, which is
 	// strictly below the best feasible probe accepted so far, so the latest
-	// accepted probe's labels always qualify as a seed (subject to the same
-	// warmUseful distance gate as the sequential search). The store is read
-	// and written only on this goroutine (launches and accepts both happen
-	// in the search loop), and a stored slice is never mutated again — the
-	// probe copied it out of its state before checkin, and seeding copies it
-	// into the new probe's state.
+	// accepted probe's labels always qualify as a seed (subject to the
+	// warmUseful distance gate). The store is read and written only on this
+	// goroutine (launches and accepts both happen in the search loop), and a
+	// stored slice is never mutated again — the probe copied it out of its
+	// state before checkin, and seeding copies it into the new probe's state.
 	var warmLabels []int
 	warmPhi := 0
 
@@ -260,14 +192,13 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 		}
 		running[phi] = p
 		all = append(all, p)
-		conc.AddProbeLaunched()
 		seed, seedPhi := warmLabels, warmPhi
-		if !warmUseful(phi, warmPhi) {
+		if opts.IterBudget > 0 || !warmUseful(phi, warmPhi) {
 			seed = nil
 		}
 		go func() {
 			defer close(p.done)
-			s := e.checkoutState(phi, popts)
+			s := e.checkoutState(phi, popts, c, &p.cancel)
 			defer e.checkinState(s)
 			defer func() {
 				if r := recover(); r != nil {
@@ -278,8 +209,6 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 					s.fails.fail(p.err)
 				}
 			}()
-			s.attach(e.cache, conc, &p.cancel)
-			s.guard = guard
 			if seed != nil {
 				s.seedLabels(seed, seedPhi)
 			}
@@ -295,7 +224,7 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 		delete(running, p.phi)
 		if cancelled {
 			p.cancel.Store(true)
-			conc.AddProbeCancelled()
+			c.conc.probesCancelled.Add(1)
 		}
 	}
 
@@ -304,10 +233,10 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 	for lo <= hi {
 		mid := (lo + hi) / 2
 		launch(mid)
-		if left := mid - 1; lo <= left && len(running) < maxProbes {
+		if left := mid - 1; lo <= left && len(running) < width {
 			launch((lo + left) / 2)
 		}
-		if right := mid + 1; right <= hi && len(running) < maxProbes {
+		if right := mid + 1; right <= hi && len(running) < width {
 			launch((right + hi) / 2)
 		}
 		p := running[mid]
@@ -340,8 +269,7 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 	// budget, a contained panic — a lost-speculation cancel is not an error)
 	// surfaces here rather than being silently discarded with the probe.
 	for _, q := range running {
-		q.cancel.Store(true)
-		conc.AddProbeCancelled()
+		drop(q, true)
 	}
 	for _, q := range all {
 		<-q.done

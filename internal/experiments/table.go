@@ -1,6 +1,4 @@
-// Package stats formats the experiment tables and computes the summary
-// ratios the paper reports (geometric means of per-circuit ratios).
-package stats
+package experiments
 
 import (
 	"fmt"
@@ -9,19 +7,19 @@ import (
 	"strings"
 )
 
-// Table accumulates rows and renders fixed-width text output.
-type Table struct {
+// table accumulates rows and renders fixed-width text output.
+type table struct {
 	header []string
 	rows   [][]string
 }
 
-// NewTable starts a table with the given column headers.
-func NewTable(header ...string) *Table {
-	return &Table{header: header}
+// newTable starts a table with the given column headers.
+func newTable(header ...string) *table {
+	return &table{header: header}
 }
 
 // AddRow appends a row; values are formatted with %v.
-func (t *Table) AddRow(cells ...interface{}) {
+func (t *table) AddRow(cells ...interface{}) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
@@ -35,7 +33,7 @@ func (t *Table) AddRow(cells ...interface{}) {
 }
 
 // Render writes the table.
-func (t *Table) Render(w io.Writer) {
+func (t *table) Render(w io.Writer) {
 	width := make([]int, len(t.header))
 	for i, h := range t.header {
 		width[i] = len(h)
@@ -69,9 +67,9 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// GeoMean returns the geometric mean of the values; zero or negative values
+// geoMean returns the geometric mean of the values; zero or negative values
 // are skipped (they would be undefined), and an empty input returns NaN.
-func GeoMean(values []float64) float64 {
+func geoMean(values []float64) float64 {
 	sum, n := 0.0, 0
 	for _, v := range values {
 		if v > 0 {
@@ -85,8 +83,8 @@ func GeoMean(values []float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// RatioSummary returns the geometric mean of a[i]/b[i].
-func RatioSummary(a, b []float64) float64 {
+// ratioSummary returns the geometric mean of a[i]/b[i].
+func ratioSummary(a, b []float64) float64 {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
@@ -97,5 +95,5 @@ func RatioSummary(a, b []float64) float64 {
 			ratios = append(ratios, a[i]/b[i])
 		}
 	}
-	return GeoMean(ratios)
+	return geoMean(ratios)
 }

@@ -1,4 +1,4 @@
-package stats
+package experiments
 
 import (
 	"bytes"
@@ -8,7 +8,7 @@ import (
 )
 
 func TestTableRender(t *testing.T) {
-	tb := NewTable("name", "phi", "ratio")
+	tb := newTable("name", "phi", "ratio")
 	tb.AddRow("bbara", 3, 1.5)
 	tb.AddRow("verylongname", 12, 0.333333)
 	var buf bytes.Buffer
@@ -32,16 +32,16 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
-		t.Errorf("GeoMean(2,8) = %v", g)
+	if g := geoMean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
+		t.Errorf("geoMean(2,8) = %v", g)
 	}
-	if g := GeoMean([]float64{5}); math.Abs(g-5) > 1e-12 {
-		t.Errorf("GeoMean(5) = %v", g)
+	if g := geoMean([]float64{5}); math.Abs(g-5) > 1e-12 {
+		t.Errorf("geoMean(5) = %v", g)
 	}
-	if g := GeoMean([]float64{2, 0, 8}); math.Abs(g-4) > 1e-12 {
+	if g := geoMean([]float64{2, 0, 8}); math.Abs(g-4) > 1e-12 {
 		t.Errorf("zeros must be skipped: %v", g)
 	}
-	if !math.IsNaN(GeoMean(nil)) {
+	if !math.IsNaN(geoMean(nil)) {
 		t.Error("empty input must be NaN")
 	}
 }
@@ -49,7 +49,7 @@ func TestGeoMean(t *testing.T) {
 func TestRatioSummary(t *testing.T) {
 	a := []float64{4, 9}
 	b := []float64{2, 3}
-	if g := RatioSummary(a, b); math.Abs(g-math.Sqrt(6)) > 1e-12 {
-		t.Errorf("RatioSummary = %v", g)
+	if g := ratioSummary(a, b); math.Abs(g-math.Sqrt(6)) > 1e-12 {
+		t.Errorf("ratioSummary = %v", g)
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Counters is the live-counter part of a progress snapshot, sampled from the
-// engine's shared atomic counter set (stats.Concurrency plus the trace
-// recorder's totals) at delivery time.
+// engine's live counter set (plus the trace recorder's totals) at delivery
+// time.
 type Counters struct {
 	Workers         int // effective worker-pool size
 	NodesLabeled    int // member visits performed across all label sweeps

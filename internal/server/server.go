@@ -32,7 +32,7 @@ type Config struct {
 	Fleet int
 	// WorkersPerJob is each job's engine worker-pool size (default 1: the
 	// fleet provides the parallelism, one worker per job keeps a tenant
-	// from monopolizing cores).
+	// from monopolizing cores). New rejects a negative value.
 	WorkersPerJob int
 	// Queue bounds admission (see jobqueue.Config).
 	Queue jobqueue.Config
@@ -135,6 +135,9 @@ type Server struct {
 // New builds the server: it replays and compacts the journal, re-admits
 // every recovered job, and readies (but does not start) the worker fleet.
 func New(cfg Config) (*Server, error) {
+	if cfg.WorkersPerJob < 0 {
+		return nil, fmt.Errorf("server: WorkersPerJob = %d is negative", cfg.WorkersPerJob)
+	}
 	cfg = cfg.fill()
 	s := &Server{
 		cfg: cfg, queue: jobqueue.New(cfg.Queue), jobs: map[string]*Job{},

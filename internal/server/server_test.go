@@ -341,3 +341,17 @@ func TestProgressStream(t *testing.T) {
 		t.Error("terminal done line missing result metadata")
 	}
 }
+
+// TestNewRejectsNegativeWorkersPerJob: a negative per-job worker count is a
+// start-up error. Accepting it would admit every job and then fail each one
+// as internal when the engine rejects its options.
+func TestNewRejectsNegativeWorkersPerJob(t *testing.T) {
+	s, err := New(Config{Fleet: 1, WorkersPerJob: -1})
+	if err == nil {
+		s.Close()
+		t.Fatal("New accepted WorkersPerJob = -1")
+	}
+	if !strings.Contains(err.Error(), "WorkersPerJob") {
+		t.Errorf("error %q does not name WorkersPerJob", err)
+	}
+}
