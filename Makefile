@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build lint vulncheck test test-full race chaos fuzz-smoke bench-smoke bench-scale bench-scale-100k trace-smoke cache-warm daemon-smoke bench-daemon daemon-trace-smoke
+.PHONY: build lint vulncheck test test-full race chaos fuzz-smoke bench trace-smoke cache-warm daemon-smoke daemon-trace-smoke
 
 # Compile everything and vet it.
 build:
@@ -74,22 +74,6 @@ daemon-smoke:
 		./internal/server
 	$(GO) test -race -count=1 ./internal/jobqueue
 
-# Daemon load benchmark: cmd/loadgen replays 1000 quick jobs per
-# concurrency level against an in-process daemon (saturation sweep), and the
-# p50/p99/throughput numbers are rendered to BENCH_daemon_new.json and gated
-# against the committed BENCH_daemon.json. The time gate is loose (5x) —
-# end-to-end daemon latency includes HTTP and scheduler noise that per-op
-# engine benchmarks do not have — with matching tail gates: p99 growth
-# beyond 5x or a retries explosion beyond 10x ((new+1)/(old+1)) fails the
-# run even when the mean stayed flat, which is precisely how serving
-# regressions present under load. Bytes/allocs gates are disabled (loadgen
-# reports neither).
-bench-daemon:
-	$(GO) run ./cmd/loadgen -jobs 1000 -concurrency 8,32,128 | tee loadgen-daemon.txt
-	$(GO) run ./cmd/benchjson -o BENCH_daemon_new.json < loadgen-daemon.txt
-	$(GO) run ./cmd/benchjson -delta -max-time-ratio 5.0 -max-bytes-ratio 0 -max-allocs-ratio 0 -max-p99-ratio 5.0 -max-retries-ratio 10.0 BENCH_daemon.json BENCH_daemon_new.json
-	mv BENCH_daemon_new.json BENCH_daemon.json
-
 # Daemon observability smoke: boot a real turbosynd (journal, debug mux),
 # run one job end to end over HTTP, then assert the observability surfaces
 # are truthful — the stitched per-job trace downloads and passes tracecheck
@@ -115,27 +99,18 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzReadBLIF -fuzztime 30s -run '^$$' ./internal/netlist
 	$(GO) test -fuzz FuzzRecordlogLoad -fuzztime 30s -run '^$$' ./internal/recordlog
 
-# One iteration of the PLD, scaling and warm-probe benchmarks; sanity,
-# not statistics. The Scale benchmarks run j1/jN sub-benchmarks, so the
-# output shows the parallel engine's speedup on whatever machine ran them.
-# The text log is rendered to BENCH_new.json and gated against the committed
-# BENCH_labels.json by `benchjson -delta` (per-benchmark ns/op, B/op and
-# allocs/op ratios; generous time threshold because runners differ, tighter
-# bytes/allocs thresholds because allocation is machine-independent — and a
-# benchmark that was allocation-free may never start allocating) before
-# replacing it. The second block does the same for the engine-reuse
-# benchmarks (one-shot Minimize vs a reused Engine), gated against
-# BENCH_engine.json — the artifact that shows the amortization actually
-# amortizes.
-bench-smoke:
-	$(GO) test -bench 'BenchmarkPLD|BenchmarkScale1k|BenchmarkPipeline4k|BenchmarkWarmProbes' -benchtime 1x -benchmem -run '^$$' -timeout 20m . | tee bench-smoke.txt
-	$(GO) run ./cmd/benchjson -o BENCH_new.json < bench-smoke.txt
-	$(GO) run ./cmd/benchjson -delta -max-time-ratio 3.0 -max-bytes-ratio 1.5 -max-allocs-ratio 1.5 BENCH_labels.json BENCH_new.json
-	mv BENCH_new.json BENCH_labels.json
-	$(GO) test -bench 'BenchmarkEngineReuse' -benchtime 1x -benchmem -run '^$$' -timeout 20m . | tee bench-engine.txt
-	$(GO) run ./cmd/benchjson -o BENCH_engine_new.json < bench-engine.txt
-	$(GO) run ./cmd/benchjson -delta -max-time-ratio 3.0 -max-bytes-ratio 1.5 -max-allocs-ratio 1.5 BENCH_engine.json BENCH_engine_new.json
-	mv BENCH_engine_new.json BENCH_engine.json
+# The repository benchmark (tsbench/, BENCHMARK.json): both workloads, plain
+# and traced, on seed 1 for 5 s each. tsbench builds turbosyn and turbosynd
+# from this checkout into .bench_build/, checks every output and exits
+# non-zero on any failed check; a traced run also fails when a metric that
+# BENCHMARK.json lists goes unmeasured. Each run's stdout (its "# context"
+# machine line, the metrics and the {"correct": ...} result) is appended to
+# bench.txt, which CI uploads.
+bench:
+	rm -f bench.txt
+	for w in giant_scc daemon_mix; do for t in 0 1; do \
+		bash -o pipefail -c "bash tsbench/run.sh --workload $$w --seed 1 --seconds 5 --trace $$t | tee -a bench.txt" || exit 1; \
+	done; done
 
 # Sample observability artifact: synthesize one suite circuit with tracing,
 # logging and progress on, leaving trace.json for inspection (CI uploads it;
@@ -144,26 +119,3 @@ trace-smoke:
 	$(GO) run ./cmd/benchgen -dir benchmarks
 	$(GO) run ./cmd/turbosyn -trace trace.json -log-json -o /dev/null benchmarks/bbara.blif
 	@$(GO) run ./cmd/tracecheck trace.json
-
-# Scheduler scaling only: the Scale1k, deep-pipeline Pipeline4k and
-# multi-core Scale10k j1-vs-jN pairs, captured with CPU/heap profiles and
-# gated against the committed BENCH_scale.json by `benchjson -delta` (same
-# thresholds as bench-smoke) before replacing it. On a multi-core runner the
-# jN numbers must beat j1 — this is the artifact that shows whether they do.
-# BenchmarkScale100k (~100k gates, minutes per pair) is not part of this
-# gate: it skips itself unless TURBOSYN_BENCH_100K is set, so run it
-# manually or nightly via bench-scale-100k below.
-bench-scale:
-	$(GO) test -bench 'BenchmarkScale1k|BenchmarkPipeline4k|BenchmarkScale10k' -benchtime 1x -benchmem -run '^$$' -timeout 30m \
-		-cpuprofile bench-scale-cpu.pprof -memprofile bench-scale-mem.pprof . | tee bench-scale.txt
-	$(GO) run ./cmd/benchjson -o BENCH_scale_new.json < bench-scale.txt
-	$(GO) run ./cmd/benchjson -delta -max-time-ratio 3.0 -max-bytes-ratio 1.5 -max-allocs-ratio 1.5 BENCH_scale.json BENCH_scale_new.json
-	mv BENCH_scale_new.json BENCH_scale.json
-
-# Manual/nightly 100k-gate scale push: the Scale100k j1-vs-jN pair, profiles
-# included, rendered to BENCH_scale100k.json (reported, not gated — the run
-# is too long and too machine-sensitive for a ratio gate).
-bench-scale-100k:
-	TURBOSYN_BENCH_100K=1 $(GO) test -bench 'BenchmarkScale100k' -benchtime 1x -benchmem -run '^$$' -timeout 60m \
-		-cpuprofile bench-scale-100k-cpu.pprof -memprofile bench-scale-100k-mem.pprof . | tee bench-scale-100k.txt
-	$(GO) run ./cmd/benchjson -o BENCH_scale100k.json < bench-scale-100k.txt

@@ -7,7 +7,6 @@ package turbosyn
 // regenerated by `go run ./cmd/experiments`.
 
 import (
-	"os"
 	"testing"
 
 	"turbosyn/internal/bench"
@@ -226,16 +225,16 @@ func BenchmarkPipeline4k(b *testing.B) {
 	b.Run("jN", func(b *testing.B) { benchmarkPipeline(b, 0) })
 }
 
-// --- F-SCALE10K/100K: the multi-core scale push ---
+// --- F-SCALE10K: the multi-core scale push ---
 //
-// Scale10k/Scale100k are MultiCore fabrics: 10 (resp. 37) independent
-// clusters of four pipelined cores, each core one FSM-style loop component.
+// Scale10k is a MultiCore fabric: ten independent clusters of four
+// pipelined cores, each core one FSM-style loop component.
 // Like Pipeline4k these run one fixed feasibility probe (pure label
 // computation through the scheduler); phi is the known smallest feasible
 // period for the generated circuit, so the probe converges instead of
 // blowing its iteration budget. The cluster chains give jN real
-// cross-component parallelism — on a multi-core runner jN must beat j1 (the
-// CI bench-scale job gates on BENCH_scale.json); on one CPU they tie.
+// cross-component parallelism — on a multi-core machine jN should beat j1;
+// on one CPU they tie.
 func benchmarkMultiCore(b *testing.B, c *netlist.Circuit, phi, workers int) {
 	opts := core.DefaultOptions()
 	opts.Workers = workers
@@ -262,26 +261,13 @@ func BenchmarkScale10k(b *testing.B) {
 	b.Run("jN", func(b *testing.B) { benchmarkMultiCore(b, c, 3, 0) })
 }
 
-// BenchmarkScale100k is manual/nightly only (~100k gates, tens of seconds
-// per probe): run it via `make bench-scale-100k`, which sets the gate below.
-func BenchmarkScale100k(b *testing.B) {
-	if os.Getenv("TURBOSYN_BENCH_100K") == "" {
-		b.Skip("set TURBOSYN_BENCH_100K=1 (manual/nightly; see Makefile bench-scale-100k)")
-	}
-	c := bench.Scale100k()
-	b.Run("j1", func(b *testing.B) { benchmarkMultiCore(b, c, 4, 1) })
-	b.Run("jN", func(b *testing.B) { benchmarkMultiCore(b, c, 4, 0) })
-}
-
 // --- Engine reuse: run-persistent analysis, cache and arena pools ---
 //
 // The oneshot/engine pair runs the same Minimize workload through the
 // throwaway path (per-call analysis, cold cache, fresh arenas) and through
 // one reusable core.Engine warmed by a single untimed run. The deltas in
 // ns/op and allocs/op measure exactly what the engine amortizes; the results
-// are bit-identical (TestEngineReuseBitIdentical in internal/core). The
-// benchjson gate on BENCH_engine.json keeps the engine path's advantage from
-// regressing silently.
+// are bit-identical (TestEngineReuseBitIdentical in internal/core).
 
 func benchmarkEngineReuse(b *testing.B, workers int, oneshot bool) {
 	c := benchCase(b, "bbara")

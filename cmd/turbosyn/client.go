@@ -2,14 +2,44 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"time"
 
 	"turbosyn/internal/server"
 )
+
+// localOnlyFlags shape a local synthesis run and have no counterpart in a
+// daemon job; clientOnlyFlags only travel with a -server submission.
+var (
+	localOnlyFlags  = []string{"nopld", "j", "repeat", "decomp-cache", "cpuprofile", "memprofile", "trace", "v", "log-json", "metrics-addr"}
+	clientOnlyFlags = []string{"tenant", "priority"}
+)
+
+// checkModeFlags rejects the explicitly set flags (visit is flag.Visit or a
+// FlagSet's Visit) that the selected mode would otherwise silently ignore,
+// naming each one.
+func checkModeFlags(visit func(func(*flag.Flag)), client bool) error {
+	wrong, why := clientOnlyFlags, "supported only with -server"
+	if client {
+		wrong, why = localOnlyFlags, "not supported with -server (local synthesis only)"
+	}
+	var bad []string
+	visit(func(f *flag.Flag) {
+		if slices.Contains(wrong, f.Name) {
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	if len(bad) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s: %s", strings.Join(bad, ", "), why)
+}
 
 // clientConfig carries the -server client-mode settings lowered from the
 // CLI flags.

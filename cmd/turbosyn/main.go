@@ -67,6 +67,9 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
+	if err := checkModeFlags(flag.Visit, *serverURL != ""); err != nil {
+		fatal(err)
+	}
 	files := flag.Args()
 	if len(files) > 1 && *out != "" {
 		fatal(fmt.Errorf("-o accepts a single input; got %d (multi-input netlists go to stdout, one .model after another)", len(files)))

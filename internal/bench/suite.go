@@ -153,9 +153,3 @@ func ScaleFSM(name string, stateBits, cubes int) *netlist.Circuit {
 func Scale10k() *netlist.Circuit {
 	return MultiCore("scale10k", MultiCoreSpec{Cores: 40, StateBits: 8, Cubes: 6, Span: 6})
 }
-
-// Scale100k is the ~100k-gate scale-push circuit (manual/nightly only; see
-// Makefile bench-scale-100k). Deterministic.
-func Scale100k() *netlist.Circuit {
-	return MultiCore("scale100k", MultiCoreSpec{Cores: 148, StateBits: 12, Cubes: 10, Span: 6})
-}
