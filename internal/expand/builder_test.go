@@ -1,6 +1,7 @@
 package expand
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -97,6 +98,152 @@ func TestBuilderMatchesOneShot(t *testing.T) {
 						seed, L, i, got.Nodes[i], want.Nodes[i])
 				}
 			}
+		}
+	}
+}
+
+// sameNumbering asserts got is want replica for replica: same nodes in the
+// same order, same fanin ids, and an index that finds every replica at its
+// own id.
+func sameNumbering(t *testing.T, tag string, got, want *Expanded) {
+	t.Helper()
+	sameExpansion(t, tag, got, want)
+	for i, wn := range want.Nodes {
+		if got.Nodes[i] != wn {
+			t.Fatalf("%s: node %d is %+v, want %+v", tag, i, got.Nodes[i], wn)
+		}
+		if j := got.Index(wn.Orig, wn.W); j != i {
+			t.Fatalf("%s: Index(%d,%d) = %d, want %d", tag, wn.Orig, wn.W, j, i)
+		}
+		for k, c := range want.Fanins[i] {
+			if got.Fanins[i][k] != c {
+				t.Fatalf("%s: node %d fanin %d is %d, want %d", tag, i, k, got.Fanins[i][k], c)
+			}
+		}
+	}
+}
+
+// buildCase is one expansion request for the replica-index tests.
+type buildCase struct {
+	c      *netlist.Circuit
+	v      int
+	labels []int
+}
+
+func newBuildCase(t *testing.T, seed int64, gates int) buildCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for {
+		c := randomLoopy(rng, gates)
+		if c.Check() != nil {
+			continue
+		}
+		if v := pickTarget(c); v >= 0 {
+			return buildCase{c, v, randomLabels(rng, c)}
+		}
+	}
+}
+
+// TestBuilderAcrossCircuitSizes reuses one Builder on a large circuit, a
+// small one and the large one again: each result must match a one-shot Build
+// exactly, so no replica-index entry of an earlier, differently sized
+// circuit leaks into a later Build.
+func TestBuilderAcrossCircuitSizes(t *testing.T) {
+	large, small := newBuildCase(t, 6, 300), newBuildCase(t, 4, 12)
+	opts := Options{LowDepth: 2}
+	b := &Builder{}
+	for i, bc := range []buildCase{large, small, large} {
+		for L := 0; L <= 2; L++ {
+			want, okW := Build(bc.c, bc.v, bc.labels, 1, L, opts)
+			got, okG := b.Build(bc.c, bc.v, bc.labels, 1, L, opts)
+			if okW != okG {
+				t.Fatalf("build %d L=%d: builder ok=%v, one-shot ok=%v", i, L, okG, okW)
+			}
+			if !okW {
+				t.Fatalf("build %d L=%d: expansion exceeds the node cap", i, L)
+			}
+			sameNumbering(t, "across sizes", got, want)
+		}
+	}
+}
+
+// TestBuilderGenerationWrap: a Build whose generation counter wraps must
+// still start from an empty replica index.
+func TestBuilderGenerationWrap(t *testing.T) {
+	bc := newBuildCase(t, 4, 60)
+	opts := Options{LowDepth: 2}
+	b := &Builder{}
+	for L := 0; L <= 2; L++ {
+		if _, ok := b.Build(bc.c, bc.v, bc.labels, 1, L, opts); !ok {
+			t.Fatal("build failed")
+		}
+	}
+	// The next Build bumps gen past the top. Stamp every node with the
+	// generation the wrap restarts at, as if the first Build above had
+	// indexed them all: without the wrap handling they would read as current.
+	b.x.gen = math.MaxUint32
+	for i := range b.x.stamp {
+		b.x.stamp[i] = 1
+	}
+	for L := 0; L <= 2; L++ {
+		want, okW := Build(bc.c, bc.v, bc.labels, 1, L, opts)
+		got, okG := b.Build(bc.c, bc.v, bc.labels, 1, L, opts)
+		if okW != okG {
+			t.Fatalf("L=%d: builder ok=%v, one-shot ok=%v", L, okG, okW)
+		}
+		if !okW {
+			t.Fatalf("L=%d: expansion exceeds the node cap", L)
+		}
+		sameNumbering(t, "after wrap", got, want)
+		if L == 0 && b.x.gen != 1 {
+			t.Fatalf("gen after wrap = %d, want 1", b.x.gen)
+		}
+	}
+}
+
+// TestIndexAbsentReplicas: Index answers -1 for replicas the current Build
+// did not create, including ones the previous Build on the same Builder did.
+func TestIndexAbsentReplicas(t *testing.T) {
+	bc := newBuildCase(t, 6, 80)
+	opts := Options{LowDepth: 2}
+	b := &Builder{}
+	prev, ok := b.Build(bc.c, bc.v, bc.labels, 1, 3, opts)
+	if !ok {
+		t.Fatal("build failed")
+	}
+	old := append([]Node(nil), prev.Nodes...)
+	// A different root yields a different replica set.
+	v2 := -1
+	for _, n := range bc.c.Nodes {
+		if n.Kind == netlist.Gate && n.ID != bc.v {
+			v2 = n.ID
+			break
+		}
+	}
+	x, ok := b.Build(bc.c, v2, bc.labels, 1, 1, Options{})
+	if !ok {
+		t.Fatal("build failed")
+	}
+	present := make(map[[2]int]bool, len(x.Nodes))
+	for _, n := range x.Nodes {
+		present[[2]int{n.Orig, n.W}] = true
+	}
+	stale := 0
+	for _, n := range old {
+		if present[[2]int{n.Orig, n.W}] {
+			continue
+		}
+		stale++
+		if id := x.Index(n.Orig, n.W); id != -1 {
+			t.Fatalf("Index(%d,%d) = %d for a replica of the previous Build only", n.Orig, n.W, id)
+		}
+	}
+	if stale == 0 {
+		t.Fatal("test circuit gives no replica that only the previous Build had")
+	}
+	for _, q := range [][2]int{{v2, 1 << 20}, {-1, 0}, {bc.c.NumNodes(), 0}} {
+		if id := x.Index(q[0], q[1]); id != -1 {
+			t.Fatalf("Index(%d,%d) = %d for an absent replica", q[0], q[1], id)
 		}
 	}
 }

@@ -19,7 +19,7 @@
 // The label hot loop probes several height bounds per node (the structural
 // check at L, resynthesis at L-1, L-2, ..., the trivial cut at L+1). A
 // Builder serves all of them from one expansion: Build expands at L reusing
-// the replica hash map and backing arrays of earlier calls (zero heap
+// the replica index and backing arrays of earlier calls (zero heap
 // allocation once warm), Tighten extends the expansion in place to a
 // tighter bound (the expanded region grows monotonically as the bound
 // drops), and Loosen re-marks cut candidates for a looser bound without
@@ -59,7 +59,14 @@ type Expanded struct {
 	// frontier nodes.
 	Fanins [][]int
 
-	index map[[2]int]int
+	// The replica index: the replicas of one original node form a chain
+	// head[orig] -> sameOrig[id] -> ... -> -1, newest first. head[orig] is
+	// valid only where stamp[orig] == gen, so a new Build starts from an
+	// empty index by bumping gen instead of clearing anything.
+	head     []int32
+	stamp    []uint32
+	sameOrig []int32
+	gen      uint32
 }
 
 // Root index of (v, 0) in Nodes.
@@ -67,8 +74,13 @@ const Root = 0
 
 // Index returns the replica id of (orig, w), or -1.
 func (x *Expanded) Index(orig, w int) int {
-	if id, ok := x.index[[2]int{orig, w}]; ok {
-		return id
+	if orig < 0 || orig >= len(x.stamp) || x.stamp[orig] != x.gen {
+		return -1
+	}
+	for id := x.head[orig]; id >= 0; id = x.sameOrig[id] {
+		if x.Nodes[id].W == w {
+			return int(id)
+		}
 	}
 	return -1
 }
@@ -77,7 +89,7 @@ func (x *Expanded) Index(orig, w int) int {
 const stepInf = int(1) << 30
 
 // Builder is a reusable expansion arena. A zero Builder is ready to use; the
-// replica hash map, node and fanin arrays, and the traversal worklist are
+// replica index, node and fanin arrays, and the traversal worklist are
 // recycled across Build calls, so a warm Builder expands without heap
 // allocation. One Builder serves one goroutine; the *Expanded it returns
 // aliases the Builder's arrays and stays valid only until the next Build on
@@ -124,10 +136,15 @@ func (b *Builder) Build(c *netlist.Circuit, v int, labels []int, phi, L int, opt
 	x := &b.x
 	x.Nodes = x.Nodes[:0]
 	x.Fanins = x.Fanins[:0]
-	if x.index == nil {
-		x.index = make(map[[2]int]int)
-	} else {
-		clear(x.index)
+	x.sameOrig = x.sameOrig[:0]
+	if n := c.NumNodes(); len(x.stamp) < n {
+		x.head = make([]int32, n)
+		x.stamp = make([]uint32, n)
+	}
+	if x.gen++; x.gen == 0 {
+		// The stamps wrapped: one stamp of an old Build could equal gen.
+		clear(x.stamp)
+		x.gen = 1
 	}
 	b.steps = b.steps[:0]
 	b.expanded = b.expanded[:0]
@@ -196,23 +213,29 @@ func (b *Builder) Loosen(newL int) *Expanded {
 // whether the replica may newly qualify for expansion (created or improved);
 // ok=false when the node cap is exceeded.
 func (b *Builder) add(orig, w, step int) (id int, improved bool) {
-	key := [2]int{orig, w}
-	if id, exists := b.x.index[key]; exists {
+	x := &b.x
+	if id = x.Index(orig, w); id >= 0 {
 		if step < b.steps[id] {
 			b.steps[id] = step
 			return id, true
 		}
 		return id, false
 	}
-	id = len(b.x.Nodes)
-	b.x.index[key] = id
+	id = len(x.Nodes)
+	if x.stamp[orig] == x.gen {
+		x.sameOrig = append(x.sameOrig, x.head[orig])
+	} else {
+		x.stamp[orig] = x.gen
+		x.sameOrig = append(x.sameOrig, -1)
+	}
+	x.head[orig] = int32(id)
 	eff := b.labels[orig] - b.phi*w + 1
-	b.x.Nodes = append(b.x.Nodes, Node{
+	x.Nodes = append(x.Nodes, Node{
 		Orig:      orig,
 		W:         w,
 		Candidate: id != Root && eff <= b.l,
 	})
-	b.x.Fanins = append(b.x.Fanins, nil)
+	x.Fanins = append(x.Fanins, nil)
 	b.steps = append(b.steps, step)
 	b.expanded = append(b.expanded, false)
 	return id, true
@@ -327,5 +350,5 @@ func (b *Builder) Bytes() int {
 		cap(b.expanded) +
 		cap(b.queue)*8 +
 		cap(b.faninBuf)*8 +
-		len(b.x.index)*24
+		(cap(b.x.head)+cap(b.x.stamp)+cap(b.x.sameOrig))*4
 }

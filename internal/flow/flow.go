@@ -1,12 +1,13 @@
 // Package flow implements the small max-flow engine behind all K-feasible
-// cut computations: unit/infinite arc capacities, breadth-first augmenting
-// paths (Edmonds–Karp) with an early exit once the flow exceeds the cut
-// budget K, and residual reachability for min-cut extraction.
+// cut computations: unit/infinite arc capacities, shortest augmenting paths
+// searched breadth-first backward from the sink, an early exit once the flow
+// exceeds the cut budget K, and residual reachability from the source for
+// min-cut extraction.
 //
 // Vertex capacities (the node cut-sets of FlowMap/TurboMap) are modelled by
 // the callers via node splitting.
 //
-// A Net is resettable: Reset reuses the arc pool, adjacency lists and BFS
+// A Net is resettable: Reset reuses the arc pool, adjacency lists and search
 // scratch of earlier builds, so callers sitting in a hot loop (the label
 // computation checks one cut per node per sweep) construct and solve
 // networks with zero heap allocation once the backing arrays have grown to
@@ -18,7 +19,7 @@ const Inf = int(1) << 30
 
 // arc is one directed arc. Arcs of a node form a singly linked list through
 // next, threaded in insertion order (first/last in Net) so traversal order —
-// and therefore BFS tie-breaking — is identical to an adjacency-slice
+// and therefore search tie-breaking — is identical to an adjacency-slice
 // implementation.
 type arc struct {
 	to   int32
@@ -32,8 +33,8 @@ type Net struct {
 	first []int32 // head of each node's arc list, -1 when empty
 	last  []int32 // tail of each node's arc list (insertion order)
 
-	// BFS/augmentation scratch, reused across MaxFlowUpTo calls.
-	prevArc []int32
+	// Augmenting-path search scratch, reused across MaxFlowUpTo calls.
+	nextArc []int32
 	queue   []int32
 	// Residual-reachability scratch, reused across ResidualReach calls.
 	reach []bool
@@ -93,65 +94,79 @@ func (n *Net) AddArc(u, v, cap int) {
 	n.addHalf(v, u, 0)
 }
 
-// MaxFlowUpTo pushes unit augmenting paths from s to t until either no path
+// MaxFlowUpTo pushes augmenting paths from s to t until either no path
 // remains (the returned flow is the max flow) or the flow exceeds limit (the
 // return value is limit+1 and the computation stops early; the residual
 // state is still consistent).
+//
+// Each augmenting path is found by a breadth-first search backward from t
+// over residual arcs, stopping at the first node that reaches s. In the cut
+// networks s feeds every frontier replica while t is the single root, so the
+// search stays near the root instead of sweeping the whole network. Which
+// maximum flow is found does not matter to ResidualReach: the nodes
+// reachable from s in the residual network form the minimal min-cut source
+// side, which is the same for every maximum flow.
 func (n *Net) MaxFlowUpTo(s, t, limit int) int {
-	flow := 0
-	if cap(n.prevArc) < len(n.first) {
-		n.prevArc = make([]int32, len(n.first))
+	if cap(n.nextArc) < len(n.first) {
+		// Entries are -1 between searches: each search resets the ones it
+		// marked, so only a fresh array needs a full fill.
+		n.nextArc = make([]int32, len(n.first))
+		for i := range n.nextArc {
+			n.nextArc[i] = -1
+		}
 		n.queue = make([]int32, 0, len(n.first))
 	}
-	prevArc := n.prevArc[:len(n.first)]
+	// nextArc[v]: the residual arc leaving v on a path to t (-2 at t, -1
+	// when v is unmarked).
+	nextArc := n.nextArc[:len(n.first)]
+	flow := 0
 	for flow <= limit {
-		// BFS for a shortest augmenting path.
-		for i := range prevArc {
-			prevArc[i] = -1
-		}
-		queue := n.queue[:0]
-		queue = append(queue, int32(s))
-		prevArc[s] = -2
+		queue := append(n.queue[:0], int32(t))
+		nextArc[t] = -2
 		found := false
-	bfs:
+	search:
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
+			// Arc ai leaves u, so its twin ai^1 enters u from arcs[ai].to.
 			for ai := n.first[u]; ai >= 0; ai = n.arcs[ai].next {
-				a := &n.arcs[ai]
-				if a.cap <= 0 || prevArc[a.to] != -1 {
+				v := n.arcs[ai].to
+				if n.arcs[ai^1].cap <= 0 || nextArc[v] != -1 {
 					continue
 				}
-				prevArc[a.to] = ai
-				if int(a.to) == t {
+				nextArc[v] = ai ^ 1
+				if int(v) == s {
 					found = true
-					break bfs
+					break search
 				}
-				queue = append(queue, a.to)
+				queue = append(queue, v)
 			}
+		}
+		if found {
+			// Augment by the path bottleneck (arcs are unit or Inf; the
+			// bottleneck is still computed generally).
+			bottleneck := Inf
+			for v := s; v != t; v = int(n.arcs[nextArc[v]].to) {
+				if c := n.arcs[nextArc[v]].cap; c < bottleneck {
+					bottleneck = c
+				}
+			}
+			for v := s; v != t; v = int(n.arcs[nextArc[v]].to) {
+				ai := nextArc[v]
+				n.arcs[ai].cap -= bottleneck
+				n.arcs[ai^1].cap += bottleneck
+			}
+			flow += bottleneck
+			nextArc[s] = -1
+		}
+		for _, v := range queue {
+			nextArc[v] = -1
 		}
 		n.queue = queue[:0]
 		if !found {
 			return flow
 		}
-		// Augment by the path bottleneck (arcs are unit or Inf; bottleneck
-		// is still computed generally).
-		bottleneck := Inf
-		for v := t; v != s; {
-			ai := prevArc[v]
-			if n.arcs[ai].cap < bottleneck {
-				bottleneck = n.arcs[ai].cap
-			}
-			v = int(n.arcs[ai^1].to)
-		}
-		for v := t; v != s; {
-			ai := prevArc[v]
-			n.arcs[ai].cap -= bottleneck
-			n.arcs[ai^1].cap += bottleneck
-			v = int(n.arcs[ai^1].to)
-		}
-		flow += bottleneck
 	}
-	return flow
+	return limit + 1
 }
 
 // Bytes reports the approximate footprint of the network's retained arrays,
@@ -159,7 +174,7 @@ func (n *Net) MaxFlowUpTo(s, t, limit int) int {
 func (n *Net) Bytes() int {
 	const arcSize = 16 // arc: two int32 + one int
 	return cap(n.arcs)*arcSize +
-		(cap(n.first)+cap(n.last)+cap(n.prevArc)+cap(n.queue))*4 +
+		(cap(n.first)+cap(n.last)+cap(n.nextArc)+cap(n.queue))*4 +
 		cap(n.reach)
 }
 

@@ -141,6 +141,155 @@ func TestMaxFlowMinCutQuick(t *testing.T) {
 	}
 }
 
+// referenceMaxFlowUpTo is the forward Edmonds–Karp that MaxFlowUpTo
+// replaced: every augmenting path is a breadth-first search from s that
+// clears the whole predecessor array first. It is kept here only as an
+// oracle for the sink-side search.
+func referenceMaxFlowUpTo(n *Net, s, t, limit int) int {
+	flow := 0
+	prevArc := make([]int32, len(n.first))
+	for flow <= limit {
+		for i := range prevArc {
+			prevArc[i] = -1
+		}
+		queue := []int32{int32(s)}
+		prevArc[s] = -2
+		found := false
+	bfs:
+		for qi := 0; qi < len(queue); qi++ {
+			u := queue[qi]
+			for ai := n.first[u]; ai >= 0; ai = n.arcs[ai].next {
+				a := &n.arcs[ai]
+				if a.cap <= 0 || prevArc[a.to] != -1 {
+					continue
+				}
+				prevArc[a.to] = ai
+				if int(a.to) == t {
+					found = true
+					break bfs
+				}
+				queue = append(queue, a.to)
+			}
+		}
+		if !found {
+			return flow
+		}
+		bottleneck := Inf
+		for v := t; v != s; {
+			ai := prevArc[v]
+			if n.arcs[ai].cap < bottleneck {
+				bottleneck = n.arcs[ai].cap
+			}
+			v = int(n.arcs[ai^1].to)
+		}
+		for v := t; v != s; {
+			ai := prevArc[v]
+			n.arcs[ai].cap -= bottleneck
+			n.arcs[ai^1].cap += bottleneck
+			v = int(n.arcs[ai^1].to)
+		}
+		flow += bottleneck
+	}
+	return flow
+}
+
+// splitNet builds, into n, a random network shaped like the ones cut.KCut
+// builds from an expanded circuit: replica 0 is the root and feeds t,
+// every other replica i is split into in(i) -> out(i) with capacity 1
+// (candidate) or Inf, frontier replicas are fed by s, and fanin arcs run
+// out(child) -> in(parent) with capacity Inf, children numbered above their
+// parents so the replica graph is acyclic. Returns s and t.
+func splitNet(rng *rand.Rand, n *Net) (s, t int) {
+	reps := 2 + rng.Intn(40)
+	n.Reset(2*reps + 2)
+	s, t = 2*reps, 2*reps+1
+	in := func(i int) int { return 2 * i }
+	out := func(i int) int { return 2*i + 1 }
+	for i := 1; i < reps; i++ {
+		capi := Inf
+		if rng.Intn(4) != 0 {
+			capi = 1
+		}
+		n.AddArc(in(i), out(i), capi)
+	}
+	for i := 0; i < reps; i++ {
+		if i > 0 && (i >= reps-2 || rng.Intn(3) == 0) {
+			n.AddArc(s, in(i), Inf)
+			continue
+		}
+		for f := 1 + rng.Intn(4); f > 0; f-- {
+			c := i + 1 + rng.Intn(reps-i-1)
+			if i == 0 {
+				n.AddArc(out(c), t, Inf)
+			} else {
+				n.AddArc(out(c), in(i), Inf)
+			}
+		}
+	}
+	return s, t
+}
+
+// conserved reports whether every node other than s and t has zero net flow.
+// Forward arcs sit at even indices; the residual capacity of each one's
+// twin is the flow it carries.
+func conserved(n *Net, s, t int) bool {
+	net := make([]int, len(n.first))
+	for ai := 0; ai < len(n.arcs); ai += 2 {
+		f := n.arcs[ai+1].cap
+		net[n.arcs[ai+1].to] += f
+		net[n.arcs[ai].to] -= f
+	}
+	for v, x := range net {
+		if v != s && v != t && x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSinkSideMatchesForwardReference: on cut-shaped networks, the sink-side
+// search must return the forward reference's flow value for every limit.
+// When the flow fits the limit, the residual source side — the cut that
+// callers extract — must be the same slice, since the minimal min-cut source
+// side does not depend on which maximum flow was found. After an early exit
+// only the verdict is defined (which paths were pushed differs), so there
+// the value is compared as limit+1 and the residual state only for flow
+// conservation.
+func TestSinkSideMatchesForwardReference(t *testing.T) {
+	var got, want Net
+	for seed := int64(0); seed < 400; seed++ {
+		build := func(n *Net) (int, int) { return splitNet(rand.New(rand.NewSource(seed)), n) }
+		s, tt := build(&want)
+		maxFlow := referenceMaxFlowUpTo(&want, s, tt, Inf)
+		for limit := 0; limit <= min(maxFlow, 16)+1; limit++ {
+			build(&got)
+			build(&want)
+			g := got.MaxFlowUpTo(s, tt, limit)
+			w := referenceMaxFlowUpTo(&want, s, tt, limit)
+			if w > limit {
+				w = limit + 1
+			}
+			if g != w {
+				t.Fatalf("seed %d limit %d: flow %d, reference %d", seed, limit, g, w)
+			}
+			if !conserved(&got, s, tt) {
+				t.Fatalf("seed %d limit %d: flow not conserved", seed, limit)
+			}
+			if g > limit {
+				continue
+			}
+			gr := append([]bool(nil), got.ResidualReach(s)...)
+			wr := want.ResidualReach(s)
+			for v := range wr {
+				if gr[v] != wr[v] {
+					t.Fatalf("seed %d limit %d: node %d reachable=%v, reference %v",
+						seed, limit, v, gr[v], wr[v])
+				}
+			}
+		}
+	}
+}
+
 // TestResetReuse rebuilds different networks in one Net and checks the
 // verdicts match fresh networks: Reset must fully erase earlier arcs, flows
 // and scratch.

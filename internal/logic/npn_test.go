@@ -220,7 +220,7 @@ func TestVarOpsPointwise(t *testing.T) {
 			s.SwapVarsInPlace(i, j)
 			for v := 0; v < f.NumBits(); v++ {
 				bi, bj := v>>uint(i)&1, v>>uint(j)&1
-				u := v &^ (1<<uint(i) | 1<<uint(j)) | bj<<uint(i) | bi<<uint(j)
+				u := v&^(1<<uint(i)|1<<uint(j)) | bj<<uint(i) | bi<<uint(j)
 				if s.Bit(v) != f.Bit(u) {
 					t.Fatalf("n=%d: SwapVars(%d,%d) wrong at minterm %d", n, i, j, v)
 				}

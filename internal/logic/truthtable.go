@@ -262,9 +262,44 @@ func (t *TT) CofactorInPlace(i int, val bool) {
 	}
 }
 
-// DependsOn reports whether t depends on variable i.
+// lowHalf[i] marks the bit positions of one word where variable i (< 6) is 0.
+var lowHalf = [6]uint64{
+	0x5555555555555555,
+	0x3333333333333333,
+	0x0F0F0F0F0F0F0F0F,
+	0x00FF00FF00FF00FF,
+	0x0000FFFF0000FFFF,
+	0x00000000FFFFFFFF,
+}
+
+// DependsOn reports whether t depends on variable i: whether its two
+// cofactors on i differ. The halves are compared in place, so it allocates
+// nothing.
 func (t *TT) DependsOn(i int) bool {
-	return !t.Cofactor(i, false).Equal(t.Cofactor(i, true))
+	if i < 0 || i >= t.nvar {
+		panic(fmt.Sprintf("logic: DependsOn(%d) on %d-var table", i, t.nvar))
+	}
+	if i < 6 {
+		// Within each word, bit p+2^i holds the value at x_i=1 for the bit
+		// p where x_i=0.
+		shift := uint(1) << uint(i)
+		for _, w := range t.words {
+			if (w^(w>>shift))&lowHalf[i] != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	// Variable i selects between word blocks of 2^(i-6) words.
+	block := 1 << (i - 6)
+	for base := 0; base < len(t.words); base += 2 * block {
+		for w := base; w < base+block; w++ {
+			if t.words[w] != t.words[w+block] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Support returns the indices of variables t depends on.

@@ -177,6 +177,51 @@ func TestSupport(t *testing.T) {
 	}
 }
 
+// TestDependsOnMatchesCofactors checks the in-place DependsOn against its
+// definition, two cofactor clones compared for equality, for every variable
+// of random tables of every size. Besides plain random tables (which depend
+// on every variable), each variable is also tried on a table made
+// independent of it and on one whose cofactors then differ in a single bit.
+func TestDependsOnMatchesCofactors(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	check := func(f *TT, v int) {
+		t.Helper()
+		want := !f.Cofactor(v, false).Equal(f.Cofactor(v, true))
+		if got := f.DependsOn(v); got != want {
+			t.Fatalf("nvar=%d var %d: DependsOn = %v, cofactors differ = %v", f.nvar, v, got, want)
+		}
+	}
+	for nvar := 0; nvar <= MaxVars; nvar++ {
+		for trial := 0; trial < 4; trial++ {
+			f := randomTT(rng, nvar)
+			for v := 0; v < nvar; v++ {
+				check(f, v)
+				g := f.Cofactor(v, trial%2 == 1)
+				check(g, v)
+				bit := rng.Intn(g.NumBits())
+				g.SetBit(bit, !g.Bit(bit))
+				check(g, v)
+			}
+		}
+	}
+}
+
+func TestDependsOnZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	small, large := randomTT(rng, 5), randomTT(rng, 12)
+	allocs := testing.AllocsPerRun(100, func() {
+		for v := 0; v < 5; v++ {
+			small.DependsOn(v)
+		}
+		for v := 0; v < 12; v++ {
+			large.DependsOn(v)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DependsOn allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
 func TestExpand(t *testing.T) {
 	// xor(a,b) over 2 vars, embedded as vars 4 and 1 of a 5-var space.
 	f := XorAll(2)
@@ -281,6 +326,7 @@ func TestPanics(t *testing.T) {
 	assertPanics("Var out of range", func() { Var(3, 3) })
 	assertPanics("mixed sizes", func() { NewTT(3).And(NewTT(3), NewTT(4)) })
 	assertPanics("cofactor out of range", func() { NewTT(2).Cofactor(5, true) })
+	assertPanics("DependsOn out of range", func() { NewTT(2).DependsOn(2) })
 }
 
 func BenchmarkAnd10Var(b *testing.B) {
