@@ -97,11 +97,14 @@ cache-warm:
 	TURBOSYN_CACHE_DIR=$(CURDIR)/.decomp-cache $(GO) test -run TestCacheWarmSuite -count=1 -timeout 20m -v .
 
 # Native fuzzing smoke: 30s of coverage-guided input generation against the
-# BLIF reader's parse-or-error-cleanly contract, then 30s against the record
-# log loader (any file loads without error to a re-framable valid prefix).
+# BLIF reader's parse-or-error-cleanly contract, 30s against the record log
+# loader (any file loads without error to a re-framable valid prefix), then
+# 30s against the word-parallel Roth-Karp extraction (equal to the bit-serial
+# reference, and the decomposition recomposes to the input).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadBLIF -fuzztime 30s -run '^$$' ./internal/netlist
 	$(GO) test -fuzz FuzzRecordlogLoad -fuzztime 30s -run '^$$' ./internal/recordlog
+	$(GO) test -fuzz FuzzRothKarp -fuzztime 30s -run '^$$' ./internal/decomp
 
 # The repository benchmark (tsbench/, BENCHMARK.json): both workloads, plain
 # and traced, on seed 1 for 5 s each. tsbench builds turbosyn and turbosynd

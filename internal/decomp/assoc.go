@@ -7,25 +7,11 @@ import "turbosyn/internal/logic"
 // balanced k-ary tree for it directly. Complements fold into the root node.
 // ok=false when f has no such shape or the tree cannot fit depthBudget.
 func associativeTree(f *logic.TT, refs []int, k, depthBudget int, tr *Tree) (int, bool) {
-	m := f.NumVars()
-	var mk func(int) *logic.TT
-	invert := false
-	switch {
-	case f.Equal(logic.AndAll(m)):
-		mk = logic.AndAll
-	case f.Equal(logic.OrAll(m)):
-		mk = logic.OrAll
-	case f.Equal(logic.NandAll(m)):
-		mk, invert = logic.AndAll, true
-	case f.Equal(logic.NorAll(m)):
-		mk, invert = logic.OrAll, true
-	default:
-		if _, inv, ok := f.IsParity(); ok {
-			mk, invert = logic.XorAll, inv
-		} else {
-			return 0, false
-		}
+	mk, invert, ok := assocShape(f)
+	if !ok {
+		return 0, false
 	}
+	m := f.NumVars()
 	// Depth of a balanced k-ary reduction over m leaves.
 	depth := 0
 	for span := 1; span < m; span *= k {
@@ -54,4 +40,27 @@ func associativeTree(f *logic.TT, refs []int, k, depthBudget int, tr *Tree) (int
 		level = next
 	}
 	return level[0], true
+}
+
+// assocShape recognizes f as a wide AND, OR or parity over all its
+// variables, or a complement thereof, and returns the gate constructor and
+// the complement flag. The AND/OR shapes are read off in closed form: AND
+// has a single one, at the last bit; OR a single zero, at bit 0; NAND a
+// single zero, at the last bit; NOR a single one, at bit 0.
+func assocShape(f *logic.TT) (mk func(int) *logic.TT, invert, ok bool) {
+	last := f.NumBits() - 1
+	switch ones := f.CountOnes(); {
+	case ones == 1 && f.Bit(last):
+		return logic.AndAll, false, true
+	case ones == last && !f.Bit(0):
+		return logic.OrAll, false, true
+	case ones == last && !f.Bit(last):
+		return logic.AndAll, true, true
+	case ones == 1 && f.Bit(0):
+		return logic.OrAll, true, true
+	}
+	if _, inv, ok := f.IsParity(); ok {
+		return logic.XorAll, inv, true
+	}
+	return nil, false, false
 }

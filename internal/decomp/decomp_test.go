@@ -260,3 +260,32 @@ func TestKBoundLeavesNarrowCircuitsAlone(t *testing.T) {
 		t.Fatal("k < 2 must be rejected")
 	}
 }
+
+// TestKBoundConstantGate: a 7-input gate computing a constant is K-bounded
+// through its ISOP cover (a constant gate), not the parity path, which has
+// no support to reduce over.
+func TestKBoundConstantGate(t *testing.T) {
+	for _, v := range []bool{false, true} {
+		c := netlist.NewCircuit("const")
+		var fanins []netlist.Fanin
+		for i := 0; i < 7; i++ {
+			fanins = append(fanins, netlist.Fanin{From: c.AddPI(string(rune('a' + i)))})
+		}
+		g := c.AddGate("n", logic.Const(7, v), fanins...)
+		c.AddPO("z", g, 0)
+		d, err := KBound(c, 5)
+		if err != nil {
+			t.Fatalf("const %v: %v", v, err)
+		}
+		if err := d.Check(); err != nil {
+			t.Fatalf("const %v: %v", v, err)
+		}
+		if !d.IsKBounded(5) {
+			t.Fatalf("const %v: max fanin %d", v, d.MaxFanin())
+		}
+		eq, err := sim.CombEquivalent(c, d, 10)
+		if err != nil || !eq {
+			t.Fatalf("const %v: equivalence: %v %v", v, eq, err)
+		}
+	}
+}

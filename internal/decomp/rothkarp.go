@@ -1,9 +1,10 @@
 // Package decomp implements the two decomposition engines of the flow:
 //
 //   - Roth–Karp (bound-set) functional decomposition on truth tables, with
-//     BDD-backed column-multiplicity counting — the paper's "OBDD based
-//     functional decomposition" used by FlowSYN and by TurboSYN's sequential
-//     resynthesis step; and
+//     column multiplicity counted word-parallel on a reordered table and a
+//     node-bounded BDD cut count as the optional pre-screen — the paper's
+//     "OBDD based functional decomposition" used by FlowSYN and by
+//     TurboSYN's sequential resynthesis step; and
 //   - structural gate decomposition (K-bounding) that turns wide gates into
 //     trees of K-input gates, the preprocessing the paper delegates to
 //     balanced tree decomposition / DMIG.
@@ -17,10 +18,7 @@ import (
 	"turbosyn/internal/logic"
 )
 
-// RothKarp decomposes f as g(alpha_1(A), ..., alpha_e(A), B) for the given
-// bound set A (indices into f's variables); B is the complement. e is the
-// code width ceil(log2 mu) for column multiplicity mu. maxCodeBits limits e
-// (0 = unlimited). ok=false when mu needs more bits than allowed.
+// RothKarpResult is one Roth–Karp decomposition f = G(alphas(A), B).
 type RothKarpResult struct {
 	BoundSet []int // f-variable indices encoded by the alphas
 	FreeSet  []int // f-variable indices passed through to g
@@ -59,10 +57,9 @@ func BoundedColumnMultiplicity(f *logic.TT, boundSet []int, maxNodes int) (int, 
 }
 
 // codeBits returns the Roth-Karp code width for column multiplicity mu:
-// ceil(log2 mu), floored at one wire. Must stay in lockstep with the e
-// computation inside RothKarp — the BDD pre-screen of DecomposeEffort relies
-// on "codeBits(mu) > maxCodeBits" being exactly RothKarp's failure
-// condition.
+// ceil(log2 mu), floored at one wire. RothKarp sizes its code with it, and
+// the BDD pre-screen of DecomposeEffort relies on "codeBits(mu) >
+// maxCodeBits" being exactly RothKarp's failure condition.
 func codeBits(mu int) int {
 	e := 0
 	for 1<<uint(e) < mu {
@@ -98,81 +95,70 @@ func varOrder(n int, boundSet []int) []int {
 	return varMap
 }
 
-// RothKarp performs the decomposition for a specific bound set.
+// RothKarp decomposes f as g(alpha_1(A), ..., alpha_e(A), B) for the given
+// bound set A (indices into f's variables); B is the complement. e is the
+// code width ceil(log2 mu) for column multiplicity mu. maxCodeBits limits e
+// (0 = unlimited). ok=false when mu needs more bits than allowed.
+//
+// Columns are compared word-parallel: f is reordered so the free variables
+// sit low (in FreeSet order) and the bound variables high (in BoundSet
+// order), which makes the column of bound assignment a the contiguous block
+// a of 2^len(FreeSet) bits.
 func RothKarp(f *logic.TT, boundSet []int, maxCodeBits int) (*RothKarpResult, bool) {
 	n := f.NumVars()
 	k := len(boundSet)
 	if k == 0 || k >= n {
 		return nil, false
 	}
-	seen := make(map[int]bool, k)
+	var seen [logic.MaxVars]bool
 	for _, v := range boundSet {
 		if v < 0 || v >= n || seen[v] {
 			panic(fmt.Sprintf("decomp: bad bound set %v for %d vars", boundSet, n))
 		}
 		seen[v] = true
 	}
-	var freeSet []int
+	freeSet := make([]int, 0, n-k)
 	for v := 0; v < n; v++ {
 		if !seen[v] {
 			freeSet = append(freeSet, v)
 		}
 	}
 	nb := len(freeSet)
+	var perm [logic.MaxVars]int
+	for j, v := range freeSet {
+		perm[v] = j
+	}
+	for j, v := range boundSet {
+		perm[v] = nb + j
+	}
+	cols := f.Clone()
+	cols.PermuteVarsInPlace(perm[:n])
 
-	// Column patterns: for each bound assignment a, the subfunction over
-	// the free variables as a bit pattern.
+	// Classes in order of first appearance; reps[c] is the first column of
+	// class c. A code of e <= maxCodeBits wires holds at most 2^maxCodeBits
+	// classes, so the scan stops at the first class beyond that.
+	maxClasses := 1 << uint(k)
+	if maxCodeBits > 0 && maxCodeBits < k {
+		maxClasses = 1 << uint(maxCodeBits)
+	}
 	classOf := make([]int, 1<<uint(k))
-	patterns := make(map[string]int)
-	var reps []string
-	var buf []byte
-	for a := 0; a < 1<<uint(k); a++ {
-		buf = buf[:0]
-		// Build the full-variable assignment incrementally.
-		var base uint
-		for j, v := range boundSet {
-			if a&(1<<uint(j)) != 0 {
-				base |= 1 << uint(v)
-			}
+	reps := make([]int, 0, maxClasses)
+	for a := range classOf {
+		c := 0
+		for c < len(reps) && !cols.BlocksEqual(nb, a, reps[c]) {
+			c++
 		}
-		var word byte
-		for b := 0; b < 1<<uint(nb); b++ {
-			x := base
-			for j, v := range freeSet {
-				if b&(1<<uint(j)) != 0 {
-					x |= 1 << uint(v)
-				}
+		if c == len(reps) {
+			if len(reps) == maxClasses {
+				return nil, false
 			}
-			if f.Eval(x) {
-				word |= 1 << uint(b&7)
-			}
-			if b&7 == 7 || b == 1<<uint(nb)-1 {
-				buf = append(buf, word)
-				word = 0
-			}
+			reps = append(reps, a)
 		}
-		key := string(buf)
-		id, ok := patterns[key]
-		if !ok {
-			id = len(reps)
-			patterns[key] = id
-			reps = append(reps, key)
-		}
-		classOf[a] = id
+		classOf[a] = c
 	}
-	mu := len(reps)
-	e := 0
-	for 1<<uint(e) < mu {
-		e++
-	}
-	if e == 0 {
-		e = 1 // degenerate f independent of the bound set still needs a wire
-	}
-	if maxCodeBits > 0 && e > maxCodeBits {
-		return nil, false
-	}
+	e := codeBits(len(reps))
 
-	res := &RothKarpResult{BoundSet: boundSet, FreeSet: freeSet}
+	res := &RothKarpResult{BoundSet: boundSet, FreeSet: freeSet, Alphas: make([]*logic.TT, 0, e)}
 	for i := 0; i < e; i++ {
 		alpha := logic.NewTT(k)
 		for a := 0; a < 1<<uint(k); a++ {
@@ -182,18 +168,20 @@ func RothKarp(f *logic.TT, boundSet []int, maxCodeBits int) (*RothKarpResult, bo
 		}
 		res.Alphas = append(res.Alphas, alpha)
 	}
+	// G is built with the code variables high, block c holding the column
+	// of class c (unused codes are don't-cares, fixed to 0), then the code
+	// variables move below the free ones.
 	g := logic.NewTT(e + nb)
-	for idx := 0; idx < g.NumBits(); idx++ {
-		code := idx & (1<<uint(e) - 1)
-		b := idx >> uint(e)
-		if code >= mu {
-			continue // unused code: don't-care, fixed to 0
-		}
-		rep := reps[code]
-		if rep[b>>3]&(1<<uint(b&7)) != 0 {
-			g.SetBit(idx, true)
-		}
+	for c, a := range reps {
+		g.CopyBlock(nb, c, cols, a)
 	}
+	for j := 0; j < nb; j++ {
+		perm[j] = e + j
+	}
+	for i := 0; i < e; i++ {
+		perm[nb+i] = i
+	}
+	g.PermuteVarsInPlace(perm[:nb+e])
 	res.G = g
 	return res, true
 }
@@ -261,15 +249,26 @@ func (t *Tree) Eval(assignment uint) bool {
 	return vals[t.Root()]
 }
 
-// TT materializes the tree's function.
+// TT materializes the tree's function, composing the node tables
+// word-parallel from the leaves up.
 func (t *Tree) TT() *logic.TT {
-	out := logic.NewTT(t.NumInputs)
-	for i := 0; i < out.NumBits(); i++ {
-		if t.Eval(uint(i)) {
-			out.SetBit(i, true)
-		}
+	n := t.NumInputs
+	vals := make([]*logic.TT, n+len(t.Nodes))
+	for i := 0; i < n; i++ {
+		vals[i] = logic.Var(n, i)
 	}
-	return out
+	for i, nd := range t.Nodes {
+		if len(nd.Children) == 0 {
+			vals[n+i] = logic.Const(n, nd.Func.Bit(0))
+			continue
+		}
+		subs := make([]*logic.TT, len(nd.Children))
+		for j, c := range nd.Children {
+			subs[j] = vals[c]
+		}
+		vals[n+i] = nd.Func.ComposeBool(subs)
+	}
+	return vals[t.Root()]
 }
 
 // MaxFanin returns the largest node fanin.
@@ -542,21 +541,30 @@ func decomposeOver(f *logic.TT, refs []int, k, depthBudget int, rank map[int]int
 	return root, true
 }
 
-// projectTT shrinks f to the given variables (f must not depend on others).
+// projectTT shrinks f to the given variables (f must not depend on others):
+// variable vars[j] moves to position j, and the result is the first
+// 2^len(vars) bits of the reordered table.
 func projectTT(f *logic.TT, vars []int) *logic.TT {
-	shrunk := logic.NewTT(len(vars))
-	for i := 0; i < shrunk.NumBits(); i++ {
-		var x uint
-		for j, v := range vars {
-			if i&(1<<uint(j)) != 0 {
-				x |= 1 << uint(v)
-			}
-		}
-		if f.Eval(x) {
-			shrunk.SetBit(i, true)
+	n := f.NumVars()
+	var perm [logic.MaxVars]int
+	var placed [logic.MaxVars]bool
+	identity := true
+	for j, v := range vars {
+		perm[v], placed[v] = j, true
+		identity = identity && v == j
+	}
+	next := len(vars)
+	for v := 0; v < n; v++ {
+		if !placed[v] {
+			perm[v] = next
+			next++
 		}
 	}
-	return shrunk
+	if !identity {
+		f = f.Clone()
+		f.PermuteVarsInPlace(perm[:n])
+	}
+	return logic.NewTT(len(vars)).CopyBlock(len(vars), 0, f, 0)
 }
 
 func mapRefs(vars []int, refs []int) []int {

@@ -32,6 +32,9 @@ func disjointPeelTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]
 	var op byte // 'a' AND, 'o' OR, 'x' XOR
 	var peels []literal
 	peeled := make([]bool, m)
+	// The cofactors are tested in two scratch tables; only a peel copies
+	// its residual out.
+	g0, g1 := logic.NewTT(m), logic.NewTT(m)
 	g := f
 	for len(peels) < k-1 {
 		found := false
@@ -39,8 +42,8 @@ func disjointPeelTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]
 			if peeled[v] {
 				continue
 			}
-			g0 := g.Cofactor(v, false)
-			g1 := g.Cofactor(v, true)
+			g0.CopyFrom(g).CofactorInPlace(v, false)
+			g1.CopyFrom(g).CofactorInPlace(v, true)
 			c0, v0 := g0.IsConst()
 			c1, v1 := g1.IsConst()
 			var o byte
@@ -56,13 +59,10 @@ func disjointPeelTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]
 			case c0 && v0: // f = NOT x_v OR g1
 				o, neg, rest = 'o', true, g1
 			default:
-				x := g1.Clone()
-				x.Not(x)
-				if x.Equal(g0) { // f = x_v XOR g0
-					o, neg, rest = 'x', false, g0
-				} else {
+				if !g1.Not(g1).Equal(g0) {
 					continue
 				}
+				o, neg, rest = 'x', false, g0 // f = x_v XOR g0
 			}
 			if op != 0 && o != op {
 				continue // a mixed-op chain needs one level per op; next round
@@ -70,7 +70,7 @@ func disjointPeelTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]
 			op = o
 			peels = append(peels, literal{v, neg})
 			peeled[v] = true
-			g = rest
+			g = rest.Clone()
 			found = true
 		}
 		if !found {
@@ -130,17 +130,20 @@ func shannonTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]int, 
 	sort.SliceStable(order, func(a, b int) bool {
 		return rank[refs[order[a]]] > rank[refs[order[b]]]
 	})
+	// Both cofactors are tested in scratch tables; only a split that fits
+	// projects them into node functions.
+	f0, f1 := logic.NewTT(m), logic.NewTT(m)
 	for _, v := range order {
-		f0 := f.Cofactor(v, false)
-		f1 := f.Cofactor(v, true)
-		s0 := f0.Support()
-		s1 := f1.Support()
-		if len(s0) == 0 || len(s1) == 0 {
+		f0.CopyFrom(f).CofactorInPlace(v, false)
+		f1.CopyFrom(f).CofactorInPlace(v, true)
+		n0, n1 := f0.SupportSize(), f1.SupportSize()
+		if n0 == 0 || n1 == 0 {
 			continue // a constant cofactor is a literal peel, not a mux
 		}
-		if len(s0) > k || len(s1) > k {
+		if n0 > k || n1 > k {
 			continue
 		}
+		s0, s1 := f0.Support(), f1.Support()
 		tr.Nodes = append(tr.Nodes, TreeNode{Func: projectTT(f0, s0), Children: mapRefs(s0, refs)})
 		r0 := tr.NumInputs + len(tr.Nodes) - 1
 		tr.Nodes = append(tr.Nodes, TreeNode{Func: projectTT(f1, s1), Children: mapRefs(s1, refs)})

@@ -110,18 +110,27 @@ func isop(l, u *TT, nvar int) ([]Cube, *TT) {
 }
 
 // IsParity reports whether f is an affine parity function over its support:
-// f = c XOR x_{i1} XOR ... XOR x_{ik}. It returns the support and the
-// complement flag when so.
+// f = c XOR x_{i1} XOR ... XOR x_{ik} with k >= 1. It returns the support and
+// the complement flag when so. Constants are not parities (ok=false): they
+// have no support to reduce over, and callers build trees from the support.
 func (t *TT) IsParity() (support []int, invert, ok bool) {
+	// A parity over a non-empty support is one on exactly half the table.
+	if t.CountOnes() != t.NumBits()/2 {
+		return nil, false, false
+	}
 	support = t.Support()
-	p := Const(t.nvar, false)
+	if len(support) == 0 {
+		return nil, false, false
+	}
+	p := NewTT(t.nvar)
+	x := NewTT(t.nvar)
 	for _, i := range support {
-		p.Xor(p, Var(t.nvar, i))
+		p.Xor(p, x.SetVar(i))
 	}
 	if p.Equal(t) {
 		return support, false, true
 	}
-	if NewTT(t.nvar).Not(p).Equal(t) {
+	if x.Not(p).Equal(t) {
 		return support, true, true
 	}
 	return nil, false, false

@@ -78,4 +78,12 @@ func TestIsParity(t *testing.T) {
 	if _, _, ok := AndAll(3).IsParity(); ok {
 		t.Fatal("AND misdetected as parity")
 	}
+	// Constants have no support to reduce over: not parities.
+	for _, n := range []int{0, 1, 7} {
+		for _, v := range []bool{false, true} {
+			if s, inv, ok := Const(n, v).IsParity(); ok {
+				t.Fatalf("Const(%d, %v) reported as parity %v inv=%v", n, v, s, inv)
+			}
+		}
+	}
 }

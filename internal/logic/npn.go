@@ -91,12 +91,11 @@ func (t *TT) FlipVarInPlace(i int) {
 		}
 	} else {
 		block := 1 << (i - 6)
-		buf := make([]uint64, block)
 		for base := 0; base < len(t.words); base += 2 * block {
-			lo, hi := base, base+block
-			copy(buf, t.words[lo:lo+block])
-			copy(t.words[lo:lo+block], t.words[hi:hi+block])
-			copy(t.words[hi:hi+block], buf)
+			lo, hi := t.words[base:base+block], t.words[base+block:base+2*block]
+			for w := range lo {
+				lo[w], hi[w] = hi[w], lo[w]
+			}
 		}
 	}
 }
@@ -146,20 +145,18 @@ func (t *TT) SwapVarsInPlace(i, j int) {
 }
 
 // PermuteVarsInPlace moves input variable i to position perm[i] (a
-// permutation of 0..nvar-1).
+// permutation of 0..nvar-1). It allocates nothing.
 func (t *TT) PermuteVarsInPlace(perm []int) {
 	n := t.nvar
 	if len(perm) != n {
 		panic("logic: PermuteVars: permutation length mismatch")
 	}
 	// pos[i] tracks where original variable i currently sits.
-	pos := make([]int, n)
-	slot := make([]int, n)
+	var pos, slot, inv [MaxVars]int
 	for i := 0; i < n; i++ {
 		pos[i] = i
 		slot[i] = i
 	}
-	inv := make([]int, n)
 	for i, p := range perm {
 		inv[p] = i
 	}

@@ -229,6 +229,35 @@ func TestVarOpsPointwise(t *testing.T) {
 	}
 }
 
+// TestVarOpsZeroAlloc: the in-place variable operations allocate nothing,
+// inside a word and across word blocks.
+func TestVarOpsZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	small, large := randTT(rng, 5), randTT(rng, 12)
+	perm := []int{11, 3, 7, 0, 9, 1, 10, 2, 8, 4, 6, 5}
+	cases := map[string]func(){
+		"SwapVarsInPlace": func() {
+			small.SwapVarsInPlace(0, 4)
+			large.SwapVarsInPlace(2, 9)
+			large.SwapVarsInPlace(7, 11)
+		},
+		"PermuteVarsInPlace": func() {
+			small.PermuteVarsInPlace([]int{4, 2, 0, 1, 3})
+			large.PermuteVarsInPlace(perm)
+		},
+		"FlipVarInPlace": func() {
+			small.FlipVarInPlace(3)
+			large.FlipVarInPlace(1)
+			large.FlipVarInPlace(10)
+		},
+	}
+	for name, fn := range cases {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects/run, want 0", name, allocs)
+		}
+	}
+}
+
 // TestTTWordBytesRoundTrip: serialization accessors round-trip and reject
 // malformed input.
 func TestTTWordBytesRoundTrip(t *testing.T) {

@@ -137,19 +137,34 @@ func (t *TT) checkSame(o *TT) {
 }
 
 // And sets t = a AND b and returns t. t may alias a or b.
-func (t *TT) And(a, b *TT) *TT { return t.binop(a, b, func(x, y uint64) uint64 { return x & y }) }
-
-// Or sets t = a OR b and returns t.
-func (t *TT) Or(a, b *TT) *TT { return t.binop(a, b, func(x, y uint64) uint64 { return x | y }) }
-
-// Xor sets t = a XOR b and returns t.
-func (t *TT) Xor(a, b *TT) *TT { return t.binop(a, b, func(x, y uint64) uint64 { return x ^ y }) }
-
-func (t *TT) binop(a, b *TT, op func(x, y uint64) uint64) *TT {
+func (t *TT) And(a, b *TT) *TT {
 	a.checkSame(b)
 	a.checkSame(t)
+	aw, bw := a.words[:len(t.words)], b.words[:len(t.words)]
 	for i := range t.words {
-		t.words[i] = op(a.words[i], b.words[i])
+		t.words[i] = aw[i] & bw[i]
+	}
+	return t
+}
+
+// Or sets t = a OR b and returns t. t may alias a or b.
+func (t *TT) Or(a, b *TT) *TT {
+	a.checkSame(b)
+	a.checkSame(t)
+	aw, bw := a.words[:len(t.words)], b.words[:len(t.words)]
+	for i := range t.words {
+		t.words[i] = aw[i] | bw[i]
+	}
+	return t
+}
+
+// Xor sets t = a XOR b and returns t. t may alias a or b.
+func (t *TT) Xor(a, b *TT) *TT {
+	a.checkSame(b)
+	a.checkSame(t)
+	aw, bw := a.words[:len(t.words)], b.words[:len(t.words)]
+	for i := range t.words {
+		t.words[i] = aw[i] ^ bw[i]
 	}
 	return t
 }
@@ -313,26 +328,107 @@ func (t *TT) Support() []int {
 	return s
 }
 
+// SupportSize returns the number of variables t depends on, len(Support()),
+// without allocating.
+func (t *TT) SupportSize() int {
+	n := 0
+	for i := 0; i < t.nvar; i++ {
+		if t.DependsOn(i) {
+			n++
+		}
+	}
+	return n
+}
+
 // Expand returns the same function over a larger variable set: variable j of
 // t becomes variable varMap[j] of the result, which has nvar variables.
+// varMap must be injective. The table is replicated over the new variables
+// and then reordered word-parallel by PermuteVarsInPlace.
 func (t *TT) Expand(nvar int, varMap []int) *TT {
 	if len(varMap) != t.nvar {
 		panic("logic: Expand: varMap length mismatch")
 	}
 	r := NewTT(nvar)
-	n := r.NumBits()
-	for i := 0; i < n; i++ {
-		var j uint
-		for k, m := range varMap {
-			if i&(1<<uint(m)) != 0 {
-				j |= 1 << uint(k)
-			}
+	var perm [MaxVars]int
+	var used [MaxVars]bool
+	for j, p := range varMap {
+		if p < 0 || p >= nvar || used[p] {
+			panic(fmt.Sprintf("logic: Expand: bad varMap %v for %d variables", varMap, nvar))
 		}
-		if t.Eval(j) {
-			r.SetBit(i, true)
+		perm[j], used[p] = p, true
+	}
+	// The added variables t.nvar..nvar-1 take the unused positions in
+	// increasing order; the replicated table does not depend on them.
+	next := 0
+	for j := t.nvar; j < nvar; j++ {
+		for used[next] {
+			next++
+		}
+		perm[j], used[next] = next, true
+	}
+	if t.nvar < 6 {
+		w := t.words[0]
+		for s := uint(1) << uint(t.nvar); s < 64; s <<= 1 {
+			w |= w << s
+		}
+		w &= mask(nvar)
+		for i := range r.words {
+			r.words[i] = w
+		}
+	} else {
+		for i := 0; i < len(r.words); i += len(t.words) {
+			copy(r.words[i:], t.words)
 		}
 	}
+	r.PermuteVarsInPlace(perm[:nvar])
 	return r
+}
+
+// BlocksEqual reports whether blocks i and j of t are equal. Block b is the
+// 2^m bits starting at bit b<<m: the subfunction over variables 0..m-1 with
+// the variables above fixed to the bits of b.
+func (t *TT) BlocksEqual(m, i, j int) bool {
+	t.checkBlock(m, i)
+	t.checkBlock(m, j)
+	if m < 6 {
+		return t.block(m, i) == t.block(m, j)
+	}
+	n := 1 << (m - 6)
+	a, b := t.words[i*n:(i+1)*n], t.words[j*n:(j+1)*n]
+	for w := range a {
+		if a[w] != b[w] {
+			return false
+		}
+	}
+	return true
+}
+
+// CopyBlock sets block i of t to block j of src, both blocks of 2^m bits
+// (see BlocksEqual), and returns t. t and src may differ in variable count.
+func (t *TT) CopyBlock(m, i int, src *TT, j int) *TT {
+	t.checkBlock(m, i)
+	src.checkBlock(m, j)
+	if m < 6 {
+		off := uint(i<<m) & 63
+		w := &t.words[i<<m>>6]
+		*w = *w&^(mask(m)<<off) | src.block(m, j)<<off
+		return t
+	}
+	n := 1 << (m - 6)
+	copy(t.words[i*n:(i+1)*n], src.words[j*n:(j+1)*n])
+	return t
+}
+
+// block returns block b of 2^m < 64 bits as the low bits of a word. Blocks
+// are aligned to their size, so one never straddles two words.
+func (t *TT) block(m, b int) uint64 {
+	return t.words[b<<m>>6] >> (uint(b<<m) & 63) & mask(m)
+}
+
+func (t *TT) checkBlock(m, b int) {
+	if m < 0 || m > t.nvar || b < 0 || b >= 1<<(t.nvar-m) {
+		panic(fmt.Sprintf("logic: block %d of 2^%d bits on %d-var table", b, m, t.nvar))
+	}
 }
 
 // Compose substitutes functions for variables: result(x) =

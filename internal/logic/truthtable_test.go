@@ -87,6 +87,36 @@ func TestBoolOps(t *testing.T) {
 	}
 }
 
+// TestBoolOpsAliasing: And, Or and Xor give the same result when the
+// destination aliases either operand or both.
+func TestBoolOpsAliasing(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	ops := map[string]func(t, a, b *TT) *TT{
+		"and": (*TT).And, "or": (*TT).Or, "xor": (*TT).Xor,
+	}
+	for _, nvar := range []int{0, 3, 6, 9} {
+		a, b := randomTT(rng, nvar), randomTT(rng, nvar)
+		for name, op := range ops {
+			want := op(NewTT(nvar), a, b)
+			if got := op(a.Clone(), a.Clone(), b); !got.Equal(want) {
+				t.Fatalf("%s n=%d: fresh destination differs", name, nvar)
+			}
+			x := a.Clone()
+			if op(x, x, b); !x.Equal(want) {
+				t.Fatalf("%s n=%d: destination aliasing a differs", name, nvar)
+			}
+			y := b.Clone()
+			if op(y, a, y); !y.Equal(want) {
+				t.Fatalf("%s n=%d: destination aliasing b differs", name, nvar)
+			}
+			z := a.Clone()
+			if op(z, z, z); !z.Equal(op(NewTT(nvar), a, a)) {
+				t.Fatalf("%s n=%d: destination aliasing both differs", name, nvar)
+			}
+		}
+	}
+}
+
 func TestNotKeepsPaddingClean(t *testing.T) {
 	// Double negation of a small table must not pollute padding bits,
 	// otherwise Equal comparisons break.
@@ -175,6 +205,12 @@ func TestSupport(t *testing.T) {
 	if len(s) != 2 || s[0] != 1 || s[1] != 3 {
 		t.Fatalf("support = %v, want [1 3]", s)
 	}
+	if n := f.SupportSize(); n != 2 {
+		t.Fatalf("SupportSize = %d, want 2", n)
+	}
+	if n := Const(7, true).SupportSize(); n != 0 {
+		t.Fatalf("constant SupportSize = %d, want 0", n)
+	}
 }
 
 // TestDependsOnMatchesCofactors checks the in-place DependsOn against its
@@ -216,9 +252,10 @@ func TestDependsOnZeroAlloc(t *testing.T) {
 		for v := 0; v < 12; v++ {
 			large.DependsOn(v)
 		}
+		large.SupportSize()
 	})
 	if allocs != 0 {
-		t.Fatalf("DependsOn allocates %.1f objects/run, want 0", allocs)
+		t.Fatalf("DependsOn/SupportSize allocate %.1f objects/run, want 0", allocs)
 	}
 }
 
@@ -231,6 +268,103 @@ func TestExpand(t *testing.T) {
 		b := i&(1<<1) != 0
 		if g.Bit(i) != (a != b) {
 			t.Fatalf("expand wrong at %d", i)
+		}
+	}
+}
+
+// referenceExpand is the bit-serial definition of Expand: bit i of the
+// result is t at the assignment whose bit j is bit varMap[j] of i.
+func referenceExpand(t *TT, nvar int, varMap []int) *TT {
+	r := NewTT(nvar)
+	for i := 0; i < r.NumBits(); i++ {
+		var j uint
+		for k, m := range varMap {
+			if i&(1<<uint(m)) != 0 {
+				j |= 1 << uint(k)
+			}
+		}
+		r.SetBit(i, t.Eval(j))
+	}
+	return r
+}
+
+// TestExpandMatchesPointwise: replication plus reordering equals the
+// bit-serial definition for random tables and random injective maps, from
+// 0..10 variables into up to MaxVars.
+func TestExpandMatchesPointwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 300; iter++ {
+		nvar := rng.Intn(MaxVars + 1)
+		k := rng.Intn(min(nvar, 10) + 1)
+		f := randomTT(rng, k)
+		varMap := rng.Perm(nvar)[:k]
+		if got, want := f.Expand(nvar, varMap), referenceExpand(f, nvar, varMap); !got.Equal(want) {
+			t.Fatalf("%d vars into %d via %v: expansion differs", k, nvar, varMap)
+		}
+	}
+}
+
+// TestBlocksMatchBits: BlocksEqual and CopyBlock against bit-level models
+// on every block of every width, which includes the sub-word blocks just
+// below and above each word boundary.
+func TestBlocksMatchBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, nvar := range []int{0, 3, 6, 7, 9} {
+		f := randomTT(rng, nvar)
+		// Duplicate some blocks so BlocksEqual also sees equal pairs.
+		for m := 0; m <= nvar; m++ {
+			nblocks := 1 << uint(nvar-m)
+			g := f.Clone()
+			for i := 0; i < nblocks; i += 3 {
+				g.CopyBlock(m, i, f, nblocks-1-i)
+				for b := 0; b < 1<<uint(m); b++ {
+					if g.Bit(i<<uint(m)+b) != f.Bit((nblocks-1-i)<<uint(m)+b) {
+						t.Fatalf("n=%d m=%d: CopyBlock(%d) wrong at bit %d", nvar, m, i, b)
+					}
+				}
+			}
+			for i := 0; i < nblocks; i++ {
+				for j := 0; j < nblocks; j++ {
+					want := true
+					for b := 0; b < 1<<uint(m); b++ {
+						if g.Bit(i<<uint(m)+b) != g.Bit(j<<uint(m)+b) {
+							want = false
+							break
+						}
+					}
+					if got := g.BlocksEqual(m, i, j); got != want {
+						t.Fatalf("n=%d m=%d: BlocksEqual(%d, %d) = %v", nvar, m, i, j, got)
+					}
+				}
+			}
+		}
+	}
+	// Copying across variable counts: a block of a wide table into a narrow
+	// one (the truncation projectTT uses) and back, leaving other bits alone.
+	for _, m := range []int{0, 2, 5, 6, 8} {
+		wide := randomTT(rng, 10)
+		narrow := randomTT(rng, m)
+		before := wide.Clone()
+		blk := rng.Intn(1 << uint(10-m))
+		narrow.CopyBlock(m, 0, wide, blk)
+		for b := 0; b < 1<<uint(m); b++ {
+			if narrow.Bit(b) != wide.Bit(blk<<uint(m)+b) {
+				t.Fatalf("m=%d: narrow copy of block %d wrong at bit %d", m, blk, b)
+			}
+		}
+		narrow.Not(narrow)
+		wide.CopyBlock(m, blk, narrow, 0)
+		for i := 0; i < wide.NumBits(); i++ {
+			want := before.Bit(i)
+			if i>>uint(m) == blk {
+				want = !want
+			}
+			if wide.Bit(i) != want {
+				t.Fatalf("m=%d: write-back of block %d wrong at bit %d", m, blk, i)
+			}
+		}
+		if m < 6 && narrow.words[0]&^mask(m) != 0 {
+			t.Fatalf("m=%d: padding bits set", m)
 		}
 	}
 }
@@ -327,6 +461,9 @@ func TestPanics(t *testing.T) {
 	assertPanics("mixed sizes", func() { NewTT(3).And(NewTT(3), NewTT(4)) })
 	assertPanics("cofactor out of range", func() { NewTT(2).Cofactor(5, true) })
 	assertPanics("DependsOn out of range", func() { NewTT(2).DependsOn(2) })
+	assertPanics("block out of range", func() { NewTT(3).BlocksEqual(2, 0, 2) })
+	assertPanics("block wider than table", func() { NewTT(3).CopyBlock(4, 0, NewTT(5), 0) })
+	assertPanics("Expand non-injective", func() { NewTT(2).Expand(3, []int{1, 1}) })
 }
 
 func BenchmarkAnd10Var(b *testing.B) {

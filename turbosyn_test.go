@@ -101,6 +101,27 @@ func TestSynthesizeKBoundsWideGates(t *testing.T) {
 	}
 }
 
+// TestSynthesizeWideConstantGate: a BLIF gate with more than K inputs and
+// a constant function (no cubes, or one all-don't-care cube) synthesizes to
+// an equivalent netlist.
+func TestSynthesizeWideConstantGate(t *testing.T) {
+	for _, cover := range []string{"", "------- 1\n"} {
+		src := ".model wideconst\n.inputs a b c d e f q\n.outputs n\n.names a b c d e f q n\n" + cover + ".end\n"
+		c, err := ReadBLIF(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Synthesize(c, Options{K: 5})
+		if err != nil {
+			t.Fatalf("cover %q: %v", cover, err)
+		}
+		eq, err := sim.CombEquivalent(c, res.Mapped, 7)
+		if err != nil || !eq {
+			t.Fatalf("cover %q: equivalence: %v %v", cover, eq, err)
+		}
+	}
+}
+
 func TestSynthesizeMinPeriodObjective(t *testing.T) {
 	// A retimable chain: behaviour-preserving retiming reaches period 1,
 	// and no latency may be added.
