@@ -100,11 +100,13 @@ cache-warm:
 # BLIF reader's parse-or-error-cleanly contract, 30s against the record log
 # loader (any file loads without error to a re-framable valid prefix), then
 # 30s against the word-parallel Roth-Karp extraction (equal to the bit-serial
-# reference, and the decomposition recomposes to the input).
+# reference, and the decomposition recomposes to the input), then 30s against
+# cut witnesses (wherever one holds, a fresh expansion admits a K-cut).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadBLIF -fuzztime 30s -run '^$$' ./internal/netlist
 	$(GO) test -fuzz FuzzRecordlogLoad -fuzztime 30s -run '^$$' ./internal/recordlog
 	$(GO) test -fuzz FuzzRothKarp -fuzztime 30s -run '^$$' ./internal/decomp
+	$(GO) test -fuzz FuzzCutWitness -fuzztime 30s -run '^$$' ./internal/core
 
 # The repository benchmark (tsbench/, BENCHMARK.json): both workloads, plain
 # and traced, on seed 1 for 5 s each. tsbench builds turbosyn and turbosynd

@@ -41,6 +41,10 @@ type arena struct {
 	npnMemo map[string]npnEntry
 	npnKey  []byte
 
+	// witRun is witness.holds' candidate-run scratch, one entry per cone
+	// replica of the witness being checked.
+	witRun []int32
+
 	// sccIsolated scratch, sized to the circuit. (The per-component update
 	// lists iterateComp sweeps are precomputed CSR ranges in analysis, not
 	// arena scratch.)
@@ -83,7 +87,7 @@ func (ar *arena) reset() {
 // (the Stats.ArenaPeakBytes high-water mark).
 func (ar *arena) bytes() int {
 	return ar.xb.Bytes() + ar.ca.Bytes() +
-		cap(ar.varOf)*8 + cap(ar.memo)*8 + ar.tt.Bytes() +
+		cap(ar.varOf)*8 + cap(ar.memo)*8 + ar.tt.Bytes() + cap(ar.witRun)*4 +
 		cap(ar.reach) + cap(ar.rqueue)*8 +
 		len(ar.npnMemo)*npnEntryBytes + cap(ar.npnKey)
 }

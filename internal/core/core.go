@@ -46,9 +46,13 @@ type Options struct {
 	// default of 3; pass a negative value for the strict TurboMap frontier
 	// that stops at the first candidate).
 	LowDepth int
-	// MaxExpand caps a single expansion (default 2500 replicas). Bigger
-	// caps only matter for exotic cuts: when an expansion overflows, the
-	// label rounds up — always valid, at worst slightly suboptimal.
+	// MaxExpand caps a single expansion (0 means expand.DefaultMaxNodes,
+	// 50,000 replicas). Bigger caps only matter for exotic cuts: when an
+	// expansion overflows, the label rounds up — always valid, at worst
+	// slightly suboptimal. A fast-pass decision answered by a cut witness
+	// builds no expansion, so it cannot overflow: under a tiny cap it may
+	// realize a label the capped expansion would have rounded up, which is
+	// just as valid and never worse.
 	MaxExpand int
 	// Decompose enables TurboSYN's sequential functional decomposition;
 	// false gives TurboMap.
@@ -173,7 +177,8 @@ func DefaultOptions() Options {
 // Stats counts the work a run performed.
 type Stats struct {
 	Iterations     int // label-update passes (over SCC members)
-	CutChecks      int // flow-based K-cut existence checks
+	CutChecks      int // structural K-cut decisions (flow or witness)
+	CutWitnessHits int // structural decisions answered by a cut witness
 	Decompositions int // successful sequential decompositions
 	DecompAttempts int // attempted sequential decompositions
 	PLDChecks      int // predecessor-graph reachability checks
@@ -246,6 +251,7 @@ type Stats struct {
 func (s *Stats) Add(s2 Stats) {
 	s.Iterations += s2.Iterations
 	s.CutChecks += s2.CutChecks
+	s.CutWitnessHits += s2.CutWitnessHits
 	s.Decompositions += s2.Decompositions
 	s.DecompAttempts += s2.DecompAttempts
 	s.PLDChecks += s2.PLDChecks

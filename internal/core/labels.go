@@ -77,6 +77,11 @@ type state struct {
 	// final labels and covers never depend on the backoff.
 	bumps      []int
 	nextDecomp []int
+	// wits holds each node's cut witness (witness.go), written and read
+	// only by decide, so only by the worker owning the node's component.
+	// Per-probe like the decision cache: resetFor empties every witness
+	// but keeps its backing array.
+	wits []witness
 	// cache memoizes Decompose outcomes by cone function, K, depth budget
 	// and bound-set priority. Cone functions recur heavily across label
 	// iterations; this cache removes the repeated Roth-Karp window scans.
@@ -169,6 +174,7 @@ func blankState(c *netlist.Circuit, an *analysis, pool *arenaPool) *state {
 		dirty:       make([]bool, n),
 		bumps:       make([]int, n),
 		nextDecomp:  make([]int, n),
+		wits:        make([]witness, n),
 		recs:        make([]coverRec, n),
 		pendingBuf:  make([]atomic.Int32, nc),
 		compDoneBuf: make([]atomic.Bool, nc),
@@ -202,6 +208,7 @@ func (s *state) resetFor(phi int, opts Options) {
 		s.dirty[i] = false
 		s.bumps[i] = 0
 		s.nextDecomp[i] = 0
+		s.wits[i].reps, s.wits[i].cone = s.wits[i].reps[:0], 0
 		s.recs[i] = coverRec{}
 	}
 	for _, n := range s.c.Nodes {
@@ -676,9 +683,17 @@ func (s *state) markDirty(id int) {
 // it looser — only the flow computation reruns per bound.
 func (s *state) decide(id, L int, record bool, st *Stats, ar *arena) (int, coverRec) {
 	xopts := expand.Options{LowDepth: s.opts.LowDepth, MaxNodes: s.opts.MaxExpand}
-	// Structural K-cut of height <= L?
+	// Structural K-cut of height <= L? A fast pass asks the node's cut
+	// witness first: when it holds, Build+KCut would succeed, so both are
+	// skipped. Recording passes and the full-sweep reference always run
+	// flow, so covers come from flow cuts and the reference stays flow-only.
 	st.CutChecks++
 	faultinject.CutCheck()
+	wt := &s.wits[id]
+	if !record && !s.fullSweep && s.witnessHolds(wt, L, ar) {
+		st.CutWitnessHits++
+		return L, coverRec{}
+	}
 	st.ExpandBuilds++
 	phase(ar, obs.OpExpand)
 	x, built := ar.xb.Build(s.c, id, s.labels, s.phi, L, xopts)
@@ -688,6 +703,7 @@ func (s *state) decide(id, L int, record bool, st *Stats, ar *arena) (int, cover
 		res, ok := ar.ca.KCut(x, s.opts.K)
 		phase(ar, obs.OpLabel)
 		if ok {
+			wt.record(x, res)
 			var rec coverRec
 			if record {
 				rec = s.structuralRec(x, res, ar)

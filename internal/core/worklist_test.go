@@ -40,7 +40,9 @@ func suiteCases() []goldenCase {
 // full-sweep trajectory step for step, so on every probe of the reference
 // scan the verdict, the labels and every work counter must match, and the
 // visits the worklist made plus the ones it skipped must add up to the
-// reference's visits.
+// reference's visits. Likewise for expansions: the worklist probe answers
+// some fast-pass cut checks from cut witnesses, so its builds plus its
+// witness hits must add up to the flow-only reference's builds.
 func TestWorklistMatchesFullSweep(t *testing.T) {
 	fenceGoroutines(t)
 	workerPools := identityWorkerPools()
@@ -103,7 +105,10 @@ func TestWorklistMatchesFullSweep(t *testing.T) {
 				}{
 					{"Iterations", got.stats.Iterations, ref.stats.Iterations},
 					{"CutChecks", got.stats.CutChecks, ref.stats.CutChecks},
-					{"ExpandBuilds", got.stats.ExpandBuilds, ref.stats.ExpandBuilds},
+					// Every witness hit replaces exactly one build, and the
+					// flow-only reference never consults a witness.
+					{"ExpandBuilds+CutWitnessHits", got.stats.ExpandBuilds + got.stats.CutWitnessHits, ref.stats.ExpandBuilds},
+					{"reference CutWitnessHits", ref.stats.CutWitnessHits, 0},
 					{"ExpandReuses", got.stats.ExpandReuses, ref.stats.ExpandReuses},
 					{"Decompositions", got.stats.Decompositions, ref.stats.Decompositions},
 					{"DecompAttempts", got.stats.DecompAttempts, ref.stats.DecompAttempts},

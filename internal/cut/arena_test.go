@@ -74,6 +74,29 @@ func TestArenaMatchesOneShot(t *testing.T) {
 				t.Fatalf("trial %d: cone[%d] = %d, want %d", trial, i, got.Cone[i], want.Cone[i])
 			}
 		}
+		checkConeParents(t, x, got)
+	}
+}
+
+// checkConeParents asserts the Parent contract: the root has no parent, and
+// every other cone entry is a fanin of an earlier entry, its parent.
+func checkConeParents(t *testing.T, x *expand.Expanded, res *Result) {
+	t.Helper()
+	if len(res.Parent) != len(res.Cone) || res.Parent[0] != -1 {
+		t.Fatalf("parents %v for cone %v", res.Parent, res.Cone)
+	}
+	for i := 1; i < len(res.Cone); i++ {
+		p := res.Parent[i]
+		if p < 0 || p >= i {
+			t.Fatalf("cone[%d]: parent position %d is not earlier", i, p)
+		}
+		found := false
+		for _, f := range x.Fanins[res.Cone[p]] {
+			found = found || f == res.Cone[i]
+		}
+		if !found {
+			t.Fatalf("cone[%d] = %d is not a fanin of its parent %d", i, res.Cone[i], res.Cone[p])
+		}
 	}
 }
 

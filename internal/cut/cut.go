@@ -25,6 +25,10 @@ type Result struct {
 	// included, the cut excluded), in reverse topological order from the
 	// root (root first).
 	Cone []int
+	// Parent[i] is the position in Cone of the replica whose fanins led the
+	// cone walk to Cone[i]; -1 for the root. Following it from any Cone
+	// entry traces one fanin path of the cone back to the root.
+	Parent []int
 }
 
 // Arena is the reusable scratch behind KCut/MinCut. A zero Arena is ready to
@@ -110,7 +114,8 @@ func (a *Arena) MinCut(x *expand.Expanded, limit int) (*Result, bool) {
 }
 
 // cone walks backward from the root, stopping at cut replicas, and fills
-// res.Cone with the interior in discovery order (root first).
+// res.Cone with the interior in discovery order (root first) and res.Parent
+// with each entry's discoverer.
 func (a *Arena) cone(x *expand.Expanded) {
 	n := len(x.Nodes)
 	if cap(a.isCut) < n {
@@ -128,15 +133,17 @@ func (a *Arena) cone(x *expand.Expanded) {
 	}
 	seen[expand.Root] = true
 	order := append(a.res.Cone[:0], expand.Root)
+	parent := append(a.res.Parent[:0], -1)
 	for qi := 0; qi < len(order); qi++ {
 		for _, c := range x.Fanins[order[qi]] {
 			if !seen[c] && !isCut[c] {
 				seen[c] = true
 				order = append(order, c)
+				parent = append(parent, qi)
 			}
 		}
 	}
-	a.res.Cone = order
+	a.res.Cone, a.res.Parent = order, parent
 }
 
 // Bytes reports the approximate footprint of the Arena's retained arrays,
@@ -144,5 +151,5 @@ func (a *Arena) cone(x *expand.Expanded) {
 func (a *Arena) Bytes() int {
 	return a.net.Bytes() +
 		cap(a.isCut) + cap(a.seen) +
-		cap(a.res.Cut)*8 + cap(a.res.Cone)*8
+		cap(a.res.Cut)*8 + cap(a.res.Cone)*8 + cap(a.res.Parent)*8
 }

@@ -58,6 +58,7 @@ func TestKCutTree(t *testing.T) {
 	if res.Cone[0] != expand.Root {
 		t.Error("cone must start at the root")
 	}
+	checkConeParents(t, x, res)
 }
 
 func TestKCutInfeasibleThroughNonCandidatePI(t *testing.T) {

@@ -124,7 +124,7 @@ func splitAtRegisters(c *netlist.Circuit) (*netlist.Circuit, *boundary) {
 			b.toSplit[n.ID] = s.AddGate(n.Name, logic.Const(0, false)) // wired below
 		}
 	}
-	regDriver := make(map[int]bool)
+	regDriver := make([]bool, c.NumNodes())
 	for _, n := range c.Nodes {
 		if n.Kind != netlist.Gate {
 			continue
@@ -149,9 +149,11 @@ func splitAtRegisters(c *netlist.Circuit) (*netlist.Circuit, *boundary) {
 			regDriver[f.From] = true
 		}
 	}
-	// Register drivers that are gates must be mapped: expose as pseudo POs.
-	for from := range regDriver {
-		if c.Nodes[from].Kind == netlist.Gate {
+	// Register drivers that are gates must be mapped: expose as pseudo POs,
+	// in ascending node order so the split network (and with it the merged
+	// BLIF) is the same on every run.
+	for from, drives := range regDriver {
+		if drives && c.Nodes[from].Kind == netlist.Gate {
 			s.AddPO(fmt.Sprintf("po$%d", from), b.toSplit[from], 0)
 		}
 	}

@@ -39,6 +39,14 @@ func ReadBLIF(r io.Reader) (*Circuit, error) {
 		if len(fields) == 0 {
 			continue
 		}
+		// A token can end in a backslash only when blanks followed it. The
+		// writer could put such a name at the end of a line, where the
+		// backslash would continue the line, so it is rejected here.
+		for _, f := range fields {
+			if strings.HasSuffix(f, "\\") {
+				return nil, fmt.Errorf("blif: line %d: name %q ends with a backslash", i+1, f)
+			}
+		}
 		switch fields[0] {
 		case ".model":
 			if len(fields) > 1 {

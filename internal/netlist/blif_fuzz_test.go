@@ -26,6 +26,8 @@ func FuzzReadBLIF(f *testing.F) {
 		".model m # comment\n.inputs a\n.outputs z\n.names a z\n0 0\n.end",
 		".latch",
 		".names\n\x00\xff",
+		".names 0\\ ",  // a backslash followed by a blank ends a name
+		".names 0\\\f", // the same with a form feed
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

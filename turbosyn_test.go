@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"turbosyn/internal/bench"
 	"turbosyn/internal/sim"
 )
 
@@ -74,6 +75,34 @@ func TestSynthesizeAlgorithms(t *testing.T) {
 	}
 	if phis[TurboSYN] != 1 || phis[TurboMap] != 2 {
 		t.Fatalf("expected 1 vs 2, got %v", phis)
+	}
+}
+
+// TestFlowSYNSBLIFDeterministic: FlowSYN-s must write the same BLIF on every
+// run. The split network once exposed register drivers as pseudo outputs in
+// map order, which permuted the written lines from run to run.
+func TestFlowSYNSBLIFDeterministic(t *testing.T) {
+	var c *Circuit
+	for _, cs := range bench.Suite() {
+		if cs.Name == "bbara" {
+			c = cs.Circuit
+		}
+	}
+	var first []byte
+	for run := 0; run < 20; run++ {
+		res, err := Synthesize(c, Options{Algorithm: FlowSYNS, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteBLIF(&buf, res.Realized); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("run %d wrote different BLIF than run 0", run)
+		}
 	}
 }
 
