@@ -74,7 +74,7 @@ chaos:
 # accepted == done + failed + shed (see internal/server/server_test.go).
 daemon-smoke:
 	$(GO) test -race -count=1 -timeout 10m -v \
-		-run 'TestDaemonSmoke|TestDaemonRecovery|TestDaemonDrainRejectsSubmit|TestDaemonByteIdentity|TestDaemonMemBudgetAdmission|TestProgressStream' \
+		-run 'TestDaemonSmoke|TestDaemonRecovery|TestDaemonDrainRejectsSubmit|TestDaemonByteIdentity|TestDaemonMemBudgetAdmission|TestProgressStream|TestDaemonInvalidOptions' \
 		./internal/server
 	$(GO) test -race -count=1 ./internal/jobqueue
 

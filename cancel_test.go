@@ -105,10 +105,8 @@ func TestOptionsValidation(t *testing.T) {
 		{"K too small", func(o *Options) { o.K = 1 }, "too small"},
 		{"K too large", func(o *Options) { o.K = 99 }, "exceeds"},
 		{"negative workers", func(o *Options) { o.Workers = -1 }, "Workers"},
-		{"negative Cmax", func(o *Options) { o.Cmax = -1 }, "Cmax"},
-		{"oversized Cmax", func(o *Options) { o.Cmax = 99 }, "Cmax"},
-		{"negative MaxH", func(o *Options) { o.MaxH = -3 }, "MaxH"},
-		{"negative budget", func(o *Options) { o.BDDNodeBudget = -1 }, "budget"},
+		{"negative budget", func(o *Options) { o.RothKarpBudget = -1 }, "budget"},
+		{"FlowSYN-s period", func(o *Options) { o.Algorithm, o.Objective = FlowSYNS, MinPeriod }, "MinRatio"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -57,7 +57,6 @@ type clientConfig struct {
 	noPack    bool
 	mapped    bool
 	strict    bool
-	bddBudget int
 	rkBudget  int
 }
 
@@ -74,7 +73,7 @@ func runClient(cfg clientConfig) {
 	opts := server.JobOptions{
 		K: cfg.k, Algorithm: cfg.alg, Objective: cfg.objective,
 		NoPack: cfg.noPack, Mapped: cfg.mapped, Strict: cfg.strict,
-		BDDNodeBudget: cfg.bddBudget, RothKarpBudget: cfg.rkBudget,
+		RothKarpBudget: cfg.rkBudget,
 	}
 	for _, name := range cfg.files {
 		var in io.Reader = os.Stdin

@@ -46,7 +46,6 @@ func main() {
 		workers    = flag.Int("j", 0, "worker pool size (0 = all CPUs, 1 = sequential); results are identical for every setting")
 		timeout    = flag.Duration("timeout", 0, "abort synthesis after this duration (0 = no limit); partial progress is reported")
 		strict     = flag.Bool("strict", false, "treat resource-budget exhaustion as an error instead of degrading gracefully")
-		bddBudget  = flag.Int("bdd-budget", 0, "max OBDD nodes per decomposition pre-screen (0 = unlimited)")
 		rkBudget   = flag.Int("rk-budget", 0, "max Roth-Karp bound-set candidates per decomposition attempt (0 = unlimited)")
 		cacheDir   = flag.String("decomp-cache", "", "persist the decomposition cache across runs in this directory (results stay bit-identical; warm runs skip the Roth-Karp searches)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (samples carry a per-stage 'phase' label)")
@@ -84,7 +83,7 @@ func main() {
 			files: files, out: *out, timeout: *timeout,
 			k: *k, alg: *alg, objective: *objective,
 			noPack: *noPack, mapped: *raw, strict: *strict,
-			bddBudget: *bddBudget, rkBudget: *rkBudget,
+			rkBudget: *rkBudget,
 		})
 		return
 	}
@@ -107,7 +106,7 @@ func main() {
 	opts := turbosyn.Options{
 		K: *k, NoPack: *noPack, NoPLD: *noPLD,
 		Workers: *workers,
-		Strict:  *strict, BDDNodeBudget: *bddBudget, RothKarpBudget: *rkBudget,
+		Strict:  *strict, RothKarpBudget: *rkBudget,
 		CacheDir: *cacheDir,
 	}
 	switch *alg {

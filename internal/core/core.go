@@ -77,10 +77,18 @@ type Options struct {
 	// speculative probe fan-out of the binary search: 0 means
 	// runtime.NumCPU(), 1 forces the strictly sequential path. Every
 	// setting computes bit-identical labels, covers and verdicts (see
-	// DESIGN.md, "Dataflow scheduling"); only the Stats work
-	// counters of infeasible probes may vary with scheduling. A positive
-	// IterBudget implies sequential execution regardless of Workers, so
-	// budget accounting stays globally ordered.
+	// DESIGN.md, "Dataflow scheduling"), but not bit-identical Stats. Above
+	// 1, the counters that depend on which task fills a shared
+	// decomposition-cache entry first (BoundSetsExamined, RothKarpCalls,
+	// ShannonSplits, DisjointPeels and the cache hit/miss counters) vary with
+	// timing even on feasible runs, because cancelled speculative probes and
+	// concurrent components fill the cache too; every work counter of an
+	// infeasible probe varies with when sibling tasks notice the failure;
+	// and the concurrency counters describe the schedule itself. Stats are
+	// exact and repeatable only at Workers 1, where the search runs one
+	// probe, and one component, at a time. A positive IterBudget implies
+	// sequential execution regardless of Workers, so budget accounting
+	// stays globally ordered.
 	Workers int
 
 	// Resource budgets (0 = unlimited). Exhausting a budget never aborts
@@ -91,10 +99,6 @@ type Options struct {
 	// bit-identical to an unbudgeted run. See DESIGN.md, "Cancellation,
 	// budgets, and fault containment".
 
-	// BDDNodeBudget caps the OBDD built to pre-screen each candidate bound
-	// set during sequential decomposition (Roth-Karp and OBDD construction
-	// are worst-case exponential; this is the memory lever).
-	BDDNodeBudget int
 	// RothKarpBudget caps the bound-set candidates examined per
 	// decomposition attempt (the time lever on the window scan).
 	RothKarpBudget int
@@ -174,7 +178,11 @@ func DefaultOptions() Options {
 	return Options{Decompose: true, PLD: true, Pipelined: true, Relax: true}.withDefaults()
 }
 
-// Stats counts the work a run performed.
+// Stats counts the work a run performed. Results never depend on
+// Options.Workers, but above 1 worker some counters do: the decomposition
+// cache and Roth-Karp counters, every work counter of an infeasible probe,
+// and the concurrency counters. Every counter is exact only at Workers 1
+// (see Options.Workers).
 type Stats struct {
 	Iterations     int // label-update passes (over SCC members)
 	CutChecks      int // structural K-cut decisions (flow or witness)
@@ -212,8 +220,8 @@ type Stats struct {
 	DisjointPeels int
 
 	// Degradations counts budget exhaustions absorbed by graceful
-	// degradation: nodes whose resynthesis was skipped or truncated by
-	// BDDNodeBudget/RothKarpBudget, and arenas released by ArenaByteBudget.
+	// degradation: nodes whose resynthesis was truncated by RothKarpBudget,
+	// and arenas released by ArenaByteBudget.
 	// Always 0 when no budget is configured. Under Options.Strict the first
 	// would-be degradation aborts the run with a *BudgetError instead.
 	Degradations int

@@ -194,6 +194,46 @@ func TestPLDSpeedsUpInfeasibleProbe(t *testing.T) {
 	}
 }
 
+// TestPLDWalkSeesUpstreamSupport: after a converged run, on the sequential
+// path and under the dataflow scheduler alike, every component is marked
+// complete, so the PLD walk may enter them all. A loop whose only support
+// from the ground arrives through an upstream chain is then not isolated;
+// a walk confined to the loop's own component would certify it infeasible.
+func TestPLDWalkSeesUpstreamSupport(t *testing.T) {
+	// K=2 chain ci = AND(c(i-1), xi), so labels climb 1..6 along it, then
+	// g = AND(c6, g@1): g's label sits above the chain's and its self-loop
+	// cannot support it at phi=2.
+	c := netlist.NewCircuit("chainloop")
+	prev := c.AddPI("x0")
+	for i := 1; i <= 6; i++ {
+		prev = c.AddGate("", logic.AndAll(2),
+			netlist.Fanin{From: prev}, netlist.Fanin{From: c.AddPI("x" + string(rune('0'+i)))})
+	}
+	g := c.AddGate("g", logic.AndAll(2), netlist.Fanin{From: prev}, netlist.Fanin{From: prev})
+	c.Nodes[g].Fanins[1] = netlist.Fanin{From: g, Weight: 1}
+	c.InvalidateCaches()
+	c.AddPO("z", g, 0)
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
+	}
+	opts := turboMapOpts()
+	opts.K = 2
+	for _, workers := range []int{1, 2} {
+		opts.Workers = workers
+		s := newState(c, 2, opts)
+		ok, err := s.run()
+		if err != nil || !ok {
+			t.Fatalf("workers=%d: phi 2 must be feasible (ok=%v, err=%v)", workers, ok, err)
+		}
+		if s.labels[g] <= 1 {
+			t.Fatalf("workers=%d: label(g) = %d; g must not be ground itself", workers, s.labels[g])
+		}
+		if s.sccIsolated(s.sccs.Comp[g], s.arenaFor(0)) {
+			t.Errorf("workers=%d: loop reported isolated although the chain supports it", workers)
+		}
+	}
+}
+
 func TestFeasibleMonotone(t *testing.T) {
 	c := loop6(t)
 	opts := turboMapOpts()

@@ -16,15 +16,14 @@ import (
 // no dependence on phi, Options or scheduling. Computed once per Engine (or
 // once per newState on the throwaway path) and shared read-only by every
 // probe, sequential or speculative: the comb topo order, the SCC
-// decomposition and condensation levels, per-component member order, the
+// decomposition, per-component member order, the
 // condensation in-degrees, and the per-component work summary the dataflow
 // scheduler needs (updatable member counts, triviality flags, the number of
 // schedulable components).
 type analysis struct {
-	order  []int
-	sccs   *graph.SCCs
-	levels []int
-	indeg  []int
+	order []int
+	sccs  *graph.SCCs
+	indeg []int
 
 	// Per-component member and update lists in CSR form: component comp's
 	// members, in comb topo order, are memberFlat[memberOff[comp]:
@@ -78,7 +77,6 @@ func analyze(c *netlist.Circuit) *analysis {
 		order: c.CombTopoOrder(),
 		sccs:  graph.StronglyConnected(c.Adj()),
 	}
-	an.levels = an.sccs.Levels()
 	an.indeg = an.sccs.InDegrees()
 	nc := an.sccs.NumComps()
 	an.updates = make([]int, nc)
@@ -250,7 +248,7 @@ type PoolStats struct {
 }
 
 // Engine owns everything invariant across probes and runs on one circuit:
-// the graph analysis (topo order, SCCs, condensation levels and degrees,
+// the graph analysis (topo order, SCCs, condensation degrees,
 // per-component work summary), the NPN-keyed decomposition cache — including
 // the persisted cross-run log, loaded once at construction instead of per
 // run — and the checkout pools of worker arenas and probe states. Every

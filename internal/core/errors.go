@@ -77,7 +77,7 @@ func newInternalError(r any, op string, comp, node int) *InternalError {
 // degrades to the structural-only feasibility check and the run continues
 // (see Stats.Degradations).
 type BudgetError struct {
-	Resource string // "bdd-nodes", "rothkarp-candidates", "arena-bytes", "injected"
+	Resource string // "rothkarp-candidates", "arena-bytes", "injected"
 	Node     int    // circuit node whose decision tripped the budget, -1 n/a
 	Limit    int    // the configured ceiling
 }

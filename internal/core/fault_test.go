@@ -257,11 +257,13 @@ func loop6mix(t *testing.T) *netlist.Circuit {
 	return c
 }
 
-// TestRealBudgetDegradation exercises the genuine budget levers (not the
-// injected ones): a 1-node OBDD ceiling makes every bound-set pre-screen
-// overflow, so TurboSYN degrades to structural cuts on every resynthesis
-// attempt that reaches the Roth-Karp search — Degradations counted, mapping
-// still valid and no better than the starved search allows.
+// TestRealBudgetDegradation exercises the genuine budget lever (not the
+// injected ones): a 1-candidate Roth-Karp allowance truncates the bound-set
+// search (it needs more than one bound set on this cone), so TurboSYN
+// degrades to structural cuts on resynthesis attempts that reach the
+// Roth-Karp search — Degradations counted, mapping still valid and no
+// better than the starved search allows, and Strict surfaces the exhausted
+// budget as a *BudgetError.
 func TestRealBudgetDegradation(t *testing.T) {
 	c := loop6mix(t)
 	opts := turboSYNOpts()
@@ -273,13 +275,13 @@ func TestRealBudgetDegradation(t *testing.T) {
 		t.Fatal("loop6mix must exercise the decomposition search unbudgeted")
 	}
 
-	opts.BDDNodeBudget = 1
+	opts.RothKarpBudget = 1
 	res, err := Minimize(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Degradations == 0 {
-		t.Fatal("1-node BDD budget should degrade the bound-set search")
+		t.Fatal("1-candidate Roth-Karp budget should degrade the bound-set search")
 	}
 	if err := res.Mapped.Check(); err != nil {
 		t.Fatalf("degraded mapping violates invariants: %v", err)
@@ -290,27 +292,15 @@ func TestRealBudgetDegradation(t *testing.T) {
 
 	opts.Strict = true
 	if _, err := Minimize(c, opts); err == nil {
-		t.Fatal("Strict mode must surface the exhausted BDD budget")
+		t.Fatal("Strict mode must surface the exhausted Roth-Karp budget")
 	} else {
 		var be *BudgetError
 		if !errors.As(err, &be) {
 			t.Fatalf("error is not a *BudgetError: %v", err)
 		}
-		if be.Resource != "bdd-nodes" {
-			t.Errorf("Resource = %q, want \"bdd-nodes\"", be.Resource)
+		if be.Resource != "rothkarp-candidates" || be.Limit != 1 {
+			t.Errorf("Resource, Limit = %q, %d; want \"rothkarp-candidates\", 1", be.Resource, be.Limit)
 		}
-	}
-
-	// The candidate-allowance lever: a 1-candidate cap must also truncate
-	// (the search needs more than one bound set on this cone).
-	opts = turboSYNOpts()
-	opts.RothKarpBudget = 1
-	res, err = Minimize(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Degradations == 0 {
-		t.Error("1-candidate Roth-Karp budget should degrade the search")
 	}
 }
 
@@ -321,7 +311,6 @@ func TestGenerousBudgetsBitIdentical(t *testing.T) {
 	c := faultCircuit(t)
 	opts := DefaultOptions()
 	want := reference(t, c, opts)
-	opts.BDDNodeBudget = 1 << 30
 	opts.RothKarpBudget = 1 << 30
 	opts.ArenaByteBudget = 1 << 40
 	got, err := Minimize(c, opts)

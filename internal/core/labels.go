@@ -40,11 +40,6 @@ type state struct {
 	labels []int
 	order  []int // combinational topological order (good sweep order)
 	sccs   *graph.SCCs
-	// levels is the longest-path layering of the condensation. The
-	// sequential sweep uses it to bound sccIsolated's predecessor walk (on
-	// that path "lower level" does imply "finished"); the dataflow
-	// scheduler gates the walk on compDone instead.
-	levels []int
 
 	// Decision cache: a gate is re-decided only when its L changed since
 	// the last decision. Decisions also depend on deeper labels, so a
@@ -95,7 +90,7 @@ type state struct {
 	// pointer check.
 	rec *obs.Recorder
 
-	// workers bounds the per-level worker pool; 1 selects the strictly
+	// workers bounds the dataflow worker pool; 1 selects the strictly
 	// sequential sweep. Both paths compute bit-identical labels and covers.
 	workers int
 	// cancel, when non-nil, aborts the probe early (speculative search
@@ -116,20 +111,18 @@ type state struct {
 	failed atomic.Bool
 	// pendingBuf and compDoneBuf are the dataflow scheduler's per-component
 	// counters (dependency countdowns and completion flags), allocated once
-	// per state and re-initialized at every runParallel entry. At the
+	// per state and re-initialized at the start of every run. At the
 	// 100k-gate scale the condensation has ~O(gates) components, so
 	// allocating these per probe dominated probe setup; keeping them on the
 	// pooled state amortizes them like every other per-circuit array.
 	pendingBuf  []atomic.Int32
 	compDoneBuf []atomic.Bool
-	// compDone, non-nil only while the dataflow scheduler runs, flags
-	// components whose labels are final. The PLD walk reads it to restrict
-	// itself to finished components: under dataflow scheduling "strictly
-	// lower level" no longer implies "finished" (a lower-level non-ancestor
-	// may still be running), so the level rule of the sequential path would
-	// race. Completion is a superset of the component's ancestors — the
-	// only part of the graph the verdict depends on — so the restriction
-	// changes nothing observable (see sccIsolated).
+	// compDone, set by run (pointing at compDoneBuf), flags components
+	// whose labels are final, on the sequential path and under the dataflow
+	// scheduler alike. The PLD walk reads it to restrict itself to finished
+	// components. Completion is a superset of the component's ancestors —
+	// the only part of the graph the verdict depends on — so the
+	// restriction changes nothing observable (see sccIsolated).
 	compDone []atomic.Bool
 
 	// arenas holds the per-worker scratch of the label hot path (see
@@ -168,7 +161,6 @@ func blankState(c *netlist.Circuit, an *analysis, pool *arenaPool) *state {
 		labels:      make([]int, n),
 		order:       an.order,
 		sccs:        an.sccs,
-		levels:      an.levels,
 		lastL:       make([]int, n),
 		decided:     make([]bool, n),
 		dirty:       make([]bool, n),
@@ -377,12 +369,23 @@ func (s *state) run() (bool, error) {
 		}
 	}
 	ar := s.arenaFor(0)
+	s.resetCompDone()
 	for _, comp := range s.sccs.Order {
 		if s.safeRunComp(comp, &s.stats, ar) != compConverged {
 			return s.finishRun(false)
 		}
+		s.compDone[comp].Store(true)
 	}
 	return s.finishRun(s.checkOutputs())
+}
+
+// resetCompDone clears every component's completion flag and points
+// compDone at them, at the start of a run on either path.
+func (s *state) resetCompDone() {
+	for comp := range s.compDoneBuf {
+		s.compDoneBuf[comp].Store(false)
+	}
+	s.compDone = s.compDoneBuf
 }
 
 // checkOutputs enforces the clock-period side condition after convergence.
@@ -832,7 +835,7 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		for i, p := range prio {
 			canonPrio[i] = ctr.Perm[p]
 		}
-		effort := decomp.Effort{BDDNodes: s.opts.BDDNodeBudget, MaxBoundSets: s.opts.RothKarpBudget, Stats: &estats}
+		effort := decomp.Effort{MaxBoundSets: s.opts.RothKarpBudget, Stats: &estats}
 		key := decompKey(s.opts.K, h+1, canonPrio, canon, effort)
 		entry, cached := s.cache.lookup(key, s.conc)
 		if cached && !ctr.Identity() {
@@ -869,11 +872,7 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 			// replayed from the cache): the node may settle for a worse
 			// cover than the exact search would find. Count it — or abort,
 			// under Strict.
-			resource, limit := "rothkarp-candidates", s.opts.RothKarpBudget
-			if s.opts.RothKarpBudget <= 0 {
-				resource, limit = "bdd-nodes", s.opts.BDDNodeBudget
-			}
-			if !s.degrade(st, ar, resource, id, limit) {
+			if !s.degrade(st, ar, "rothkarp-candidates", id, s.opts.RothKarpBudget) {
 				phase(ar, obs.OpLabel)
 				return nil, nil, false
 			}
@@ -899,12 +898,13 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 //
 // The key is a compact self-delimiting byte string (callers pass the
 // NPN-canonical function, so it doubles as the persisted log's key): K and
-// depth-budget bytes, uvarint budgets, length-prefixed priority bytes, then
-// the variable count and the table's word bytes.
+// depth-budget bytes, a zero byte, the uvarint bound-set budget,
+// length-prefixed priority bytes, then the variable count and the table's
+// word bytes.
 func decompKey(k, depthBudget int, prio []int, fn *logic.TT, eff decomp.Effort) string {
 	b := make([]byte, 0, 16+len(prio)+8*(1+(1<<uint(fn.NumVars()))/64))
 	b = append(b, byte(k), byte(depthBudget))
-	b = binary.AppendUvarint(b, uint64(eff.BDDNodes))
+	b = append(b, 0) // the retired BDD budget's slot: keeps cachelog.Version 1 logs valid
 	b = binary.AppendUvarint(b, uint64(eff.MaxBoundSets))
 	b = append(b, byte(len(prio)))
 	for _, p := range prio {
@@ -998,11 +998,10 @@ func (s *state) coneFunction(x *expand.Expanded, res *cut.Result, ar *arena) (*l
 // l(u) - phi*w(e) + 1 >= l(v). Total isolation certifies a positive loop
 // (the paper's PLD, Theorem 2).
 //
-// The walk is restricted to the component itself plus components whose
-// labels are final: strictly lower condensation levels on the sequential
-// path, completed components (s.compDone) under the dataflow scheduler.
-// Either set is a superset of the component's ancestors, and support can
-// only reach a member through its ancestors — every edge into the
+// The walk is restricted to the component itself plus completed components
+// (s.compDone), whose labels are final. That set is a superset of the
+// component's ancestors, and support can only reach a member through its
+// ancestors — every edge into the
 // component comes from a direct predecessor, and by induction every path
 // into an ancestor stays within ancestors — so the extra allowed nodes can
 // pick up junk reach marks but never influence whether a member is
@@ -1011,17 +1010,9 @@ func (s *state) coneFunction(x *expand.Expanded, res *cut.Result, ar *arena) (*l
 // component, keeping the check race-free and schedule-independent.
 func (s *state) sccIsolated(comp int, ar *arena) bool {
 	n := s.c.NumNodes()
-	myLevel := s.levels[comp]
-	done := s.compDone
 	allowed := func(id int) bool {
 		c := s.sccs.Comp[id]
-		if c == comp {
-			return true
-		}
-		if done != nil {
-			return done[c].Load()
-		}
-		return s.levels[c] < myLevel
+		return c == comp || s.compDone[c].Load()
 	}
 	if cap(ar.reach) < n {
 		ar.reach = make([]bool, n)

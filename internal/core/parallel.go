@@ -59,10 +59,7 @@ func (s *state) runParallel(workers int) (bool, error) {
 	for comp, deg := range indeg {
 		pending[comp].Store(int32(deg))
 	}
-	for comp := range s.compDoneBuf {
-		s.compDoneBuf[comp].Store(false)
-	}
-	s.compDone = s.compDoneBuf
+	s.resetCompDone()
 	workerStats := make([]Stats, workers)
 	var (
 		aborted   atomic.Bool

@@ -21,19 +21,30 @@ func randomTT(rng *rand.Rand, nvar int) *logic.TT {
 }
 
 func TestColumnMultiplicity(t *testing.T) {
+	// Each case has mu = 2, so RothKarp must encode its bound set in one
+	// code bit.
+	oneCodeBit := func(f *logic.TT, bound []int) {
+		t.Helper()
+		if rk, ok := RothKarp(f, bound, 0); !ok || len(rk.Alphas) != 1 {
+			t.Fatalf("bound %v: RothKarp ok=%v, want one alpha", bound, ok)
+		}
+	}
 	// f = (x0 XOR x1) AND x2, bound {x0,x1}: subfunctions {0, x2} -> mu=2.
 	f := logic.NewTT(3).And(logic.NewTT(3).Xor(logic.Var(3, 0), logic.Var(3, 1)), logic.Var(3, 2))
-	if mu := ColumnMultiplicity(f, []int{0, 1}); mu != 2 {
+	if mu := referenceColumnCount(f, []int{0, 1}); mu != 2 {
 		t.Fatalf("mu = %d, want 2", mu)
 	}
+	oneCodeBit(f, []int{0, 1})
 	// Parity: every bound set of a XOR has mu = 2.
-	if mu := ColumnMultiplicity(logic.XorAll(6), []int{1, 3, 5}); mu != 2 {
+	if mu := referenceColumnCount(logic.XorAll(6), []int{1, 3, 5}); mu != 2 {
 		t.Fatalf("xor mu = %d, want 2", mu)
 	}
+	oneCodeBit(logic.XorAll(6), []int{1, 3, 5})
 	// AND over bound set {x0,x1}: subfunctions {0, x2&x3} -> mu=2.
-	if mu := ColumnMultiplicity(logic.AndAll(4), []int{0, 1}); mu != 2 {
+	if mu := referenceColumnCount(logic.AndAll(4), []int{0, 1}); mu != 2 {
 		t.Fatalf("and mu = %d, want 2", mu)
 	}
+	oneCodeBit(logic.AndAll(4), []int{0, 1})
 }
 
 func TestRothKarpXor(t *testing.T) {
@@ -66,8 +77,8 @@ func TestRothKarpRandomQuick(t *testing.T) {
 			t.Logf("seed %d: verify failed (nvar=%d bound=%v)", seed, nvar, bound)
 			return false
 		}
-		// Multiplicity consistency with the BDD count.
-		mu := ColumnMultiplicity(tt, bound)
+		// Multiplicity consistency with the bit-serial column count.
+		mu := referenceColumnCount(tt, bound)
 		maxCodes := 1 << uint(len(rk.Alphas))
 		if mu > maxCodes || (len(rk.Alphas) > 1 && mu <= maxCodes/2) {
 			t.Logf("seed %d: mu=%d does not fit %d alphas", seed, mu, len(rk.Alphas))

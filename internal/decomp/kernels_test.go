@@ -28,43 +28,7 @@ func referenceRothKarp(f *logic.TT, boundSet []int, maxCodeBits int) (*RothKarpR
 		}
 	}
 	nb := len(freeSet)
-	classOf := make([]int, 1<<uint(k))
-	patterns := make(map[string]int)
-	var reps []string
-	var buf []byte
-	for a := 0; a < 1<<uint(k); a++ {
-		buf = buf[:0]
-		var base uint
-		for j, v := range boundSet {
-			if a&(1<<uint(j)) != 0 {
-				base |= 1 << uint(v)
-			}
-		}
-		var word byte
-		for b := 0; b < 1<<uint(nb); b++ {
-			x := base
-			for j, v := range freeSet {
-				if b&(1<<uint(j)) != 0 {
-					x |= 1 << uint(v)
-				}
-			}
-			if f.Eval(x) {
-				word |= 1 << uint(b&7)
-			}
-			if b&7 == 7 || b == 1<<uint(nb)-1 {
-				buf = append(buf, word)
-				word = 0
-			}
-		}
-		key := string(buf)
-		id, ok := patterns[key]
-		if !ok {
-			id = len(reps)
-			patterns[key] = id
-			reps = append(reps, key)
-		}
-		classOf[a] = id
-	}
+	classOf, reps := referenceColumns(f, boundSet, freeSet)
 	mu := len(reps)
 	e := 0
 	for 1<<uint(e) < mu {
@@ -99,6 +63,70 @@ func referenceRothKarp(f *logic.TT, boundSet []int, maxCodeBits int) (*RothKarpR
 	}
 	res.G = g
 	return res, true
+}
+
+// referenceColumns is the bit-serial column scan of referenceRothKarp: the
+// class of every bound assignment (numbered in order of first appearance)
+// and each class's column, one Eval per table bit, one byte per 8 free
+// assignments.
+func referenceColumns(f *logic.TT, boundSet, freeSet []int) (classOf []int, reps []string) {
+	k, nb := len(boundSet), len(freeSet)
+	classOf = make([]int, 1<<uint(k))
+	patterns := make(map[string]int)
+	var buf []byte
+	for a := 0; a < 1<<uint(k); a++ {
+		buf = buf[:0]
+		var base uint
+		for j, v := range boundSet {
+			if a&(1<<uint(j)) != 0 {
+				base |= 1 << uint(v)
+			}
+		}
+		var word byte
+		for b := 0; b < 1<<uint(nb); b++ {
+			x := base
+			for j, v := range freeSet {
+				if b&(1<<uint(j)) != 0 {
+					x |= 1 << uint(v)
+				}
+			}
+			if f.Eval(x) {
+				word |= 1 << uint(b&7)
+			}
+			if b&7 == 7 || b == 1<<uint(nb)-1 {
+				buf = append(buf, word)
+				word = 0
+			}
+		}
+		key := string(buf)
+		id, ok := patterns[key]
+		if !ok {
+			id = len(reps)
+			patterns[key] = id
+			reps = append(reps, key)
+		}
+		classOf[a] = id
+	}
+	return classOf, reps
+}
+
+// referenceColumnCount is the column multiplicity of f under
+// boundSet, counted bit-serially: the number of distinct subfunctions over
+// the remaining variables as the bound variables range over all
+// assignments.
+func referenceColumnCount(f *logic.TT, boundSet []int) int {
+	bound := make(map[int]bool, len(boundSet))
+	for _, v := range boundSet {
+		bound[v] = true
+	}
+	var freeSet []int
+	for v := 0; v < f.NumVars(); v++ {
+		if !bound[v] {
+			freeSet = append(freeSet, v)
+		}
+	}
+	_, reps := referenceColumns(f, boundSet, freeSet)
+	return len(reps)
 }
 
 // referenceProjectTT is the bit-serial projectTT: bit i of the result is f

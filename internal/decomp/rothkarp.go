@@ -1,10 +1,10 @@
 // Package decomp implements the two decomposition engines of the flow:
 //
 //   - Roth–Karp (bound-set) functional decomposition on truth tables, with
-//     column multiplicity counted word-parallel on a reordered table and a
-//     node-bounded BDD cut count as the optional pre-screen — the paper's
-//     "OBDD based functional decomposition" used by FlowSYN and by
-//     TurboSYN's sequential resynthesis step; and
+//     column multiplicity counted exactly by word-parallel block compares on
+//     a reordered table — the role of the paper's "OBDD based functional
+//     decomposition" in FlowSYN and in TurboSYN's sequential resynthesis
+//     step; and
 //   - structural gate decomposition (K-bounding) that turns wide gates into
 //     trees of K-input gates, the preprocessing the paper delegates to
 //     balanced tree decomposition / DMIG.
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 
-	"turbosyn/internal/bdd"
 	"turbosyn/internal/logic"
 )
 
@@ -30,36 +29,8 @@ type RothKarpResult struct {
 	G *logic.TT
 }
 
-// ColumnMultiplicity returns the number of distinct subfunctions of f over
-// the free variables as the bound-set variables range over all assignments.
-// It uses the BDD cut construction: reorder f so the bound set sits on top,
-// then count the distinct functions crossing the boundary.
-func ColumnMultiplicity(f *logic.TT, boundSet []int) int {
-	n := f.NumVars()
-	order := varOrder(n, boundSet)
-	m := bdd.New(n)
-	root := m.FromTT(f.Expand(n, order))
-	return len(m.CutRefs(root, len(boundSet)))
-}
-
-// BoundedColumnMultiplicity is ColumnMultiplicity under a BDD node ceiling:
-// ok=false when the BDD construction (worst-case exponential) exceeded
-// maxNodes and the count is unusable. maxNodes <= 0 means unlimited.
-func BoundedColumnMultiplicity(f *logic.TT, boundSet []int, maxNodes int) (int, bool) {
-	n := f.NumVars()
-	order := varOrder(n, boundSet)
-	m := bdd.NewBounded(n, maxNodes)
-	root := m.FromTT(f.Expand(n, order))
-	if m.Overflowed() {
-		return 0, false
-	}
-	return len(m.CutRefs(root, len(boundSet))), true
-}
-
 // codeBits returns the Roth-Karp code width for column multiplicity mu:
-// ceil(log2 mu), floored at one wire. RothKarp sizes its code with it, and
-// the BDD pre-screen of DecomposeEffort relies on "codeBits(mu) >
-// maxCodeBits" being exactly RothKarp's failure condition.
+// ceil(log2 mu), floored at one wire. RothKarp sizes its code with it.
 func codeBits(mu int) int {
 	e := 0
 	for 1<<uint(e) < mu {
@@ -69,30 +40,6 @@ func codeBits(mu int) int {
 		e = 1
 	}
 	return e
-}
-
-// varOrder returns varMap for TT.Expand placing boundSet at positions
-// 0..k-1 and the remaining variables afterwards in increasing order.
-// varMap[j] = new position of old variable j.
-func varOrder(n int, boundSet []int) []int {
-	inBound := make([]int, n)
-	for i := range inBound {
-		inBound[i] = -1
-	}
-	for pos, v := range boundSet {
-		inBound[v] = pos
-	}
-	varMap := make([]int, n)
-	next := len(boundSet)
-	for v := 0; v < n; v++ {
-		if inBound[v] >= 0 {
-			varMap[v] = inBound[v]
-		} else {
-			varMap[v] = next
-			next++
-		}
-	}
-	return varMap
 }
 
 // RothKarp decomposes f as g(alpha_1(A), ..., alpha_e(A), B) for the given
@@ -289,13 +236,6 @@ func (t *Tree) MaxFanin() int {
 // degraded=true so callers can count the quality loss (see
 // core.Stats.Degradations).
 type Effort struct {
-	// BDDNodes, when positive, pre-screens every candidate bound set with a
-	// node-bounded OBDD column-multiplicity count (the Lai/Pan/Pedram cut
-	// construction): candidates whose BDD exceeds the ceiling are skipped
-	// as degraded instead of running the exponential extraction. Candidates
-	// within the ceiling behave exactly as without the bound — the BDD
-	// pre-screen decides the same predicate RothKarp itself would.
-	BDDNodes int
 	// MaxBoundSets, when positive, caps the total bound-set candidates
 	// examined across the whole Decompose call; the search stops (degraded)
 	// when the allowance runs out.
@@ -312,8 +252,7 @@ type EffortStats struct {
 	// BoundSetsExamined is how many candidate bound sets the window scan
 	// actually examined (cache hits replay none).
 	BoundSetsExamined int
-	// RothKarpCalls is how many full Roth-Karp extractions ran (candidates
-	// the BDD pre-screen settled without extracting are not counted). The
+	// RothKarpCalls is how many full Roth-Karp extractions ran. The
 	// warm-cache gate pins its skip rate on this counter.
 	RothKarpCalls int
 	// ShannonSplits counts trees built by the Shannon-cofactor fast tier.
@@ -342,23 +281,6 @@ func (es *effortState) allow() bool {
 	}
 	es.examined++
 	return true
-}
-
-// screen applies the BDD column-multiplicity pre-screen to a candidate
-// bound set of f that must encode into at most maxCodeBits wires. It
-// returns proceed=false when the candidate is settled without running the
-// extraction: either provably infeasible (same predicate RothKarp checks)
-// or over the BDD budget (marked degraded).
-func (es *effortState) screen(f *logic.TT, bound []int, maxCodeBits int) (proceed bool) {
-	if es.eff.BDDNodes <= 0 {
-		return true
-	}
-	mu, ok := BoundedColumnMultiplicity(f, bound, es.eff.BDDNodes)
-	if !ok {
-		es.degraded = true
-		return false
-	}
-	return codeBits(mu) <= maxCodeBits
 }
 
 // Decompose expresses f as a tree of at-most-K-input nodes of depth at most
@@ -486,9 +408,6 @@ func decomposeOver(f *logic.TT, refs []int, k, depthBudget int, rank map[int]int
 				bound := append([]int(nil), ordered[start:start+size]...)
 				// The code must be narrower than the bound set, so every
 				// extraction strictly reduces the input count.
-				if !es.screen(f, bound, size-1) {
-					continue
-				}
 				es.rothkarp++
 				rk, ok := RothKarp(f, bound, size-1)
 				if !ok {

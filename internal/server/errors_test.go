@@ -55,13 +55,13 @@ func TestErrorTaxonomyJSONRoundTrip(t *testing.T) {
 	})
 
 	t.Run("budget", func(t *testing.T) {
-		orig := &core.BudgetError{Resource: "bdd-nodes", Limit: 1000, Node: 42}
+		orig := &core.BudgetError{Resource: "rothkarp-candidates", Limit: 1000, Node: 42}
 		got := roundTrip(t, orig)
 		var be *core.BudgetError
 		if !errors.As(got, &be) {
 			t.Fatalf("not a *core.BudgetError: %v", got)
 		}
-		if be.Resource != "bdd-nodes" || be.Limit != 1000 || be.Node != 42 {
+		if be.Resource != "rothkarp-candidates" || be.Limit != 1000 || be.Node != 42 {
 			t.Errorf("lost detail: %+v", be)
 		}
 	})

@@ -64,7 +64,6 @@ type JobOptions struct {
 	Strict    bool   `json:"strict,omitempty"`
 	// Budgets (0 = server defaults; jobs may lower but not exceed the
 	// server's per-job arena reservation).
-	BDDNodeBudget   int `json:"bdd_node_budget,omitempty"`
 	RothKarpBudget  int `json:"rothkarp_budget,omitempty"`
 	ArenaByteBudget int `json:"arena_byte_budget,omitempty"`
 }
@@ -157,13 +156,14 @@ func (g *GeneratorSpec) build() (*netlist.Circuit, error) {
 }
 
 // engineOptions lowers the job options onto the server's engine defaults.
+// Its errors (unknown names, options Synthesize would reject) are
+// KindInvalid territory, like buildCircuit's.
 func (s *JobSpec) engineOptions(cfg Config) (turbosyn.Options, error) {
 	o := turbosyn.Options{
 		K:              s.Options.K,
 		NoPack:         s.Options.NoPack,
 		NoRealize:      s.Options.Mapped,
 		Strict:         s.Options.Strict,
-		BDDNodeBudget:  s.Options.BDDNodeBudget,
 		RothKarpBudget: s.Options.RothKarpBudget,
 		Workers:        cfg.WorkersPerJob,
 		CacheDir:       cfg.CacheDir,
@@ -192,7 +192,7 @@ func (s *JobSpec) engineOptions(cfg Config) (turbosyn.Options, error) {
 	if b := s.Options.ArenaByteBudget; b > 0 && (o.ArenaByteBudget == 0 || b < o.ArenaByteBudget) {
 		o.ArenaByteBudget = b
 	}
-	return o, nil
+	return o, o.Validate()
 }
 
 // timeout resolves the job's effective deadline under the server's caps.

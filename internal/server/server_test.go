@@ -98,6 +98,26 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// A spec written for an older daemon may carry options this one no
+	// longer has (the retired "bdd_node_budget"): unknown fields are
+	// ignored, so it is accepted and runs the exact search to completion.
+	body, _ = json.Marshal(map[string]any{
+		"tenant": "legacy", "blif": quickBLIF,
+		"options": map[string]int{"bdd_node_budget": 1},
+	})
+	resp, err = http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy struct {
+		ID string `json:"id"`
+	}
+	if resp.StatusCode != http.StatusAccepted || json.NewDecoder(resp.Body).Decode(&legacy) != nil {
+		t.Fatalf("legacy spec: status %d, want %d with an id", resp.StatusCode, http.StatusAccepted)
+	}
+	resp.Body.Close()
+	ids = append(ids, legacy.ID)
+
 	// Malformed JSON is a synchronous 400, never accepted.
 	resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader("{nope"))
 	if err != nil {
@@ -146,6 +166,9 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 	if failed != 1 {
 		t.Errorf("failed = %d, want exactly the malformed-BLIF job", failed)
+	}
+	if states[legacy.ID] != StateDone {
+		t.Errorf("legacy spec with bdd_node_budget ended %s, want %s", states[legacy.ID], StateDone)
 	}
 
 	if err := s.Close(); err != nil {
@@ -353,5 +376,38 @@ func TestNewRejectsNegativeWorkersPerJob(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "WorkersPerJob") {
 		t.Errorf("error %q does not name WorkersPerJob", err)
+	}
+}
+
+// TestDaemonInvalidOptions: a spec whose options Synthesize would reject is
+// accepted, then fails typed KindInvalid and not retryable — the same path a
+// malformed BLIF takes — rather than surfacing as an internal error.
+func TestDaemonInvalidOptions(t *testing.T) {
+	s := testServer(t, Config{Fleet: 1})
+	s.Start()
+	for _, tc := range []struct {
+		name string
+		opts JobOptions
+	}{
+		{"K too small", JobOptions{K: 1}},
+		{"K too large", JobOptions{K: 99}},
+		{"negative Roth-Karp budget", JobOptions{RothKarpBudget: -1}},
+		{"FlowSYN-s period", JobOptions{Algorithm: "flowsyns", Objective: "period"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := quickSpec("t")
+			spec.Options = tc.opts
+			job, err := s.Submit(spec)
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			st := waitDone(t, job)
+			if st.State != StateFailed || st.Error == nil {
+				t.Fatalf("state %s (%+v), want failed", st.State, st.Error)
+			}
+			if st.Error.Kind != KindInvalid || st.Error.Retryable {
+				t.Errorf("error %+v, want kind %s, not retryable", st.Error, KindInvalid)
+			}
+		})
 	}
 }

@@ -93,8 +93,8 @@ const (
 )
 
 // Options configures Synthesize. The zero value requests the paper's
-// defaults: TurboSYN, K = 5, Cmax = 15, PLD on, MDR objective, packing and
-// realization enabled.
+// defaults: TurboSYN, K = 5, resynthesis cuts up to 15 inputs, PLD on, label
+// relaxation on, MDR objective, packing and realization enabled.
 type Options struct {
 	K         int
 	Algorithm Algorithm
@@ -104,20 +104,15 @@ type Options struct {
 	NoPLD bool
 	// NoPack skips the area post-pass.
 	NoPack bool
-	// NoRelax skips the label-relaxation area optimization (TurboSYN).
-	NoRelax bool
 	// NoRealize skips the final retiming/pipelining step; Result.Realized
 	// is then nil and only the mapped network is returned.
 	NoRealize bool
 	// Workers bounds the worker pool of the parallel label engine (and the
 	// speculative probe fan-out of the phi search): 0 means
 	// runtime.NumCPU(), 1 forces the sequential path. Results are
-	// bit-identical for every setting.
+	// bit-identical for every setting; some Stats counters are exact only
+	// at 1 (see core.Options.Workers).
 	Workers int
-	// Advanced tuning; zero values mean the paper's settings.
-	Cmax     int
-	MaxH     int
-	LowDepth int
 	// CacheDir, when non-empty, persists the decomposition cache across runs
 	// under this directory (created if missing): the engine loads the cache
 	// log at start and appends this run's new outcomes at the end. A warm
@@ -132,9 +127,6 @@ type Options struct {
 	// at worst less optimized. See core.Options and DESIGN.md
 	// ("Cancellation, budgets, and fault containment").
 
-	// BDDNodeBudget caps the OBDD built to pre-screen each candidate bound
-	// set during TurboSYN's sequential decomposition.
-	BDDNodeBudget int
 	// RothKarpBudget caps the bound-set candidates examined per
 	// decomposition attempt.
 	RothKarpBudget int
@@ -206,6 +198,11 @@ type (
 	BudgetError   = core.BudgetError
 )
 
+// Validate reports the error Synthesize would return for these options
+// before doing any work, so a caller that accepts options from elsewhere (a
+// job spec, a config file) can reject them as malformed input.
+func (o Options) Validate() error { return o.fill().validate() }
+
 // validate rejects malformed options up front with descriptive errors, so
 // misconfiguration fails fast instead of surfacing as a panic or a silent
 // misbehavior deep inside the label engine. Called after fill, so zero
@@ -220,18 +217,12 @@ func (o Options) validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("turbosyn: Workers = %d is negative; use 0 for all CPUs or 1 for sequential", o.Workers)
 	}
-	if o.Cmax < 0 {
-		return fmt.Errorf("turbosyn: Cmax = %d is negative; use 0 for the paper's default of 15", o.Cmax)
+	if o.RothKarpBudget < 0 || o.ArenaByteBudget < 0 {
+		return fmt.Errorf("turbosyn: resource budgets must be non-negative (0 = unlimited); got RothKarpBudget=%d ArenaByteBudget=%d",
+			o.RothKarpBudget, o.ArenaByteBudget)
 	}
-	if o.Cmax > logic.MaxVars {
-		return fmt.Errorf("turbosyn: Cmax = %d exceeds the %d-input limit of the truth-table representation", o.Cmax, logic.MaxVars)
-	}
-	if o.MaxH < 0 {
-		return fmt.Errorf("turbosyn: MaxH = %d is negative; use 0 for the default of 4", o.MaxH)
-	}
-	if o.BDDNodeBudget < 0 || o.RothKarpBudget < 0 || o.ArenaByteBudget < 0 {
-		return fmt.Errorf("turbosyn: resource budgets must be non-negative (0 = unlimited); got BDDNodeBudget=%d RothKarpBudget=%d ArenaByteBudget=%d",
-			o.BDDNodeBudget, o.RothKarpBudget, o.ArenaByteBudget)
+	if o.Algorithm == FlowSYNS && o.Objective == MinPeriod {
+		return fmt.Errorf("turbosyn: FlowSYN-s supports only the MinRatio objective")
 	}
 	if o.ProgressInterval < 0 {
 		return fmt.Errorf("turbosyn: ProgressInterval = %v is negative; use 0 for the default reporting period", o.ProgressInterval)
@@ -317,16 +308,12 @@ func kBoundFor(c *Circuit, k int) (*Circuit, error) {
 func (o Options) coreOptions(pg *obs.Progress, logger *slog.Logger) core.Options {
 	return core.Options{
 		K:               o.K,
-		Cmax:            o.Cmax,
-		MaxH:            o.MaxH,
-		LowDepth:        o.LowDepth,
 		Decompose:       o.Algorithm == TurboSYN,
 		PLD:             !o.NoPLD,
 		Pipelined:       o.Objective == MinRatio,
-		Relax:           !o.NoRelax,
+		Relax:           true,
 		Workers:         o.Workers,
 		CacheDir:        o.CacheDir,
-		BDDNodeBudget:   o.BDDNodeBudget,
 		RothKarpBudget:  o.RothKarpBudget,
 		ArenaByteBudget: o.ArenaByteBudget,
 		Strict:          o.Strict,
@@ -373,9 +360,6 @@ func synthesizeOn(ctx context.Context, eng *core.Engine, c, work *Circuit, o Opt
 	var res *core.Result
 	switch o.Algorithm {
 	case FlowSYNS:
-		if o.Objective == MinPeriod {
-			return nil, fmt.Errorf("turbosyn: FlowSYN-s supports only the MinRatio objective")
-		}
 		pg.SetPhase("flowsyns")
 		res, err = mapper.FlowSYNSContext(ctx, work, o.K)
 	default:
