@@ -46,8 +46,8 @@ test:
 test-full:
 	$(GO) test -timeout 20m ./...
 
-# Race detector over the fast suite (covers the parallel label engine, the
-# sharded decomposition cache, the speculative search and the
+# Race detector over the fast suite (covers the parallel label engine and
+# its dataflow component scheduler, the sharded decomposition cache and the
 # fault-injection scenarios).
 race:
 	$(GO) test -race -short -timeout 20m ./...

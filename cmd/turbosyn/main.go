@@ -73,8 +73,8 @@ func main() {
 	if len(files) > 1 && *out != "" {
 		fatal(fmt.Errorf("-o accepts a single input; got %d (multi-input netlists go to stdout, one .model after another)", len(files)))
 	}
-	if *repeat < 1 {
-		fatal(fmt.Errorf("-repeat %d: must be at least 1", *repeat))
+	if err := checkRanges(*repeat, *timeout); err != nil {
+		fatal(err)
 	}
 
 	if *serverURL != "" {
@@ -406,6 +406,18 @@ func byteString(b int) string {
 		return fmt.Sprintf("%.1f KiB", float64(b)/(1<<10))
 	}
 	return fmt.Sprintf("%d B", b)
+}
+
+// checkRanges rejects numeric flag values no run can honour, before any
+// work starts (locally or on a server).
+func checkRanges(repeat int, timeout time.Duration) error {
+	if repeat < 1 {
+		return fmt.Errorf("-repeat %d: must be at least 1", repeat)
+	}
+	if timeout < 0 {
+		return fmt.Errorf("-timeout %v: must not be negative (0 = no limit)", timeout)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"testing"
+	"time"
 )
 
 // modeFlagSet declares the flags checkModeFlags inspects, with the types
@@ -56,6 +57,30 @@ func TestCheckModeFlags(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("%v: got %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
+func TestCheckRanges(t *testing.T) {
+	for _, tc := range []struct {
+		repeat  int
+		timeout time.Duration
+		want    string // "" = accepted
+	}{
+		{1, 0, ""},
+		{3, 150 * time.Millisecond, ""},
+		{0, 0, "-repeat 0: must be at least 1"},
+		// A negative -timeout would run with no limit locally and send a
+		// negative timeout_ms in -server mode.
+		{1, -time.Second, "-timeout -1s: must not be negative (0 = no limit)"},
+		{1, -time.Nanosecond, "-timeout -1ns: must not be negative (0 = no limit)"},
+	} {
+		got := ""
+		if err := checkRanges(tc.repeat, tc.timeout); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("repeat %d, timeout %v: got %q, want %q", tc.repeat, tc.timeout, got, tc.want)
 		}
 	}
 }

@@ -101,9 +101,9 @@ func (e *Engine) Minimize() (*core.Result, error) {
 
 // MinimizeContext finds the minimum feasible phi by binary search and
 // returns the mapping at that phi, without the packing/realization
-// post-passes of SynthesizeContext. Every probe of the search — speculative
-// lookaheads included — checks its state and scratch arenas out of the
-// engine instead of re-deriving the circuit analysis.
+// post-passes of SynthesizeContext. Every probe of the search checks its
+// state and scratch arenas out of the engine instead of re-deriving the
+// circuit analysis.
 func (e *Engine) MinimizeContext(ctx context.Context) (*core.Result, error) {
 	return e.core.MinimizeContext(ctx, e.opts.coreOptions(nil, e.opts.Logger))
 }

@@ -6,8 +6,8 @@
 // component, so the clock period is governed by loops that carry wide,
 // rippling logic. Pipelining alone cannot help (loops!); structural mapping
 // (TurboMap) chops the ripple into K-LUT slices; TurboSYN additionally
-// resynthesizes the carry cones (carry-lookahead-like decompositions) and
-// reaches a lower ratio — the paper's headline effect on datapaths.
+// resynthesizes the carry cones (decompositions that compute carries in
+// parallel, as a fast adder does) and reaches a lower ratio — the paper's headline effect on datapaths.
 package main
 
 import (

@@ -32,16 +32,18 @@ import (
 	"turbosyn/internal/obs"
 )
 
+// cmax bounds the width of resynthesis cuts: 15, as in the paper (at most
+// logic.MaxVars, the width of the function representation).
+const cmax = 15
+
+// maxH bounds how far below L(v) the decomposition searches for cuts (the
+// paper iterates h = 0, 1, ...).
+const maxH = 4
+
 // Options configures the label computation and mapping generation.
 type Options struct {
 	// K is the LUT input count (default 5).
 	K int
-	// Cmax bounds the width of resynthesis cuts (default 15, as in the
-	// paper; at most logic.MaxVars).
-	Cmax int
-	// MaxH bounds how far below L(v) the decomposition searches for cuts
-	// (the paper iterates h = 0, 1, ...; default 4).
-	MaxH int
 	// LowDepth is the expansion depth through cut candidates (0 means the
 	// default of 3; pass a negative value for the strict TurboMap frontier
 	// that stops at the first candidate).
@@ -73,20 +75,21 @@ type Options struct {
 	// convergence, resynthesized covers whose labels can rise without
 	// breaking feasibility revert to single structural LUTs.
 	Relax bool
-	// Workers bounds the worker pool of the parallel label engine and the
-	// speculative probe fan-out of the binary search: 0 means
-	// runtime.NumCPU(), 1 forces the strictly sequential path. Every
-	// setting computes bit-identical labels, covers and verdicts (see
-	// DESIGN.md, "Dataflow scheduling"), but not bit-identical Stats. Above
-	// 1, the counters that depend on which task fills a shared
-	// decomposition-cache entry first (BoundSetsExamined, RothKarpCalls,
-	// ShannonSplits, DisjointPeels and the cache hit/miss counters) vary with
-	// timing even on feasible runs, because cancelled speculative probes and
-	// concurrent components fill the cache too; every work counter of an
-	// infeasible probe varies with when sibling tasks notice the failure;
-	// and the concurrency counters describe the schedule itself. Stats are
-	// exact and repeatable only at Workers 1, where the search runs one
-	// probe, and one component, at a time. A positive IterBudget implies
+	// Workers bounds the worker pool of the dataflow component scheduler
+	// that runs each probe's label computation: 0 means runtime.NumCPU(),
+	// 1 forces the strictly sequential path. The binary search runs one
+	// probe at a time whatever Workers says, and every probe gets the whole
+	// pool. Every setting computes bit-identical labels, covers and verdicts
+	// (see DESIGN.md, "Dataflow scheduling"), but not bit-identical Stats.
+	// Concurrent components are the only source of timing-dependent
+	// counters: above 1, the counters that depend on which task fills a
+	// shared decomposition-cache entry first (BoundSetsExamined,
+	// RothKarpCalls, ShannonSplits, DisjointPeels and the cache hit/miss
+	// counters) vary with timing even on feasible runs; every work counter
+	// of an infeasible probe varies with when sibling tasks notice the
+	// failure; and the concurrency counters describe the schedule itself.
+	// Stats are exact and repeatable only at Workers 1, where each probe
+	// runs one component at a time. A positive IterBudget implies
 	// sequential execution regardless of Workers, so budget accounting
 	// stays globally ordered.
 	Workers int
@@ -145,12 +148,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.K == 0 {
 		o.K = 5
-	}
-	if o.Cmax == 0 {
-		o.Cmax = 15
-	}
-	if o.MaxH == 0 {
-		o.MaxH = 4
 	}
 	switch {
 	case o.LowDepth < 0:
@@ -238,7 +235,10 @@ type Stats struct {
 	CachePersistedHits int // hits served by entries loaded from a CacheDir log
 	CacheNPNHits       int // hits reached through a non-identity NPN transform
 	ProbesLaunched     int // feasibility probes started by the search
-	ProbesCancelled    int // speculative probes cancelled (lost branch)
+	// ProbesCancelled is always 0: the search runs one probe at a time and
+	// never abandons one. The field stays because tools that read Stats
+	// (the repository benchmark among them) report it.
+	ProbesCancelled int
 
 	// Worklist convergence accounting (see DESIGN.md §11). SweepNodeVisits
 	// counts the member visits label sweeps actually performed; DirtySkips
@@ -347,9 +347,6 @@ func validateInput(c *netlist.Circuit, opts Options) error {
 	if opts.K > logic.MaxVars {
 		return fmt.Errorf("core: K = %d exceeds the %d-input limit of the function representation",
 			opts.K, logic.MaxVars)
-	}
-	if opts.Cmax > logic.MaxVars {
-		return fmt.Errorf("core: Cmax = %d exceeds logic.MaxVars = %d", opts.Cmax, logic.MaxVars)
 	}
 	if !c.IsKBounded(opts.K) {
 		return fmt.Errorf("core: circuit %s is not %d-bounded (max fanin %d); run decomp.KBound first",

@@ -30,9 +30,6 @@ func TestConcurrencyCountersUnderContention(t *testing.T) {
 			gauge(&c.queueDepth, &c.queueDepthPeak, w)
 			raise(&c.busyPeak, w+1)
 			c.probesLaunched.Add(1)
-			if w%4 == 0 {
-				c.probesCancelled.Add(1)
-			}
 		}()
 	}
 	wg.Wait()
@@ -55,9 +52,6 @@ func TestConcurrencyCountersUnderContention(t *testing.T) {
 	}
 	if st.WorkerOccupancy != workers {
 		t.Errorf("WorkerOccupancy = %d, want high-water mark %d", st.WorkerOccupancy, workers)
-	}
-	if st.ProbesCancelled != workers/4 {
-		t.Errorf("ProbesCancelled = %d, want %d", st.ProbesCancelled, workers/4)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"turbosyn/internal/graph"
 	"turbosyn/internal/netlist"
@@ -15,11 +14,10 @@ import (
 // analysis is everything the label engine derives from the circuit alone —
 // no dependence on phi, Options or scheduling. Computed once per Engine (or
 // once per newState on the throwaway path) and shared read-only by every
-// probe, sequential or speculative: the comb topo order, the SCC
-// decomposition, per-component member order, the
-// condensation in-degrees, and the per-component work summary the dataflow
-// scheduler needs (updatable member counts, triviality flags, the number of
-// schedulable components).
+// probe: the comb topo order, the SCC decomposition, per-component member
+// order, the condensation in-degrees, and the per-component work summary
+// the dataflow scheduler needs (updatable member counts, triviality flags,
+// the number of schedulable components).
 type analysis struct {
 	order []int
 	sccs  *graph.SCCs
@@ -322,9 +320,9 @@ func (e *Engine) PoolStats() PoolStats { return e.pool.snapshot() }
 // checkoutState returns a probe state wired to the engine and to call c:
 // analysis shared, arena pool attached, per-probe fields reset for
 // (phi, opts), the call's counters and guard attached, and the launch
-// counted. cancel, when non-nil, lets a speculative search abandon the
-// probe. The caller must return the state with checkinState on every path.
-func (e *Engine) checkoutState(phi int, opts Options, c *call, cancel *atomic.Bool) *state {
+// counted. The caller must return the state with checkinState on every
+// path.
+func (e *Engine) checkoutState(phi int, opts Options, c *call) *state {
 	e.mu.Lock()
 	var s *state
 	if n := len(e.states); n > 0 {
@@ -341,7 +339,6 @@ func (e *Engine) checkoutState(phi int, opts Options, c *call, cancel *atomic.Bo
 	s.cache = e.cache
 	s.conc = c.conc
 	s.guard = c.guard
-	s.cancel = cancel
 	c.conc.probesLaunched.Add(1)
 	return s
 }
@@ -363,7 +360,6 @@ func (e *Engine) checkinState(s *state) {
 	s.arenas = s.arenas[:0]
 	s.cache = nil
 	s.conc = nil
-	s.cancel = nil
 	s.guard = nil
 	s.rec = nil
 	s.compDone = nil
@@ -428,23 +424,11 @@ func (e *Engine) FeasibleContext(ctx context.Context, phi int, opts Options) (bo
 		c.guard.release()
 		return false, Stats{}, nil
 	}
-	s := e.checkoutState(phi, c.opts, c, nil)
-	defer e.checkinState(s)
 	var ring *obs.Ring
-	var t0 int64
 	if c.opts.Trace != nil {
 		ring = c.opts.Trace.NewRing("probe")
-		t0 = ring.Now()
 	}
-	ok, err := s.run()
-	if ring != nil {
-		ring.Span(obs.OpProbe, t0, int64(phi), probeVerdict(ok, err))
-	}
-	if c.opts.Logger != nil {
-		c.opts.Logger.Debug("probe", "phi", phi, "feasible", ok,
-			"iterations", s.stats.Iterations, "cutChecks", s.stats.CutChecks, "err", err)
-	}
-	st := s.stats
+	ok, st, _, err := e.probe(ring, phi, c.opts, c, nil, 0)
 	if err := c.end(&st, err, "probe", -1); err != nil {
 		return false, st, err
 	}
@@ -482,7 +466,7 @@ func (e *Engine) mapAtRatio(phi int, c *call) (res *Result, st Stats, err error)
 		t0 := ring.Now()
 		defer func() { ring.Span(obs.OpMap, t0, int64(phi), probeVerdict(err == nil, err)) }()
 	}
-	s := e.checkoutState(phi, opts, c, nil)
+	s := e.checkoutState(phi, opts, c)
 	defer e.checkinState(s)
 	ok, err := s.run()
 	if err != nil {
@@ -520,17 +504,16 @@ func (e *Engine) Minimize(opts Options) (*Result, error) {
 // MinimizeContext finds the minimum feasible phi by binary search on the
 // engine's circuit and returns the mapping at that phi (see the package
 // MinimizeContext for the search and abort semantics). Every probe of the
-// search — speculative lookaheads included — checks its state and arenas out
-// of the engine instead of rebuilding the circuit analysis.
+// search checks its state and arenas out of the engine instead of
+// rebuilding the circuit analysis.
 func (e *Engine) MinimizeContext(ctx context.Context, opts Options) (*Result, error) {
 	c, err := e.begin(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
 	opts = c.opts
-	// One call spans the whole search — every probe, speculative or not,
-	// and the final mapping pass. (The decomposition cache is the engine's
-	// and spans calls.)
+	// One call spans the whole search — every probe and the final mapping
+	// pass. (The decomposition cache is the engine's and spans calls.)
 	var total Stats
 	fail := func(err error, phase string, best int) (*Result, error) {
 		if opts.Logger != nil {

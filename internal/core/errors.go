@@ -33,8 +33,8 @@ func (e *CancelError) Error() string {
 
 func (e *CancelError) Unwrap() error { return e.Err }
 
-// InternalError is a contained panic: a worker goroutine, speculative probe
-// or pipeline phase panicked, the panic was recovered at the containment
+// InternalError is a contained panic: a worker goroutine, search probe or
+// pipeline phase panicked, the panic was recovered at the containment
 // boundary, and the run shut down cleanly. Op names the subsystem, Comp the
 // SCC component and Node the circuit node being processed (-1 when
 // unknown), and Value carries the recovered panic value (for injected

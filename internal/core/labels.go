@@ -93,13 +93,9 @@ type state struct {
 	// workers bounds the dataflow worker pool; 1 selects the strictly
 	// sequential sweep. Both paths compute bit-identical labels and covers.
 	workers int
-	// cancel, when non-nil, aborts the probe early (speculative search
-	// probes that lost their branch). A cancelled run reports infeasible;
-	// the caller must discard its result.
-	cancel *atomic.Bool
 	// guard, when non-nil, is the context watcher shared by every probe of
-	// one public API call: its flag aborts the run like cancel does, but the
-	// abort surfaces as the context's error instead of a discarded verdict.
+	// one public API call: its flag aborts the run, and the abort surfaces
+	// as the context's error.
 	guard *runGuard
 	// fails records the first run-aborting error of this probe: a contained
 	// panic (InternalError) or a budget exhaustion under Strict
@@ -178,8 +174,8 @@ func blankState(c *netlist.Circuit, an *analysis, pool *arenaPool) *state {
 // resets everything a previous probe could have touched — labels, the
 // decision cache, backoff counters, cover records, the fail set — so a
 // pooled state is indistinguishable from a new one even after the previous
-// probe aborted mid-flight. The cache, counters, cancel flag and guard are
-// cleared; the caller attaches its own.
+// probe aborted mid-flight. The cache, counters and guard are cleared; the
+// caller attaches its own.
 func (s *state) resetFor(phi int, opts Options) {
 	s.opts = opts
 	s.phi = phi
@@ -187,7 +183,6 @@ func (s *state) resetFor(phi int, opts Options) {
 	s.workers = opts.workerCount()
 	s.cache = nil
 	s.conc = nil
-	s.cancel = nil
 	s.guard = nil
 	s.compDone = nil
 	s.fails.reset()
@@ -268,14 +263,12 @@ func (s *state) seedLabels(seed []int, seedPhi int) {
 }
 
 // stopped reports whether the probe should abandon work: a sibling
-// component proved phi infeasible, the search cancelled this probe, the
-// caller's context is done, or a fatal error (contained panic, strict
-// budget) was recorded. Every check is one atomic load, so the engine polls
-// it at sweep granularity (and every checkpointMask+1 node updates within a
-// sweep) without measurable cost.
+// component proved phi infeasible, the caller's context is done, or a fatal
+// error (contained panic, strict budget) was recorded. Every check is one
+// atomic load, so the engine polls it at sweep granularity (and every
+// checkpointMask+1 node updates within a sweep) without measurable cost.
 func (s *state) stopped() bool {
-	return s.failed.Load() || s.fails.tripped() ||
-		(s.cancel != nil && s.cancel.Load()) || s.guard.cancelled()
+	return s.failed.Load() || s.fails.tripped() || s.guard.cancelled()
 }
 
 // checkpointMask batches the intra-sweep cancellation checks: one stopped()
@@ -285,8 +278,7 @@ func (s *state) stopped() bool {
 const checkpointMask = 255
 
 // abortErr resolves why an aborted run stopped: a recorded fatal error
-// wins, then context cancellation; a plain infeasible or speculatively
-// cancelled probe has no error.
+// wins, then context cancellation; a plain infeasible probe has no error.
 func (s *state) abortErr() error {
 	if err := s.fails.get(); err != nil {
 		return err
@@ -410,9 +402,9 @@ const (
 	// compInfeasible: the component certifies phi infeasible (positive
 	// loop detected, or the conservative stopping rule ran out).
 	compInfeasible
-	// compCancelled: the probe was abandoned (lost speculation branch, a
-	// sibling component already failed, the context was cancelled, or a
-	// fatal error was recorded); the verdict carries no information.
+	// compCancelled: the probe was abandoned (a sibling component already
+	// failed, the context was cancelled, or a fatal error was recorded); the
+	// verdict carries no information.
 	compCancelled
 	// compErrored: the component's iteration panicked; the panic was
 	// recovered at the containment boundary and recorded as an
@@ -793,7 +785,7 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		st.ShannonSplits += estats.ShannonSplits
 		st.DisjointPeels += estats.DisjointPeels
 	}()
-	for h := 1; h <= s.opts.MaxH; h++ {
+	for h := 1; h <= maxH; h++ {
 		phase(ar, obs.OpExpand)
 		x, ok := ar.xb.Tighten(L - h)
 		if !ok {
@@ -806,7 +798,7 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		}
 		st.ExpandReuses++
 		phase(ar, obs.OpFlow)
-		res, okCut := ar.ca.MinCut(x, s.opts.Cmax)
+		res, okCut := ar.ca.MinCut(x, cmax)
 		phase(ar, obs.OpDecompose)
 		if !okCut {
 			phase(ar, obs.OpLabel)

@@ -19,14 +19,6 @@ func phase(ar *arena, op obs.Op) {
 	}
 }
 
-// attachRing gives a freshly created worker arena its trace ring. Cold path:
-// called once per (probe, worker), never inside a sweep.
-func (s *state) attachRing(ar *arena, label string) {
-	if s.rec != nil && ar.ring == nil {
-		ar.ring = s.rec.NewRing(label)
-	}
-}
-
 // counters is the live counter set of one public entry point, shared by
 // every probe of the call and written directly where the events happen:
 // scheduler, cache and search events one atomic add each, label-sweep
@@ -35,26 +27,25 @@ func (s *state) attachRing(ar *arena, label string) {
 // progress report needs — and call.end folds it into the call's Stats once.
 // Peaks are lock-free running maxima (see raise).
 type counters struct {
-	workers         atomic.Int64 // widest worker pool of any probe
-	tasks           atomic.Int64 // components pulled from the ready queue
-	inlineTasks     atomic.Int64 // trivial components chained inline (taskGrain)
-	queueDepth      atomic.Int64 // ready-queue depth at the last push or pull
-	queueDepthPeak  atomic.Int64
-	busyPeak        atomic.Int64 // peak simultaneously busy pool workers
-	cacheHits       atomic.Int64
-	cacheMisses     atomic.Int64
-	cachePersisted  atomic.Int64 // hits served by entries loaded from a CacheDir log
-	cacheNPN        atomic.Int64 // hits reached through a non-identity NPN transform
-	probesLaunched  atomic.Int64
-	probesCancelled atomic.Int64 // speculative probes that lost their branch
-	probesFinished  atomic.Int64 // launched minus finished = probes in flight
-	iterations      atomic.Int64 // live mirror of Stats.Iterations
-	nodeVisits      atomic.Int64 // live mirror of Stats.SweepNodeVisits
-	dirtySkips      atomic.Int64 // live mirror of Stats.DirtySkips
-	worklistDepth   atomic.Int64 // members the last fast pass drained
-	worklistPeak    atomic.Int64
-	degradations    atomic.Int64 // live mirror of Stats.Degradations
-	arenaPeakBytes  atomic.Int64 // busiest scratch arena's footprint
+	workers        atomic.Int64 // widest worker pool of any probe
+	tasks          atomic.Int64 // components pulled from the ready queue
+	inlineTasks    atomic.Int64 // trivial components chained inline (taskGrain)
+	queueDepth     atomic.Int64 // ready-queue depth at the last push or pull
+	queueDepthPeak atomic.Int64
+	busyPeak       atomic.Int64 // peak simultaneously busy pool workers
+	cacheHits      atomic.Int64
+	cacheMisses    atomic.Int64
+	cachePersisted atomic.Int64 // hits served by entries loaded from a CacheDir log
+	cacheNPN       atomic.Int64 // hits reached through a non-identity NPN transform
+	probesLaunched atomic.Int64
+	probesFinished atomic.Int64 // launched minus finished = probes in flight
+	iterations     atomic.Int64 // live mirror of Stats.Iterations
+	nodeVisits     atomic.Int64 // live mirror of Stats.SweepNodeVisits
+	dirtySkips     atomic.Int64 // live mirror of Stats.DirtySkips
+	worklistDepth  atomic.Int64 // members the last fast pass drained
+	worklistPeak   atomic.Int64
+	degradations   atomic.Int64 // live mirror of Stats.Degradations
+	arenaPeakBytes atomic.Int64 // busiest scratch arena's footprint
 }
 
 // raise lifts peak to v if v is larger (a lock-free running maximum).
@@ -113,7 +104,6 @@ func (c *counters) fold(st *Stats) {
 	st.CachePersistedHits += int(c.cachePersisted.Load())
 	st.CacheNPNHits += int(c.cacheNPN.Load())
 	st.ProbesLaunched += int(c.probesLaunched.Load())
-	st.ProbesCancelled += int(c.probesCancelled.Load())
 	st.WorklistPeak = max(st.WorklistPeak, int(c.worklistPeak.Load()))
 }
 

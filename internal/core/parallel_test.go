@@ -58,8 +58,8 @@ func blifBytes(t *testing.T, c *netlist.Circuit) []byte {
 
 // TestParallelMatchesSequentialGolden is the determinism contract of
 // Options.Workers: for every circuit, K and algorithm, the parallel engine
-// (dataflow-scheduled label sweeps, shared sharded cache, speculative
-// search) must return the exact result of the sequential reference — same
+// (dataflow-scheduled label sweeps, shared sharded cache, every probe on
+// the whole pool) must return the exact result of the sequential reference — same
 // phi, same converged labels, same LUT count, and a byte-identical mapped
 // netlist.
 func TestParallelMatchesSequentialGolden(t *testing.T) {

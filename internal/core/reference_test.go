@@ -29,7 +29,7 @@ var (
 // calls — each starts from the initial labels, so none is warm — and maps
 // at the first feasible phi. Feasibility is monotone in phi, so the scan
 // reaches the phi the search finds by a different route, and neither
-// warm-starting, the worklist, the dataflow scheduler nor the speculative
+// warm-starting, the worklist, the dataflow scheduler nor the binary
 // search can leak into the baseline.
 //
 // Results are memoized per input netlist and option set (callers only read

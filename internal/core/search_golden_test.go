@@ -29,9 +29,9 @@ func workOf(res *Result) searchWork {
 // TestSequentialSearchGolden pins what a one-probe-at-a-time binary search
 // does on the quick FSM suite: the phi and LUT count it returns and every
 // work counter it accumulates, under TurboSYN and TurboMap. One more case
-// runs with a positive IterBudget, which keeps every probe cold and the
-// search one probe wide whatever Workers says, so it is pinned at Workers 1
-// and 4 against the same values. Regenerate deliberately with
+// runs with a positive IterBudget, which keeps every probe cold and runs its
+// components sequentially whatever Workers says, so it is pinned at Workers
+// 1 and 4 against the same values. Regenerate deliberately with
 // TURBOSYN_UPDATE_GOLDEN=1 go test ./internal/core -run TestSequentialSearchGolden.
 func TestSequentialSearchGolden(t *testing.T) {
 	circuits := map[string]bool{"bbara": true, "bbsse": true, "cse": true,

@@ -16,7 +16,7 @@ import (
 // so the seed lower-bounds the probe's fixpoint and the monotone iteration
 // lands on the same fixpoint; this test pins that argument (and the cold
 // final mapping pass) across the golden circuit matrix, sequentially and
-// under the speculative parallel search.
+// with parallel probes.
 func TestWarmStartMatchesCold(t *testing.T) {
 	sawWarmStart := false
 	for _, tc := range goldenCases() {

@@ -39,7 +39,7 @@ func witnessOracle(t testing.TB, c *netlist.Circuit, phi int, opts Options, next
 	wide := make([]witness, c.NumNodes())
 	for _, id := range gates {
 		if x, ok := expand.Build(c, id, s.labels, phi, s.computeL(id), xopts); ok {
-			if res, ok := cut.MinCut(x, opts.Cmax); ok && len(res.Cut) > opts.K {
+			if res, ok := cut.MinCut(x, cmax); ok && len(res.Cut) > opts.K {
 				wide[id].record(x, res)
 			}
 		}

@@ -107,8 +107,8 @@ type Options struct {
 	// NoRealize skips the final retiming/pipelining step; Result.Realized
 	// is then nil and only the mapped network is returned.
 	NoRealize bool
-	// Workers bounds the worker pool of the parallel label engine (and the
-	// speculative probe fan-out of the phi search): 0 means
+	// Workers bounds the worker pool of the parallel label engine; the phi
+	// search runs one probe at a time on the whole pool. 0 means
 	// runtime.NumCPU(), 1 forces the sequential path. Results are
 	// bit-identical for every setting; some Stats counters are exact only
 	// at 1 (see core.Options.Workers).

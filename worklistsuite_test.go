@@ -9,8 +9,8 @@ import (
 
 // TestWorklistSuiteBitIdentical runs the quick suite slice (the same four
 // circuits as the cache-warm gate: FSM SOPs plus a datapath carry chain)
-// through Synthesize — warm-started probes, dirty-set worklist, speculative
-// search — on the sequential path (Workers 1) and on a parallel pool, and
+// through Synthesize — warm-started probes, dirty-set worklist, dataflow
+// scheduler — on the sequential path (Workers 1) and on a parallel pool, and
 // requires byte-identical realized BLIF, phi and LUT counts per circuit.
 // The phi must also be the one an upward scan of cold single-probe Feasible
 // calls reaches first, and both runs must report the visits the worklist
