@@ -11,18 +11,21 @@ build:
 	$(GO) vet ./...
 
 # Formatting and static analysis beyond vet: any file gofmt would change
-# fails the target. staticcheck is not vendored (no new module dependencies);
-# CI installs it, and locally the target degrades to gofmt + vet with a
-# notice when the binary is absent.
+# fails the target, and so does any function outside _test.go files that
+# only tests reach (TestNoTestOnlyCode type-checks both modules; a few
+# seconds). staticcheck is not vendored (no new module dependencies); CI
+# installs it, and locally the target degrades to gofmt + vet with a notice
+# when the binary is absent.
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "lint: gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	$(GO) test -count=1 -run '^TestNoTestOnlyCode$$' .
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
-		echo "lint: staticcheck not installed; ran gofmt and go vet only (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
+		echo "lint: staticcheck not installed; ran gofmt, go vet and TestNoTestOnlyCode only (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
 # Known-vulnerability scan over the module and its (stdlib-only) call graph.

@@ -96,7 +96,6 @@ func main() {
 		PerJobArena:    *perJobMem,
 		DefaultTimeout: *defTimeout,
 		MaxTimeout:     *maxTimeout,
-		DrainTimeout:   *drainGrace,
 		JournalDir:     *journalDir,
 		CacheDir:       *cacheDir,
 		TraceRingCap:   *traceCap,

@@ -173,11 +173,13 @@ func TestPipelineShape(t *testing.T) {
 			t.Fatalf("component %d is nontrivial; pipeline must be acyclic", comp)
 		}
 	}
-	levels := s.Levels()
+	// Longest-path depth of the condensation (Order is topological).
+	levels := make([]int, s.NumComps())
 	maxLevel := 0
-	for _, l := range levels {
-		if l > maxLevel {
-			maxLevel = l
+	for _, comp := range s.Order {
+		for _, d := range s.DAG[comp] {
+			levels[d] = max(levels[d], levels[comp]+1)
+			maxLevel = max(maxLevel, levels[d])
 		}
 	}
 	if maxLevel < depth {

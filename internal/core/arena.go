@@ -94,7 +94,7 @@ func (ar *arena) bytes() int {
 
 // npnEntry is one memoized canonicalization: the canonical table and the
 // transform with tr.Apply(raw) == canon. Both are immutable once stored —
-// canon feeds cache keys and Decompose (which never mutate their input) and
+// canon feeds cache keys and DecomposeEffort (which never mutate their input) and
 // the transform's Perm is only read.
 type npnEntry struct {
 	canon *logic.TT

@@ -10,13 +10,13 @@ import (
 	"turbosyn/internal/obs"
 )
 
-// decompCache memoizes decomp.Decompose outcomes behind mutex-striped
+// decompCache memoizes decomp.DecomposeEffort outcomes behind mutex-striped
 // shards, so label workers running in parallel reuse each other's Roth-Karp
 // results without serializing on one lock. A nil stored tree records a
 // failed decomposition (also worth remembering — the window scans are the
 // expensive part either way).
 //
-// Keys embed everything Decompose depends on — K, the depth budget, the
+// Keys embed everything DecomposeEffort depends on — K, the depth budget, the
 // bound-set priority order and the NPN-canonical cone function — so a cached
 // value always equals what a fresh call would compute. That purity is what
 // lets the cache be shared across workers, across feasibility probes, across
@@ -24,7 +24,7 @@ import (
 // making results depend on execution order.
 const decompCacheShards = 64
 
-// decompEntry is one memoized Decompose outcome: the tree (nil = failure)
+// decompEntry is one memoized DecomposeEffort outcome: the tree (nil = failure)
 // plus whether the search was truncated by an effort budget. The degraded
 // flag replays into Stats.Degradations on every hit, so budget accounting
 // stays consistent whether the outcome was computed or cached. persisted
@@ -83,8 +83,8 @@ func (dc *decompCache) lookup(key string, conc *counters) (decompEntry, bool) {
 	return entry, ok
 }
 
-// store records a Decompose outcome (nil tree for failure). Concurrent
-// stores for the same key are benign: Decompose is a pure function of the
+// store records a DecomposeEffort outcome (nil tree for failure). Concurrent
+// stores for the same key are benign: DecomposeEffort is a pure function of the
 // key — which embeds the effort budget — so both writers carry structurally
 // identical values. When a persistent log is attached, first-seen
 // non-degraded outcomes are queued for the shutdown flush; degraded ones

@@ -57,7 +57,10 @@ type Options struct {
 	// just as valid and never worse.
 	MaxExpand int
 	// Decompose enables TurboSYN's sequential functional decomposition;
-	// false gives TurboMap.
+	// false gives TurboMap. The mapping pass of a decomposing run always
+	// applies the paper's label relaxation for area: after convergence,
+	// resynthesized covers whose labels can rise without breaking
+	// feasibility revert to single structural LUTs.
 	Decompose bool
 	// PLD enables predecessor-graph positive loop detection. Without it,
 	// infeasible targets fall back to the conservative per-SCC n^2 bound.
@@ -71,10 +74,6 @@ type Options struct {
 	// positive budget also stops the binary search from warm-starting its
 	// probes, so every probe counts iterations from the initial labels.
 	IterBudget int
-	// Relax enables the paper's label-relaxation area optimization: after
-	// convergence, resynthesized covers whose labels can rise without
-	// breaking feasibility revert to single structural LUTs.
-	Relax bool
 	// Workers bounds the worker pool of the dataflow component scheduler
 	// that runs each probe's label computation: 0 means runtime.NumCPU(),
 	// 1 forces the strictly sequential path. The binary search runs one
@@ -109,7 +108,7 @@ type Options struct {
 	// across runs: a compact append-only log under this directory is loaded
 	// at engine start and appended (this run's new non-degraded outcomes) at
 	// shutdown. Entries are keyed by the NPN-canonical cone function plus
-	// everything else Decompose depends on, so a warm cache changes nothing
+	// everything else DecomposeEffort depends on, so a warm cache changes nothing
 	// but speed — results are bit-identical to a cold run. Corrupt, truncated
 	// or version-mismatched logs are discarded cleanly (the run starts cold),
 	// and concurrent runs may share one directory: appends are atomic
@@ -172,7 +171,7 @@ func (o Options) workerCount() int {
 // DefaultOptions returns the TurboSYN defaults used by the paper's
 // experiments (K=5, Cmax=15, PLD on, pipelined MDR objective).
 func DefaultOptions() Options {
-	return Options{Decompose: true, PLD: true, Pipelined: true, Relax: true}.withDefaults()
+	return Options{Decompose: true, PLD: true, Pipelined: true}.withDefaults()
 }
 
 // Stats counts the work a run performed. Results never depend on

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,6 +17,16 @@ func turboMapOpts() Options {
 
 func turboSYNOpts() Options {
 	return DefaultOptions()
+}
+
+// mapOnce maps c at phi on a throwaway engine.
+func mapOnce(c *netlist.Circuit, phi int, opts Options) (*Result, error) {
+	e, err := NewEngine(c, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer e.Close()
+	return e.MapAtRatioContext(context.Background(), phi, opts)
 }
 
 // toggler: g = XOR(pi, g@1).
@@ -283,7 +294,7 @@ func TestClockPeriodObjectiveDiffersFromRatio(t *testing.T) {
 
 func TestMapAtRatioInfeasibleFails(t *testing.T) {
 	c := loop6(t)
-	if _, err := MapAtRatio(c, 1, turboMapOpts()); err == nil {
+	if _, err := mapOnce(c, 1, turboMapOpts()); err == nil {
 		t.Fatal("expected infeasibility error")
 	}
 }

@@ -12,12 +12,12 @@ import (
 )
 
 // analysis is everything the label engine derives from the circuit alone —
-// no dependence on phi, Options or scheduling. Computed once per Engine (or
-// once per newState on the throwaway path) and shared read-only by every
-// probe: the comb topo order, the SCC decomposition, per-component member
-// order, the condensation in-degrees, and the per-component work summary
-// the dataflow scheduler needs (updatable member counts, triviality flags,
-// the number of schedulable components).
+// no dependence on phi, Options or scheduling. Computed once per Engine and
+// shared read-only by every probe: the comb topo order, the SCC
+// decomposition, per-component member order, the condensation in-degrees,
+// and the per-component work summary the dataflow scheduler needs
+// (updatable member counts, triviality flags, the number of schedulable
+// components).
 type analysis struct {
 	order []int
 	sccs  *graph.SCCs
@@ -251,16 +251,18 @@ type PoolStats struct {
 // the persisted cross-run log, loaded once at construction instead of per
 // run — and the checkout pools of worker arenas and probe states. Every
 // probe of every run on the engine checks a state out instead of rebuilding
-// this from scratch, which is what makes repeated runs (the daemon workload
-// of ROADMAP item 1) and the O(log ub) probes of one Minimize cheap.
+// this from scratch, which is what makes repeated runs (the daemon workload)
+// and the O(log ub) probes of one MinimizeContext cheap.
 //
-// An Engine is safe for concurrent use; results are bit-identical to the
-// package-level functions (which are themselves thin wrappers over a
-// throwaway engine). Close flushes the persistent cache log; runs started
-// after Close still compute correctly but their new cache entries are lost.
+// The entry points take a context: FeasibleContext, MapAtRatioContext and
+// MinimizeContext. An Engine is safe for concurrent use; results are
+// bit-identical to the package-level Feasible and Minimize (which are
+// themselves thin wrappers over a throwaway engine). Close flushes the
+// persistent cache log; runs started after Close still compute correctly
+// but their new cache entries are lost.
 //
 // Per-call Options may vary freely between runs on one engine — the
-// turbomap-ub pass inside Minimize already relies on that — with one
+// turbomap-ub pass inside MinimizeContext already relies on that — with one
 // exception: cache persistence (CacheDir) is fixed at construction, and the
 // CacheDir of per-call options is ignored.
 type Engine struct {
@@ -368,6 +370,26 @@ func (e *Engine) checkinState(s *state) {
 	e.mu.Unlock()
 }
 
+// withState checks a probe state out for (phi, opts) under call c, runs fn
+// on it and checks it back in. It is the one panic boundary around a
+// state's run and whatever follows it (relaxation, mapping generation): a
+// panic that escapes the label engine's own per-component boundary becomes
+// an *InternalError of op instead of killing the process, and is recorded on
+// the state so checkin poisons its arenas — nothing about the state's
+// scratch can be trusted after it.
+func (e *Engine) withState(phi int, opts Options, c *call, op string, fn func(*state) error) (err error) {
+	s := e.checkoutState(phi, opts, c)
+	defer e.checkinState(s)
+	defer func() {
+		if r := recover(); r != nil {
+			ie := newInternalError(r, op, -1, -1)
+			s.fails.fail(ie)
+			err = ie
+		}
+	}()
+	return fn(s)
+}
+
 // call is the bookkeeping of one public entry point (FeasibleContext,
 // MapAtRatioContext, MinimizeContext): its defaulted options, the context
 // guard, and the live counter set that every probe of the call shares and
@@ -406,11 +428,6 @@ func (c *call) end(st *Stats, err error, phase string, best int) error {
 	return nil
 }
 
-// Feasible is FeasibleContext with a background context.
-func (e *Engine) Feasible(phi int, opts Options) (bool, Stats, error) {
-	return e.FeasibleContext(context.Background(), phi, opts)
-}
-
 // FeasibleContext decides Problem 2 on the engine's circuit: does a mapping
 // with clock period (or, when opts.Pipelined, MDR ratio) at most phi exist?
 // Equivalent to the package-level FeasibleContext, minus the per-call
@@ -435,11 +452,6 @@ func (e *Engine) FeasibleContext(ctx context.Context, phi int, opts Options) (bo
 	return ok, st, nil
 }
 
-// MapAtRatio is MapAtRatioContext with a background context.
-func (e *Engine) MapAtRatio(phi int, opts Options) (*Result, error) {
-	return e.MapAtRatioContext(context.Background(), phi, opts)
-}
-
 // MapAtRatioContext computes labels and a mapped LUT network for a specific
 // feasible phi on the engine's circuit. It fails if phi is infeasible.
 func (e *Engine) MapAtRatioContext(ctx context.Context, phi int, opts Options) (*Result, error) {
@@ -456,8 +468,10 @@ func (e *Engine) MapAtRatioContext(ctx context.Context, phi int, opts Options) (
 }
 
 // mapAtRatio is the mapping pass of call c at phi: one probe, then (when it
-// is feasible) relaxation and mapping generation. It returns the pass's
-// work, partial when err != nil; the caller sets Result.Stats.
+// is feasible) relaxation for area — the paper's TurboSYN always relaxes, so
+// it runs whenever decomposition is on — and mapping generation. It returns
+// the pass's work, partial when err != nil; the caller sets Result.Stats.
+// The pass runs inside withState's panic boundary, like every probe.
 func (e *Engine) mapAtRatio(phi int, c *call) (res *Result, st Stats, err error) {
 	opts := c.opts
 	opts.Progress.SetPhase("map")
@@ -466,39 +480,37 @@ func (e *Engine) mapAtRatio(phi int, c *call) (res *Result, st Stats, err error)
 		t0 := ring.Now()
 		defer func() { ring.Span(obs.OpMap, t0, int64(phi), probeVerdict(err == nil, err)) }()
 	}
-	s := e.checkoutState(phi, opts, c)
-	defer e.checkinState(s)
-	ok, err := s.run()
-	if err != nil {
-		return nil, s.stats, err
-	}
-	if !ok {
-		return nil, s.stats, fmt.Errorf("core: target %d is infeasible for %s", phi, e.c.Name)
-	}
-	if opts.Relax && opts.Decompose {
-		if err := s.relaxForArea(); err != nil {
-			return nil, s.stats, err
+	err = e.withState(phi, opts, c, "map", func(s *state) error {
+		defer func() { st = s.stats }()
+		ok, err := s.run()
+		if err != nil {
+			return err
 		}
-	}
-	m, origOf, err := s.generate()
-	if err != nil {
-		return nil, s.stats, err
-	}
-	return &Result{
-		Phi: phi,
-		// The state returns to the engine and its label array is reused by
-		// the next probe; the result must own its copy.
-		Labels: append([]int(nil), s.labels...),
-		Mapped: m,
-		LUTs:   m.NumGates(),
-		OrigOf: origOf,
-		Opts:   opts,
-	}, s.stats, nil
-}
-
-// Minimize is MinimizeContext with a background context.
-func (e *Engine) Minimize(opts Options) (*Result, error) {
-	return e.MinimizeContext(context.Background(), opts)
+		if !ok {
+			return fmt.Errorf("core: target %d is infeasible for %s", phi, e.c.Name)
+		}
+		if opts.Decompose {
+			if err := s.relaxForArea(); err != nil {
+				return err
+			}
+		}
+		m, origOf, err := s.generate()
+		if err != nil {
+			return err
+		}
+		res = &Result{
+			Phi: phi,
+			// The state returns to the engine and its label array is reused
+			// by the next probe; the result must own its copy.
+			Labels: append([]int(nil), s.labels...),
+			Mapped: m,
+			LUTs:   m.NumGates(),
+			OrigOf: origOf,
+			Opts:   opts,
+		}
+		return nil
+	})
+	return res, st, err
 }
 
 // MinimizeContext finds the minimum feasible phi by binary search on the

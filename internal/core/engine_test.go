@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 			}
 			defer e.Close()
 			for run := 1; run <= 3; run++ {
-				res, err := e.Minimize(opts)
+				res, err := e.MinimizeContext(context.Background(), opts)
 				if err != nil {
 					t.Fatalf("run %d: %v", run, err)
 				}
@@ -60,7 +61,7 @@ func TestEngineFeasibleMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := e.Feasible(phi, opts)
+		got, _, err := e.FeasibleContext(context.Background(), phi, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,12 +75,13 @@ func TestEngineFeasibleMatchesOneShot(t *testing.T) {
 }
 
 // TestEngineMapAtRatioMatchesOneShot covers the remaining public entry
-// point, including the infeasible-target error path (which poisons nothing:
-// an infeasible probe completes normally).
+// point against the one-shot Minimize's final mapping pass at the same phi,
+// including the infeasible-target error path (which poisons nothing: an
+// infeasible probe completes normally).
 func TestEngineMapAtRatioMatchesOneShot(t *testing.T) {
 	c := faultCircuit(t)
 	opts := DefaultOptions()
-	min, err := Minimize(c, opts)
+	want, err := Minimize(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +90,12 @@ func TestEngineMapAtRatioMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if min.Phi > 1 {
-		if _, err := e.MapAtRatio(min.Phi-1, opts); err == nil {
+	if want.Phi > 1 {
+		if _, err := e.MapAtRatioContext(context.Background(), want.Phi-1, opts); err == nil {
 			t.Fatal("mapping below the optimum must fail")
 		}
 	}
-	want, err := MapAtRatio(c, min.Phi, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.MapAtRatio(min.Phi, opts)
+	got, err := e.MapAtRatioContext(context.Background(), want.Phi, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +126,7 @@ func TestArenaPoolBounded(t *testing.T) {
 	defer e.Close()
 	var warm PoolStats
 	for run := 1; run <= 20; run++ {
-		if _, err := e.Minimize(opts); err != nil {
+		if _, err := e.MinimizeContext(context.Background(), opts); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		if run == 5 {
@@ -202,7 +200,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Feasible(2, opts); err != nil {
+	if _, _, err := e.FeasibleContext(context.Background(), 2, opts); err != nil {
 		t.Fatalf("probe after Close failed: %v", err)
 	}
 }

@@ -31,7 +31,7 @@ func TestInjectedPanicEngineRecovers(t *testing.T) {
 			defer e.Close()
 
 			plan, off := faultinject.Activate(faultinject.Config{PanicAtCutCheck: 50})
-			res, err := e.Minimize(opts)
+			res, err := e.MinimizeContext(context.Background(), opts)
 			off()
 			if plan.Fired(faultinject.KindPanicCutCheck) == 0 {
 				t.Fatalf("fault never fired (only %d cut checks)",
@@ -48,7 +48,7 @@ func TestInjectedPanicEngineRecovers(t *testing.T) {
 				t.Errorf("panicked run poisoned no arenas: %+v", ps)
 			}
 
-			res, err = e.Minimize(opts)
+			res, err = e.MinimizeContext(context.Background(), opts)
 			if err != nil {
 				t.Fatalf("engine did not recover after a contained panic: %v", err)
 			}
@@ -97,7 +97,7 @@ func TestInjectedCancelEngineRecovers(t *testing.T) {
 				t.Errorf("cancelled run poisoned no arenas: %+v", ps)
 			}
 
-			res, err = e.Minimize(opts)
+			res, err = e.MinimizeContext(context.Background(), opts)
 			if err != nil {
 				t.Fatalf("engine did not recover after cancellation: %v", err)
 			}

@@ -34,13 +34,16 @@ func (e *CancelError) Error() string {
 func (e *CancelError) Unwrap() error { return e.Err }
 
 // InternalError is a contained panic: a worker goroutine, search probe or
-// pipeline phase panicked, the panic was recovered at the containment
-// boundary, and the run shut down cleanly. Op names the subsystem, Comp the
+// mapping pass panicked, the panic was recovered at the containment
+// boundary, and the run shut down cleanly. Op names the subsystem: "labels"
+// (one component's iteration), "scheduler" (a worker of the dataflow
+// scheduler), "probe" (a search probe outside those) or "map" (the mapping
+// pass: run, relaxation and generation); the daemon adds "job". Comp is the
 // SCC component and Node the circuit node being processed (-1 when
 // unknown), and Value carries the recovered panic value (for injected
 // faults, a *faultinject.Injected).
 type InternalError struct {
-	Op    string // subsystem: "labels", "scheduler", "probe", "minimize", "map"
+	Op    string // subsystem: "labels", "scheduler", "probe", "map" ("job" in the daemon)
 	Phase string // pipeline phase, filled at the public API boundary
 	Comp  int    // SCC component id, -1 unknown
 	Node  int    // circuit node id, -1 unknown

@@ -77,7 +77,7 @@ type state struct {
 	// Per-probe like the decision cache: resetFor empties every witness
 	// but keeps its backing array.
 	wits []witness
-	// cache memoizes Decompose outcomes by cone function, K, depth budget
+	// cache memoizes DecomposeEffort outcomes by cone function, K, depth budget
 	// and bound-set priority. Cone functions recur heavily across label
 	// iterations; this cache removes the repeated Roth-Karp window scans.
 	// It is safe to share across workers and probes (see cache.go).
@@ -132,17 +132,6 @@ type state struct {
 }
 
 const labelInf = int(1) << 28
-
-// newState builds a standalone probe state: a throwaway analysis, a private
-// decomposition cache and counter set, no arena pool. The engine paths use
-// checkoutState instead; this remains for the direct-probe tests.
-func newState(c *netlist.Circuit, phi int, opts Options) *state {
-	s := blankState(c, analyze(c), nil)
-	s.resetFor(phi, opts)
-	s.cache = newDecompCache()
-	s.conc = &counters{}
-	return s
-}
 
 // blankState allocates a probe state's per-circuit arrays and wires in the
 // shared analysis and (optionally) the engine's arena pool. The state is not
@@ -798,7 +787,8 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		}
 		st.ExpandReuses++
 		phase(ar, obs.OpFlow)
-		res, okCut := ar.ca.MinCut(x, cmax)
+		// The minimum cut of any width up to Cmax: the resynthesis cut.
+		res, okCut := ar.ca.KCut(x, cmax)
 		phase(ar, obs.OpDecompose)
 		if !okCut {
 			phase(ar, obs.OpLabel)
@@ -881,7 +871,7 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 }
 
 // decompKey identifies one DecomposeEffort call. The priority order is part
-// of the key: Decompose's window scan is capped, so both the found tree and
+// of the key: DecomposeEffort's window scan is capped, so both the found tree and
 // whether one is found at all depend on it. The effort budget is part of
 // the key for the same reason — a truncated search and an exact one are
 // different computations. Keying on the full input makes the cached value

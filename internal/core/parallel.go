@@ -24,7 +24,7 @@ const taskGrain = 64
 // the unmodified sequential iteration runs, per-component state is written
 // only by the worker owning the component, work counters accumulate into
 // per-worker Stats merged after the run, and the
-// shared decomposition cache is keyed on full Decompose inputs — which
+// shared decomposition cache is keyed on full DecomposeEffort inputs — which
 // together keep the parallel path bit-identical to the sequential one (the
 // golden equivalence test enforces this).
 //

@@ -215,7 +215,7 @@ func TestDecompCacheConcurrentStress(t *testing.T) {
 					p := prio[:nvar]
 					var tree *decomp.Tree
 					if (fi+depth+pi)%2 == 0 {
-						tree, _ = decomp.Decompose(fn, 3, depth+1, p)
+						tree, _, _ = decomp.DecomposeEffort(fn, 3, depth+1, p, decomp.Effort{})
 					}
 					entries = append(entries, entry{decompKey(3, depth, p, fn, decomp.Effort{}), decompEntry{tree: tree}})
 				}

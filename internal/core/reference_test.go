@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -61,14 +62,14 @@ func reference(t *testing.T, c *netlist.Circuit, opts Options) *refResult {
 		ub = 1
 	}
 	for phi := 1; phi <= ub; phi++ {
-		ok, _, err := e.Feasible(phi, opts)
+		ok, _, err := e.FeasibleContext(context.Background(), phi, opts)
 		if err != nil {
 			t.Fatalf("reference: probe phi=%d: %v", phi, err)
 		}
 		if !ok {
 			continue
 		}
-		res, err := e.MapAtRatio(phi, opts)
+		res, err := e.MapAtRatioContext(context.Background(), phi, opts)
 		if err != nil {
 			t.Fatalf("reference: map phi=%d: %v", phi, err)
 		}
@@ -113,6 +114,17 @@ func identityWorkerPools() []int {
 		}
 	}
 	return append(pools, runtime.GOMAXPROCS(0))
+}
+
+// newState builds a standalone probe state: a throwaway analysis, a private
+// decomposition cache and counter set, no arena pool. The engine paths use
+// checkoutState instead; the direct-probe tests use this.
+func newState(c *netlist.Circuit, phi int, opts Options) *state {
+	s := blankState(c, analyze(c), nil)
+	s.resetFor(phi, opts)
+	s.cache = newDecompCache()
+	s.conc = &counters{}
+	return s
 }
 
 // coldProbe runs one cold, sequential probe at phi on a standalone state

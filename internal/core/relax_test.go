@@ -35,15 +35,19 @@ func loop6PlusTail(t *testing.T) *netlist.Circuit {
 
 func TestRelaxReducesArea(t *testing.T) {
 	c := loop6PlusTail(t)
-	noRelax := turboSYNOpts()
-	noRelax.Relax = false
-	a, err := MapAtRatio(c, 1, noRelax)
+	opts := turboSYNOpts()
+	// The unrelaxed baseline is the mapping pass without relaxForArea: the
+	// probe, then generation straight from its covers.
+	s := newState(c, 1, opts)
+	if ok, err := s.run(); err != nil || !ok {
+		t.Fatalf("phi=1 should be feasible (ok=%v err=%v)", ok, err)
+	}
+	m, origOf, err := s.generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	withRelax := turboSYNOpts()
-	withRelax.Relax = true
-	b, err := MapAtRatio(c, 1, withRelax)
+	a := &Result{Phi: 1, Mapped: m, LUTs: m.NumGates(), OrigOf: origOf}
+	b, err := mapOnce(c, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +78,7 @@ func TestRelaxPreservesFeasibilityOnRandom(t *testing.T) {
 		if c.Check() != nil {
 			continue
 		}
-		opts := turboSYNOpts()
-		opts.Relax = true
-		res, err := Minimize(c, opts)
+		res, err := Minimize(c, turboSYNOpts())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

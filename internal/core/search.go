@@ -34,22 +34,6 @@ func FeasibleContext(ctx context.Context, c *netlist.Circuit, phi int, opts Opti
 	return e.FeasibleContext(ctx, phi, opts)
 }
 
-// MapAtRatio computes labels and a mapped LUT network for a specific
-// feasible phi. It fails if phi is infeasible.
-func MapAtRatio(c *netlist.Circuit, phi int, opts Options) (*Result, error) {
-	return MapAtRatioContext(context.Background(), c, phi, opts)
-}
-
-// MapAtRatioContext is MapAtRatio under a context (see FeasibleContext).
-func MapAtRatioContext(ctx context.Context, c *netlist.Circuit, phi int, opts Options) (*Result, error) {
-	e, err := NewEngine(c, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	return e.MapAtRatioContext(ctx, phi, opts)
-}
-
 // Minimize finds the minimum feasible phi by binary search and returns the
 // mapping at that phi. The upper bound follows the paper: the trivial
 // one-gate-per-LUT mapping achieves the current clock period, and for the
@@ -144,41 +128,32 @@ func (e *Engine) minimizeSearch(ub int, opts Options, c *call, total *Stats) (in
 // probe decides feasibility at phi for call c, warm-started from seed
 // (labels converged at seedPhi) when seed is non-nil. When feasible it
 // returns a copy of the converged labels, the seed for later probes. The
-// probe's span goes to ring (when non-nil) and its log line to
-// opts.Logger.
-//
-// Fault containment: a panic that escapes the label engine's own
-// per-component boundary becomes an InternalError instead of killing the
-// process, and is recorded on the state so checkin poisons its arenas —
-// nothing about the probe's scratch can be trusted after it.
+// probe runs inside withState's panic boundary (op "probe"); its span goes
+// to ring (when non-nil) and its log line to opts.Logger.
 func (e *Engine) probe(ring *obs.Ring, phi int, opts Options, c *call, seed []int, seedPhi int) (ok bool, st Stats, labels []int, err error) {
 	var t0 int64
 	if ring != nil {
 		t0 = ring.Now()
 	}
-	s := e.checkoutState(phi, opts, c)
-	defer e.checkinState(s)
-	defer func() {
-		if r := recover(); r != nil {
-			ok, err = false, newInternalError(r, "probe", -1, -1)
-			s.fails.fail(err)
+	err = e.withState(phi, opts, c, "probe", func(s *state) error {
+		if seed != nil {
+			s.seedLabels(seed, seedPhi)
 		}
-		if ring != nil {
-			ring.Span(obs.OpProbe, t0, int64(phi), probeVerdict(ok, err))
+		var err error
+		ok, err = s.run()
+		st = s.stats
+		if ok {
+			// Copy out before checkin recycles the state.
+			labels = append([]int(nil), s.labels...)
 		}
-		if opts.Logger != nil {
-			opts.Logger.Debug("probe", "phi", phi, "feasible", ok,
-				"iterations", st.Iterations, "cutChecks", st.CutChecks, "err", err)
-		}
-	}()
-	if seed != nil {
-		s.seedLabels(seed, seedPhi)
+		return err
+	})
+	if ring != nil {
+		ring.Span(obs.OpProbe, t0, int64(phi), probeVerdict(ok, err))
 	}
-	ok, err = s.run()
-	st = s.stats
-	if ok {
-		// Copy out before the deferred checkin recycles the state.
-		labels = append([]int(nil), s.labels...)
+	if opts.Logger != nil {
+		opts.Logger.Debug("probe", "phi", phi, "feasible", ok,
+			"iterations", st.Iterations, "cutChecks", st.CutChecks, "err", err)
 	}
 	return ok, st, labels, err
 }

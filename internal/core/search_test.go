@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"turbosyn/internal/bench"
 	"turbosyn/internal/netlist"
+	"turbosyn/internal/obs"
 )
 
 // TestSearchProbesOnlyMidpoints: the binary search runs one probe per step,
@@ -59,9 +62,11 @@ func TestSearchProbesOnlyMidpoints(t *testing.T) {
 }
 
 // TestProbePanicBecomesInternalError: a panic that escapes the label
-// engine's per-component boundary is contained by the probe: the call
-// returns an *InternalError of op "probe" instead of crashing, and the
-// probe's arenas are poisoned rather than pooled.
+// engine's per-component boundary is contained where the state is used —
+// by the search probe, or by the mapping pass of MapAtRatioContext and of
+// MinimizeContext's final step. The call returns an *InternalError of op
+// "probe" or "map" instead of crashing, and the state's arena is poisoned
+// rather than pooled.
 func TestProbePanicBecomesInternalError(t *testing.T) {
 	fenceGoroutines(t)
 	var circuit *netlist.Circuit
@@ -72,36 +77,67 @@ func TestProbePanicBecomesInternalError(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Workers = 1
-	e, err := NewEngine(circuit, opts)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	// plantAtMap plants the broken state when the final map pass starts, so
+	// every search probe before it runs on a healthy one.
+	plantAtMap := func(e *Engine) Options {
+		o := opts
+		o.Progress = obs.NewProgress("plant", time.Hour, func(snap obs.Snapshot) {
+			if snap.Phase == "map" {
+				plantBrokenState(e, opts)
+			}
+		})
+		return o
 	}
-	defer e.Close()
-	// Plant a pooled state without completion flags: run() then panics
-	// right after its first component, outside safeRunComp. Checkin keeps
-	// the state shell, so every probe below checks the same one out.
-	s := e.checkoutState(2, opts, &call{conc: &counters{}})
-	s.compDoneBuf = nil
-	e.checkinState(s)
-
 	for _, tc := range []struct {
-		name, phase string
-		run         func() error
+		name, op, phase string
+		run             func(e *Engine) error
 	}{
-		{"Feasible", "probe", func() error { _, _, err := e.Feasible(2, opts); return err }},
-		{"Minimize", "turbomap-ub", func() error { _, err := e.Minimize(opts); return err }},
+		{"Feasible", "probe", "probe", func(e *Engine) error {
+			plantBrokenState(e, opts)
+			_, _, err := e.FeasibleContext(ctx, 2, opts)
+			return err
+		}},
+		{"Minimize", "probe", "turbomap-ub", func(e *Engine) error {
+			plantBrokenState(e, opts)
+			_, err := e.MinimizeContext(ctx, opts)
+			return err
+		}},
+		{"MapAtRatio", "map", "map", func(e *Engine) error {
+			plantBrokenState(e, opts)
+			_, err := e.MapAtRatioContext(ctx, 2, opts)
+			return err
+		}},
+		{"MinimizeMap", "map", "map", func(e *Engine) error {
+			_, err := e.MinimizeContext(ctx, plantAtMap(e))
+			return err
+		}},
 	} {
-		before := e.PoolStats().Discards
-		err := tc.run()
+		e, err := NewEngine(circuit, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = tc.run(e)
 		var ie *InternalError
 		if !errors.As(err, &ie) {
 			t.Fatalf("%s: err = %v, want *InternalError", tc.name, err)
 		}
-		if ie.Op != "probe" || ie.Phase != tc.phase {
-			t.Errorf("%s: op %q phase %q, want op %q phase %q", tc.name, ie.Op, ie.Phase, "probe", tc.phase)
+		if ie.Op != tc.op || ie.Phase != tc.phase {
+			t.Errorf("%s: op %q phase %q, want op %q phase %q", tc.name, ie.Op, ie.Phase, tc.op, tc.phase)
 		}
-		if got := e.PoolStats().Discards - before; got != 1 {
-			t.Errorf("%s: %d arenas discarded, want the probe's one", tc.name, got)
+		if got := e.PoolStats().Discards; got != 1 {
+			t.Errorf("%s: %d arenas discarded, want the panicking state's one", tc.name, got)
 		}
+		e.Close()
 	}
+}
+
+// plantBrokenState parks a pooled state without completion flags on e: run()
+// on it panics right after its first component, outside safeRunComp.
+// Checkin keeps the state shell, so every later checkout that pops it panics
+// the same way.
+func plantBrokenState(e *Engine, opts Options) {
+	s := e.checkoutState(2, opts, &call{conc: &counters{}})
+	s.compDoneBuf = nil
+	e.checkinState(s)
 }

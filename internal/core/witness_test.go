@@ -13,9 +13,10 @@ import (
 
 // witnessOracle is the soundness oracle of cut witnesses. It runs a probe of
 // c at phi (which records the witnesses), then raises random labels over a
-// few rounds. Whenever a witness of a gate holds at (labels, phi, L), a fresh
-// expand.Build + cut.KCut at the same inputs must succeed. L ranges around
-// the gate's computeL, since the implication is claimed for every L.
+// few rounds. Whenever a witness of a gate holds at (labels, phi, L), an
+// expansion and a K-cut on fresh scratch at the same inputs must succeed. L
+// ranges around the gate's computeL, since the implication is claimed for
+// every L.
 //
 // Besides the probe's own witnesses, each gate gets one built from a
 // minimum cut wider than K (as tryDecompose finds them) where one exists:
@@ -38,8 +39,8 @@ func witnessOracle(t testing.TB, c *netlist.Circuit, phi int, opts Options, next
 	xopts := expand.Options{LowDepth: opts.LowDepth, MaxNodes: opts.MaxExpand}
 	wide := make([]witness, c.NumNodes())
 	for _, id := range gates {
-		if x, ok := expand.Build(c, id, s.labels, phi, s.computeL(id), xopts); ok {
-			if res, ok := cut.MinCut(x, cmax); ok && len(res.Cut) > opts.K {
+		if x, ok := (&expand.Builder{}).Build(c, id, s.labels, phi, s.computeL(id), xopts); ok {
+			if res, ok := (&cut.Arena{}).KCut(x, cmax); ok && len(res.Cut) > opts.K {
 				wide[id].record(x, res)
 			}
 		}
@@ -65,11 +66,11 @@ func witnessOracle(t testing.TB, c *netlist.Circuit, phi int, opts Options, next
 						continue
 					}
 					hits++
-					x, ok := expand.Build(c, id, s.labels, phi, L, xopts)
+					x, ok := (&expand.Builder{}).Build(c, id, s.labels, phi, L, xopts)
 					if !ok {
 						t.Fatalf("node %d phi=%d L=%d: expansion overflowed", id, phi, L)
 					}
-					if _, ok := cut.KCut(x, opts.K); !ok {
+					if _, ok := (&cut.Arena{}).KCut(x, opts.K); !ok {
 						t.Fatalf("node %d phi=%d L=%d K=%d LowDepth=%d: the witness holds but no K-cut exists (labels %v)",
 							id, phi, L, opts.K, opts.LowDepth, s.labels)
 					}

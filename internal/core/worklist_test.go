@@ -183,7 +183,7 @@ func TestInjectedPanicWorklistWarmRecovers(t *testing.T) {
 			defer e.Close()
 
 			plan, off := faultinject.Activate(faultinject.Config{PanicAtCutCheck: 50})
-			res, err := e.Minimize(opts)
+			res, err := e.MinimizeContext(context.Background(), opts)
 			off()
 			if plan.Fired(faultinject.KindPanicCutCheck) == 0 {
 				t.Fatalf("fault never fired (only %d cut checks)",
@@ -200,7 +200,7 @@ func TestInjectedPanicWorklistWarmRecovers(t *testing.T) {
 				t.Errorf("panicked run poisoned no arenas: %+v", ps)
 			}
 
-			res, err = e.Minimize(opts)
+			res, err = e.MinimizeContext(context.Background(), opts)
 			if err != nil {
 				t.Fatalf("engine did not recover after a contained panic: %v", err)
 			}
@@ -252,7 +252,7 @@ func TestInjectedCancelWorklistMidDrain(t *testing.T) {
 				t.Errorf("cancelled run poisoned no arenas: %+v", ps)
 			}
 
-			res, err = e.Minimize(opts)
+			res, err = e.MinimizeContext(context.Background(), opts)
 			if err != nil {
 				t.Fatalf("engine did not recover after cancellation: %v", err)
 			}

@@ -9,8 +9,8 @@ import (
 	"turbosyn/internal/netlist"
 )
 
-// TestArenaMatchesOneShot: a reused Arena must reproduce the one-shot KCut
-// exactly — same verdict, same cut replicas, same cone order — across many
+// TestArenaMatchesOneShot: a reused Arena must reproduce a fresh Arena's
+// one-shot KCut exactly — same verdict, same cut replicas, same cone order — across many
 // random expansions and k values.
 func TestArenaMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
@@ -47,12 +47,12 @@ func TestArenaMatchesOneShot(t *testing.T) {
 			}
 		}
 		v := gates[rng.Intn(len(gates))]
-		x, ok := expand.Build(c, v, labels, 1, rng.Intn(3), expand.Options{LowDepth: rng.Intn(3)})
+		x, ok := (&expand.Builder{}).Build(c, v, labels, 1, rng.Intn(3), expand.Options{LowDepth: rng.Intn(3)})
 		if !ok {
 			continue
 		}
 		k := 1 + rng.Intn(5)
-		want, okW := KCut(x, k)
+		want, okW := (&Arena{}).KCut(x, k)
 		got, okG := a.KCut(x, k)
 		if okW != okG {
 			t.Fatalf("trial %d: arena ok=%v, one-shot ok=%v", trial, okG, okW)

@@ -31,7 +31,7 @@ type Result struct {
 	Parent []int
 }
 
-// Arena is the reusable scratch behind KCut/MinCut. A zero Arena is ready to
+// Arena is the reusable scratch behind KCut. A zero Arena is ready to
 // use. One Arena serves one goroutine; the *Result it returns aliases the
 // Arena's arrays and stays valid only until the next call on the same Arena.
 type Arena struct {
@@ -44,22 +44,6 @@ type Arena struct {
 // KCut reports whether the expanded circuit admits a cut of at most k
 // candidate replicas separating the frontier from the root, and returns one
 // such cut of minimum size.
-//
-// This one-shot form allocates a fresh Arena; hot loops should hold an Arena
-// and call its KCut method instead.
-func KCut(x *expand.Expanded, k int) (*Result, bool) {
-	a := &Arena{}
-	return a.KCut(x, k)
-}
-
-// MinCut returns the minimum cut separating frontier from root regardless of
-// size, as long as it is at most limit (the paper bounds resynthesis cuts by
-// Cmax = 15). ok=false when even that is exceeded.
-func MinCut(x *expand.Expanded, limit int) (*Result, bool) {
-	return KCut(x, limit)
-}
-
-// KCut is the arena form of the package-level KCut.
 func (a *Arena) KCut(x *expand.Expanded, k int) (*Result, bool) {
 	n := len(x.Nodes)
 	// Network layout: in(i) = 2i, out(i) = 2i+1, s = 2n, t = 2n+1.
@@ -106,11 +90,6 @@ func (a *Arena) KCut(x *expand.Expanded, k int) (*Result, bool) {
 	}
 	a.cone(x)
 	return res, true
-}
-
-// MinCut is the arena form of the package-level MinCut.
-func (a *Arena) MinCut(x *expand.Expanded, limit int) (*Result, bool) {
-	return a.KCut(x, limit)
 }
 
 // cone walks backward from the root, stopping at cut replicas, and fills

@@ -27,7 +27,7 @@ func andTreeExpansion(t *testing.T, lowDepth int) (*expand.Expanded, *netlist.Ci
 	c.AddPO("z", ids["g3"], 0)
 	labels := make([]int, c.NumNodes())
 	labels[ids["g1"]], labels[ids["g2"]], labels[ids["g3"]] = 1, 1, 1
-	x, ok := expand.Build(c, ids["g3"], labels, 1, 1, expand.Options{LowDepth: lowDepth})
+	x, ok := (&expand.Builder{}).Build(c, ids["g3"], labels, 1, 1, expand.Options{LowDepth: lowDepth})
 	if !ok {
 		t.Fatal("expansion failed")
 	}
@@ -36,10 +36,10 @@ func andTreeExpansion(t *testing.T, lowDepth int) (*expand.Expanded, *netlist.Ci
 
 func TestKCutTree(t *testing.T) {
 	x, _, ids := andTreeExpansion(t, 100)
-	if _, ok := KCut(x, 2); ok {
+	if _, ok := (&Arena{}).KCut(x, 2); ok {
 		t.Fatal("2-cut should not exist (4 PIs below mandatory region)")
 	}
-	res, ok := KCut(x, 4)
+	res, ok := (&Arena{}).KCut(x, 4)
 	if !ok {
 		t.Fatal("4-cut must exist")
 	}
@@ -73,11 +73,11 @@ func TestKCutInfeasibleThroughNonCandidatePI(t *testing.T) {
 	c.AddPO("z", g, 0)
 	labels := make([]int, c.NumNodes())
 	labels[g] = 1
-	x, ok := expand.Build(c, g, labels, 1, 0, expand.Options{LowDepth: 0})
+	x, ok := (&expand.Builder{}).Build(c, g, labels, 1, 0, expand.Options{LowDepth: 0})
 	if !ok {
 		t.Fatal("expansion failed")
 	}
-	if _, ok := KCut(x, 100); ok {
+	if _, ok := (&Arena{}).KCut(x, 100); ok {
 		t.Fatal("cut through a non-candidate PI replica must not exist")
 	}
 }
@@ -92,11 +92,11 @@ func TestKCutSelfLoopAtHeight1(t *testing.T) {
 	c.AddPO("z", g, 0)
 	labels := make([]int, c.NumNodes())
 	labels[g] = 1
-	x, ok := expand.Build(c, g, labels, 1, 1, expand.Options{LowDepth: 0})
+	x, ok := (&expand.Builder{}).Build(c, g, labels, 1, 1, expand.Options{LowDepth: 0})
 	if !ok {
 		t.Fatal("expansion failed")
 	}
-	res, ok := KCut(x, 2)
+	res, ok := (&Arena{}).KCut(x, 2)
 	if !ok {
 		t.Fatal("the classic {(pi,0),(g,1)} cut must exist")
 	}
@@ -129,22 +129,22 @@ func TestLowDepthFindsReconvergentSmallerCut(t *testing.T) {
 	labels[a], labels[b] = 1, 1
 	labels[root] = 1
 	// L=1: a,b eff 2 (mandatory); c1,c2,d eff 1 (candidates).
-	x0, ok := expand.Build(c, root, labels, 1, 1, expand.Options{LowDepth: 0})
+	x0, ok := (&expand.Builder{}).Build(c, root, labels, 1, 1, expand.Options{LowDepth: 0})
 	if !ok {
 		t.Fatal("expansion failed")
 	}
-	if _, ok := KCut(x0, 1); ok {
+	if _, ok := (&Arena{}).KCut(x0, 1); ok {
 		t.Fatal("LowDepth=0 cannot see the reconvergent 1-cut")
 	}
-	res0, ok := KCut(x0, 2)
+	res0, ok := (&Arena{}).KCut(x0, 2)
 	if !ok || len(res0.Cut) != 2 {
 		t.Fatal("LowDepth=0 should find the frontier 2-cut")
 	}
-	x1, ok := expand.Build(c, root, labels, 1, 1, expand.Options{LowDepth: 1})
+	x1, ok := (&expand.Builder{}).Build(c, root, labels, 1, 1, expand.Options{LowDepth: 1})
 	if !ok {
 		t.Fatal("expansion failed")
 	}
-	res1, ok := KCut(x1, 1)
+	res1, ok := (&Arena{}).KCut(x1, 1)
 	if !ok || len(res1.Cut) != 1 {
 		t.Fatalf("LowDepth=1 must find the 1-cut, got %v ok=%v", res1, ok)
 	}
@@ -203,12 +203,12 @@ func TestConeClosureRandom(t *testing.T) {
 		}
 		v := gates[rng.Intn(len(gates))]
 		L := rng.Intn(4)
-		x, ok := expand.Build(c, v, labels, 1+rng.Intn(2), L, expand.Options{LowDepth: rng.Intn(4)})
+		x, ok := (&expand.Builder{}).Build(c, v, labels, 1+rng.Intn(2), L, expand.Options{LowDepth: rng.Intn(4)})
 		if !ok {
 			continue
 		}
 		k := 2 + rng.Intn(5)
-		res, ok := KCut(x, k)
+		res, ok := (&Arena{}).KCut(x, k)
 		if !ok {
 			continue
 		}

@@ -21,7 +21,7 @@ func TestAssociativeFastPathShapes(t *testing.T) {
 		{"xnor8", logic.NewTT(8).Not(logic.XorAll(8)), 4, 2},
 	}
 	for _, tc := range cases {
-		tr, ok := Decompose(tc.fn, tc.k, tc.depth, nil)
+		tr, ok, _ := DecomposeEffort(tc.fn, tc.k, tc.depth, nil, Effort{})
 		if !ok {
 			t.Errorf("%s: decomposition failed", tc.name)
 			continue
@@ -40,10 +40,10 @@ func TestAssociativeFastPathShapes(t *testing.T) {
 
 func TestAssociativeRespectsBudget(t *testing.T) {
 	// 16-input AND at K=2 needs depth 4; budget 3 must fail cleanly.
-	if _, ok := Decompose(logic.AndAll(16), 2, 3, nil); ok {
+	if _, ok, _ := DecomposeEffort(logic.AndAll(16), 2, 3, nil, Effort{}); ok {
 		t.Fatal("budget violation accepted")
 	}
-	if tr, ok := Decompose(logic.AndAll(16), 2, 4, nil); !ok || tr.Depth() > 4 {
+	if tr, ok, _ := DecomposeEffort(logic.AndAll(16), 2, 4, nil, Effort{}); !ok || tr.Depth() > 4 {
 		t.Fatal("depth-4 tree should exist")
 	}
 }
@@ -55,7 +55,7 @@ func TestAssociativeEmbeddedSupport(t *testing.T) {
 	for _, v := range []int{1, 3, 4, 6, 7, 8, 9} {
 		f.And(f, logic.Var(10, v))
 	}
-	tr, ok := Decompose(f, 3, 2, nil)
+	tr, ok, _ := DecomposeEffort(f, 3, 2, nil, Effort{})
 	if !ok {
 		t.Fatal("embedded AND not decomposed")
 	}

@@ -27,7 +27,7 @@ func randomEntries(rng *rand.Rand, n int) []Entry {
 					f.SetBit(b, true)
 				}
 			}
-			if tree, ok := decomp.Decompose(f, 4, 4, nil); ok {
+			if tree, ok, _ := decomp.DecomposeEffort(f, 4, 4, nil, decomp.Effort{}); ok {
 				e.Tree = tree
 			}
 		}

@@ -102,7 +102,7 @@ func TestRothKarpCodeLimit(t *testing.T) {
 func TestDecomposeWideAnd(t *testing.T) {
 	// 9-input AND with K=3: depth 2 tree (3 ANDs + root).
 	f := logic.AndAll(9)
-	tr, ok := Decompose(f, 3, 2, nil)
+	tr, ok, _ := DecomposeEffort(f, 3, 2, nil, Effort{})
 	if !ok {
 		t.Fatal("decomposition failed")
 	}
@@ -115,14 +115,14 @@ func TestDecomposeWideAnd(t *testing.T) {
 	if !tr.TT().Equal(f) {
 		t.Fatal("tree function mismatch")
 	}
-	if _, ok := Decompose(f, 3, 1, nil); ok {
+	if _, ok, _ := DecomposeEffort(f, 3, 1, nil, Effort{}); ok {
 		t.Fatal("depth 1 must be impossible for 9 inputs at K=3")
 	}
 }
 
 func TestDecomposeXorDepth(t *testing.T) {
 	f := logic.XorAll(8)
-	tr, ok := Decompose(f, 4, 2, nil)
+	tr, ok, _ := DecomposeEffort(f, 4, 2, nil, Effort{})
 	if !ok {
 		t.Fatal("8-input XOR at K=4 should fit depth 2")
 	}
@@ -140,7 +140,7 @@ func TestDecomposeRandomQuick(t *testing.T) {
 		nvar := 5 + rng.Intn(4) // 5..8
 		k := 4 + rng.Intn(2)    // 4..5
 		tt := randomTT(rng, nvar)
-		tr, ok := Decompose(tt, k, 4, rng.Perm(nvar))
+		tr, ok, _ := DecomposeEffort(tt, k, 4, rng.Perm(nvar), Effort{})
 		if !ok {
 			return true // not every function decomposes in budget; fine
 		}
@@ -164,7 +164,7 @@ func TestDecomposeRandomQuick(t *testing.T) {
 }
 
 func TestDecomposeConstant(t *testing.T) {
-	tr, ok := Decompose(logic.Const(4, true), 3, 1, nil)
+	tr, ok, _ := DecomposeEffort(logic.Const(4, true), 3, 1, nil, Effort{})
 	if !ok {
 		t.Fatal("constant must decompose")
 	}

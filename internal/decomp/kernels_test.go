@@ -188,12 +188,12 @@ func decomposableTT(rng *rand.Rand, n int, bound []int, e int) *logic.TT {
 	}
 	subs := make([]*logic.TT, 0, e+len(free))
 	for i := 0; i < e; i++ {
-		subs = append(subs, randomTT(rng, len(bound)).Expand(n, bound))
+		subs = append(subs, expand(randomTT(rng, len(bound)), n, bound))
 	}
 	for _, v := range free {
 		subs = append(subs, logic.Var(n, v))
 	}
-	return randomTT(rng, e+len(free)).ComposeBool(subs)
+	return randomTT(rng, e+len(free)).ComposeBoolPool(subs, nil)
 }
 
 // TestRothKarpMatchesReference: on random and decomposable tables of 2..16
@@ -359,13 +359,13 @@ func TestTreeTTMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var trees []*Tree
 	for _, v := range []bool{false, true} {
-		if tr, ok := Decompose(logic.Const(3, v), 3, 1, nil); ok {
+		if tr, ok, _ := DecomposeEffort(logic.Const(3, v), 3, 1, nil, Effort{}); ok {
 			trees = append(trees, tr)
 		}
 	}
 	for len(trees) < 30 {
 		n := 5 + rng.Intn(4)
-		if tr, ok := Decompose(randomTT(rng, n), 4, 4, rng.Perm(n)); ok {
+		if tr, ok, _ := DecomposeEffort(randomTT(rng, n), 4, 4, rng.Perm(n), Effort{}); ok {
 			trees = append(trees, tr)
 		}
 	}

@@ -133,19 +133,6 @@ func RothKarp(f *logic.TT, boundSet []int, maxCodeBits int) (*RothKarpResult, bo
 	return res, true
 }
 
-// Verify recomposes the decomposition and compares with f exhaustively.
-func (r *RothKarpResult) Verify(f *logic.TT) bool {
-	n := f.NumVars()
-	subs := make([]*logic.TT, len(r.Alphas)+len(r.FreeSet))
-	for i, a := range r.Alphas {
-		subs[i] = a.Expand(n, r.BoundSet)
-	}
-	for i, v := range r.FreeSet {
-		subs[len(r.Alphas)+i] = logic.Var(n, v)
-	}
-	return r.G.Compose(subs).Equal(f)
-}
-
 // Tree is a multi-level decomposition of a function into nodes of bounded
 // fanin. Leaves are the original inputs 0..NumInputs-1; internal nodes are
 // numbered NumInputs+i for Nodes[i]. Root is always the last node.
@@ -162,21 +149,6 @@ type TreeNode struct {
 
 // Root returns the root node reference (NumInputs + len(Nodes) - 1).
 func (t *Tree) Root() int { return t.NumInputs + len(t.Nodes) - 1 }
-
-// Depth returns the maximum node depth of the tree (a single node is 1).
-func (t *Tree) Depth() int {
-	depth := make([]int, t.NumInputs+len(t.Nodes))
-	for i, nd := range t.Nodes {
-		d := 0
-		for _, c := range nd.Children {
-			if depth[c] > d {
-				d = depth[c]
-			}
-		}
-		depth[t.NumInputs+i] = d + 1
-	}
-	return depth[t.Root()]
-}
 
 // Eval computes the tree's function over its NumInputs leaves.
 func (t *Tree) Eval(assignment uint) bool {
@@ -196,49 +168,15 @@ func (t *Tree) Eval(assignment uint) bool {
 	return vals[t.Root()]
 }
 
-// TT materializes the tree's function, composing the node tables
-// word-parallel from the leaves up.
-func (t *Tree) TT() *logic.TT {
-	n := t.NumInputs
-	vals := make([]*logic.TT, n+len(t.Nodes))
-	for i := 0; i < n; i++ {
-		vals[i] = logic.Var(n, i)
-	}
-	for i, nd := range t.Nodes {
-		if len(nd.Children) == 0 {
-			vals[n+i] = logic.Const(n, nd.Func.Bit(0))
-			continue
-		}
-		subs := make([]*logic.TT, len(nd.Children))
-		for j, c := range nd.Children {
-			subs[j] = vals[c]
-		}
-		vals[n+i] = nd.Func.ComposeBool(subs)
-	}
-	return vals[t.Root()]
-}
-
-// MaxFanin returns the largest node fanin.
-func (t *Tree) MaxFanin() int {
-	m := 0
-	for _, nd := range t.Nodes {
-		if len(nd.Children) > m {
-			m = len(nd.Children)
-		}
-	}
-	return m
-}
-
-// Effort bounds the work one Decompose call may spend. The zero value means
-// unlimited effort: the exact search the paper describes, byte-identical to
-// DecomposeEffort-free callers. Positive bounds trade completeness for
-// predictable worst-case cost; a search truncated by a bound reports
-// degraded=true so callers can count the quality loss (see
-// core.Stats.Degradations).
+// Effort bounds the work one DecomposeEffort call may spend. The zero value
+// means unlimited effort: the exact search the paper describes. Positive
+// bounds trade completeness for predictable worst-case cost; a search
+// truncated by a bound reports degraded=true so callers can count the quality
+// loss (see core.Stats.Degradations).
 type Effort struct {
 	// MaxBoundSets, when positive, caps the total bound-set candidates
-	// examined across the whole Decompose call; the search stops (degraded)
-	// when the allowance runs out.
+	// examined across the whole DecomposeEffort call; the search stops
+	// (degraded) when the allowance runs out.
 	MaxBoundSets int
 	// Stats, when non-nil, accumulates the work the call actually performed
 	// (observability only — it never influences the search, so it is not
@@ -246,7 +184,7 @@ type Effort struct {
 	Stats *EffortStats
 }
 
-// EffortStats counts the work of one or more Decompose calls when collected
+// EffortStats counts the work of one or more DecomposeEffort calls when collected
 // via Effort.Stats.
 type EffortStats struct {
 	// BoundSetsExamined is how many candidate bound sets the window scan
@@ -262,7 +200,7 @@ type EffortStats struct {
 	DisjointPeels int
 }
 
-// effortState tracks consumption of one Decompose call's Effort.
+// effortState tracks consumption of one DecomposeEffort call's Effort.
 type effortState struct {
 	eff      Effort
 	examined int
@@ -283,22 +221,17 @@ func (es *effortState) allow() bool {
 	return true
 }
 
-// Decompose expresses f as a tree of at-most-K-input nodes of depth at most
-// depthBudget, searching bound sets in the priority order of the inputs:
+// DecomposeEffort expresses f as a tree of at-most-K-input nodes of depth at
+// most depthBudget, searching bound sets in the priority order of the inputs:
 // inputs earlier in priority are preferred inside bound sets (the paper
 // sorts by effective label, so early-arriving signals sink to the leaves
 // and late ones stay near the root). priority may be nil for natural order.
-// ok=false when the search fails within the budget.
-func Decompose(f *logic.TT, k, depthBudget int, priority []int) (*Tree, bool) {
-	tr, ok, _ := DecomposeEffort(f, k, depthBudget, priority, Effort{})
-	return tr, ok
-}
-
-// DecomposeEffort is Decompose under a work budget. degraded reports that
-// the budget truncated the search: candidate bound sets were skipped, so a
-// failure (or a worse tree) may be a budget artifact rather than a real
-// infeasibility. With a zero Effort the search — and its outcome — is
-// identical to Decompose.
+// ok=false when the search fails within the depth budget.
+//
+// eff bounds the work; a zero Effort is the exact, unbounded search.
+// degraded reports that the bound truncated the search: candidate bound sets
+// were skipped, so a failure (or a worse tree) may be a budget artifact
+// rather than a real infeasibility.
 func DecomposeEffort(f *logic.TT, k, depthBudget int, priority []int, eff Effort) (*Tree, bool, bool) {
 	if k < 2 {
 		return nil, false, false

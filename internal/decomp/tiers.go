@@ -11,7 +11,7 @@ import (
 // (f = x AND g, x OR g, x XOR g and the negated-literal variants) or split
 // cleanly on one Shannon variable. Both tiers cost a handful of cofactor
 // operations instead of an exponential bound-set extraction, consume none of
-// the Effort allowances, and — like every Decompose path — are a pure
+// the Effort allowances, and — like every DecomposeEffort path — are a pure
 // deterministic function of their inputs, so cached results stay replayable.
 
 // disjointPeelTree peels single-literal disjoint factors off f: as long as

@@ -53,7 +53,7 @@ func TestDisjointPeelXor(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 20; iter++ {
 		core := randomTT(rng, 6)
-		f := core.Expand(7, []int{0, 1, 2, 3, 4, 5})
+		f := expand(core, 7, []int{0, 1, 2, 3, 4, 5})
 		f.Xor(f, logic.Var(7, 6))
 		var st EffortStats
 		tree, ok, _ := DecomposeEffort(f, 6, 3, nil, Effort{Stats: &st})
@@ -69,8 +69,8 @@ func TestDisjointPeelXor(t *testing.T) {
 func TestShannonTier(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for iter := 0; iter < 10; iter++ {
-		g0 := randomTT(rng, 4).Expand(9, []int{0, 1, 2, 3})
-		g1 := randomTT(rng, 4).Expand(9, []int{4, 5, 6, 7})
+		g0 := expand(randomTT(rng, 4), 9, []int{0, 1, 2, 3})
+		g1 := expand(randomTT(rng, 4), 9, []int{4, 5, 6, 7})
 		s := logic.Var(9, 8)
 		ns := logic.NewTT(9).Not(s)
 		f := logic.NewTT(9).Or(logic.NewTT(9).And(ns, g0), logic.NewTT(9).And(s, g1))
@@ -119,7 +119,7 @@ func TestApplyNPNToTree(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		n := 4 + rng.Intn(4)
 		f := randomTT(rng, n)
-		tree, ok := Decompose(f, 4, 4, nil)
+		tree, ok, _ := DecomposeEffort(f, 4, 4, nil, Effort{})
 		if !ok {
 			continue
 		}
@@ -168,7 +168,7 @@ func TestNPNRoundTripThroughDecompose(t *testing.T) {
 		n := 5 + rng.Intn(3)
 		f := randomTT(rng, n)
 		canon, tr := logic.NPNCanon(f)
-		tree, ok := Decompose(canon, 4, 4, nil)
+		tree, ok, _ := DecomposeEffort(canon, 4, 4, nil, Effort{})
 		if !ok {
 			continue
 		}

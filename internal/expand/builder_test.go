@@ -63,9 +63,9 @@ func sameExpansion(t *testing.T, tag string, got, want *Expanded) {
 	}
 }
 
-// TestBuilderMatchesOneShot: a reused Builder must reproduce the one-shot
-// Build exactly, including across circuits of different shapes and repeated
-// builds on the same Builder.
+// TestBuilderMatchesOneShot: a reused Builder must reproduce a fresh
+// Builder's one-shot Build exactly, including across circuits of different
+// shapes and repeated builds on the same Builder.
 func TestBuilderMatchesOneShot(t *testing.T) {
 	b := &Builder{}
 	opts := Options{LowDepth: 2, MaxNodes: 4000}
@@ -81,7 +81,7 @@ func TestBuilderMatchesOneShot(t *testing.T) {
 		}
 		labels := randomLabels(rng, c)
 		for L := 0; L <= 3; L++ {
-			want, okW := Build(c, v, labels, 1, L, opts)
+			want, okW := (&Builder{}).Build(c, v, labels, 1, L, opts)
 			got, okG := b.Build(c, v, labels, 1, L, opts)
 			if okW != okG {
 				t.Fatalf("seed %d L=%d: builder ok=%v, one-shot ok=%v", seed, L, okG, okW)
@@ -154,7 +154,7 @@ func TestBuilderAcrossCircuitSizes(t *testing.T) {
 	b := &Builder{}
 	for i, bc := range []buildCase{large, small, large} {
 		for L := 0; L <= 2; L++ {
-			want, okW := Build(bc.c, bc.v, bc.labels, 1, L, opts)
+			want, okW := (&Builder{}).Build(bc.c, bc.v, bc.labels, 1, L, opts)
 			got, okG := b.Build(bc.c, bc.v, bc.labels, 1, L, opts)
 			if okW != okG {
 				t.Fatalf("build %d L=%d: builder ok=%v, one-shot ok=%v", i, L, okG, okW)
@@ -186,7 +186,7 @@ func TestBuilderGenerationWrap(t *testing.T) {
 		b.x.stamp[i] = 1
 	}
 	for L := 0; L <= 2; L++ {
-		want, okW := Build(bc.c, bc.v, bc.labels, 1, L, opts)
+		want, okW := (&Builder{}).Build(bc.c, bc.v, bc.labels, 1, L, opts)
 		got, okG := b.Build(bc.c, bc.v, bc.labels, 1, L, opts)
 		if okW != okG {
 			t.Fatalf("L=%d: builder ok=%v, one-shot ok=%v", L, okG, okW)
@@ -270,7 +270,7 @@ func TestTightenMatchesFreshBuild(t *testing.T) {
 				continue
 			}
 			for newL := L - 1; newL >= L-3; newL-- {
-				want, okW := Build(c, v, labels, 1, newL, opts)
+				want, okW := (&Builder{}).Build(c, v, labels, 1, newL, opts)
 				got, okG := b.Tighten(newL)
 				if okW != okG {
 					t.Fatalf("seed %d L=%d->%d: tighten ok=%v, fresh ok=%v",

@@ -117,16 +117,8 @@ type Builder struct {
 // the expansion exceeds the node cap; callers must then treat the cut as
 // nonexistent, which errs toward larger labels but never invalid mappings.
 //
-// Build is the one-shot entry point; it allocates a fresh Builder so the
-// result does not alias shared state. Hot loops should hold a Builder and
-// call its Build method instead.
-func Build(c *netlist.Circuit, v int, labels []int, phi, L int, opts Options) (x *Expanded, ok bool) {
-	b := &Builder{}
-	return b.Build(c, v, labels, phi, L, opts)
-}
-
-// Build expands E_v at height bound L, reusing the Builder's arrays. The
-// returned Expanded aliases the Builder and is valid until the next Build.
+// Build reuses the Builder's arrays: the returned Expanded aliases the
+// Builder and is valid until the next Build.
 func (b *Builder) Build(c *netlist.Circuit, v int, labels []int, phi, L int, opts Options) (*Expanded, bool) {
 	b.c, b.labels, b.phi, b.l, b.opts = c, labels, phi, L, opts
 	b.maxNodes = opts.MaxNodes

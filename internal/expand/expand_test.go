@@ -35,7 +35,7 @@ func TestBuildCombinationalCone(t *testing.T) {
 	labels[ids["g2"]] = 1
 	labels[ids["g3"]] = 1
 	// L = 1: g1,g2 have eff 2 > 1 (mandatory); PIs have eff 1 (candidates).
-	x, ok := Build(c, ids["g3"], labels, 1, 1, Options{LowDepth: 100})
+	x, ok := (&Builder{}).Build(c, ids["g3"], labels, 1, 1, Options{LowDepth: 100})
 	if !ok {
 		t.Fatal("build failed")
 	}
@@ -80,7 +80,7 @@ func TestBuildSequentialReplicas(t *testing.T) {
 	labels := make([]int, c.NumNodes())
 	labels[g] = 1
 	// phi=1, L=1: (pi,0) eff 1, (g,1) eff 1: both candidates.
-	x, ok := Build(c, g, labels, 1, 1, Options{})
+	x, ok := (&Builder{}).Build(c, g, labels, 1, 1, Options{})
 	if !ok {
 		t.Fatal("build failed")
 	}
@@ -96,7 +96,7 @@ func TestBuildSequentialReplicas(t *testing.T) {
 
 	// phi=1, L=0: (pi,0) eff 1 > 0 is a non-candidate frontier; the deeper
 	// replicas (pi,1), (g,2) become candidates at eff 0.
-	x, ok = Build(c, g, labels, 1, 0, Options{LowDepth: 0})
+	x, ok = (&Builder{}).Build(c, g, labels, 1, 0, Options{LowDepth: 0})
 	if !ok {
 		t.Fatal("build failed")
 	}
@@ -116,7 +116,7 @@ func TestBuildTerminatesAroundLoops(t *testing.T) {
 	labels := make([]int, c.NumNodes())
 	labels[g] = 5
 	// Mandatory region grows until w makes eff drop to L; must stay finite.
-	x, ok := Build(c, g, labels, 1, 0, Options{LowDepth: 2})
+	x, ok := (&Builder{}).Build(c, g, labels, 1, 0, Options{LowDepth: 2})
 	if !ok {
 		t.Fatal("build failed")
 	}
@@ -142,7 +142,7 @@ func TestBuildRespectsMaxNodes(t *testing.T) {
 	c, _, g := selfLoop(t)
 	labels := make([]int, c.NumNodes())
 	labels[g] = 1000
-	if _, ok := Build(c, g, labels, 1, 0, Options{MaxNodes: 50}); ok {
+	if _, ok := (&Builder{}).Build(c, g, labels, 1, 0, Options{MaxNodes: 50}); ok {
 		t.Fatal("node cap not enforced")
 	}
 }
@@ -153,14 +153,14 @@ func TestLowDepthControlsCandidateExpansion(t *testing.T) {
 	labels[g] = 1
 	// L=1, phi=1: (g,1) candidate. With LowDepth=0 it is frontier; with
 	// LowDepth=1 it expands one level to (pi,1) and (g,2).
-	x0, _ := Build(c, g, labels, 1, 1, Options{LowDepth: 0})
+	x0, _ := (&Builder{}).Build(c, g, labels, 1, 1, Options{LowDepth: 0})
 	if id := x0.Index(g, 1); id < 0 || !x0.Nodes[id].Frontier {
 		t.Error("LowDepth=0: (g,1) must be frontier")
 	}
 	if x0.Index(g, 2) >= 0 {
 		t.Error("LowDepth=0: (g,2) must not exist")
 	}
-	x1, _ := Build(c, g, labels, 1, 1, Options{LowDepth: 1})
+	x1, _ := (&Builder{}).Build(c, g, labels, 1, 1, Options{LowDepth: 1})
 	if id := x1.Index(g, 1); id < 0 || x1.Nodes[id].Frontier {
 		t.Error("LowDepth=1: (g,1) should be expanded")
 	}

@@ -27,7 +27,7 @@ func randomLoopy(rng *rand.Rand, nGates int) *netlist.Circuit {
 		case 2:
 			fn = logic.AndAll(2)
 		default:
-			fn = logic.Maj3()
+			fn = logic.OrAll(3)
 		}
 		id := c.AddGate("", fn, fanins...)
 		ids = append(ids, id)
@@ -72,8 +72,8 @@ func TestCandidateSetMonotoneInL(t *testing.T) {
 		}
 		opts := Options{LowDepth: 2, MaxNodes: 4000}
 		for L := 0; L < 3; L++ {
-			xa, oka := Build(c, v, labels, 1, L, opts)
-			xb, okb := Build(c, v, labels, 1, L+1, opts)
+			xa, oka := (&Builder{}).Build(c, v, labels, 1, L, opts)
+			xb, okb := (&Builder{}).Build(c, v, labels, 1, L+1, opts)
 			if !oka || !okb {
 				continue
 			}
@@ -115,7 +115,7 @@ func TestEffectiveHeightConsistency(t *testing.T) {
 		}
 	}
 	const phi, L = 2, 2
-	x, ok := Build(c, v, labels, phi, L, Options{LowDepth: 3})
+	x, ok := (&Builder{}).Build(c, v, labels, phi, L, Options{LowDepth: 3})
 	if !ok {
 		t.Fatal("build failed")
 	}
@@ -147,7 +147,7 @@ func TestFaninOrderPreserved(t *testing.T) {
 	c.AddPO("z", g, 0)
 	labels := make([]int, c.NumNodes())
 	labels[g] = 1
-	x, ok := Build(c, g, labels, 1, 5, Options{})
+	x, ok := (&Builder{}).Build(c, g, labels, 1, 5, Options{})
 	if !ok {
 		t.Fatal("build failed")
 	}

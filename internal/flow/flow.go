@@ -40,13 +40,6 @@ type Net struct {
 	reach []bool
 }
 
-// NewNet returns a network with n nodes and no arcs.
-func NewNet(n int) *Net {
-	net := &Net{}
-	net.Reset(n)
-	return net
-}
-
 // Reset reinitializes the network to n nodes and no arcs, retaining every
 // backing array. After the first few builds at a given size, Reset and the
 // subsequent AddArc/MaxFlowUpTo/ResidualReach cycle allocate nothing.
@@ -62,16 +55,6 @@ func (n *Net) Reset(num int) {
 		n.first[i] = -1
 		n.last[i] = -1
 	}
-}
-
-// NumNodes returns the node count.
-func (n *Net) NumNodes() int { return len(n.first) }
-
-// AddNode appends a fresh node and returns its id.
-func (n *Net) AddNode() int {
-	n.first = append(n.first, -1)
-	n.last = append(n.last, -1)
-	return len(n.first) - 1
 }
 
 // addHalf appends one directed arc u->v and links it at the tail of u's arc

@@ -6,8 +6,15 @@ import (
 	"testing/quick"
 )
 
+// newNet returns a network with n nodes and no arcs.
+func newNet(n int) *Net {
+	net := &Net{}
+	net.Reset(n)
+	return net
+}
+
 func TestSimplePath(t *testing.T) {
-	n := NewNet(4)
+	n := newNet(4)
 	n.AddArc(0, 1, 1)
 	n.AddArc(1, 2, 1)
 	n.AddArc(2, 3, 1)
@@ -18,7 +25,7 @@ func TestSimplePath(t *testing.T) {
 
 func TestParallelPaths(t *testing.T) {
 	// s -> {1,2,3} -> t, three disjoint unit paths.
-	n := NewNet(5)
+	n := newNet(5)
 	for v := 1; v <= 3; v++ {
 		n.AddArc(0, v, 1)
 		n.AddArc(v, 4, 1)
@@ -29,7 +36,7 @@ func TestParallelPaths(t *testing.T) {
 }
 
 func TestEarlyExit(t *testing.T) {
-	n := NewNet(6)
+	n := newNet(6)
 	for v := 1; v <= 4; v++ {
 		n.AddArc(0, v, 1)
 		n.AddArc(v, 5, 1)
@@ -41,7 +48,7 @@ func TestEarlyExit(t *testing.T) {
 
 func TestBottleneckWithInfArcs(t *testing.T) {
 	// s -Inf-> a -1-> b -Inf-> t: max flow 1.
-	n := NewNet(4)
+	n := newNet(4)
 	n.AddArc(0, 1, Inf)
 	n.AddArc(1, 2, 1)
 	n.AddArc(2, 3, Inf)
@@ -58,7 +65,7 @@ func TestNeedsResidualReversal(t *testing.T) {
 	// Classic case where a greedy path must be partially undone:
 	//   s->a->b->t and s->b, a->t (all unit). Max flow 2 requires routing
 	//   through the residual of a->b if BFS first used s->a->b->t.
-	n := NewNet(4)
+	n := newNet(4)
 	s, a, b, tt := 0, 1, 2, 3
 	n.AddArc(s, a, 1)
 	n.AddArc(a, b, 1)
@@ -100,7 +107,7 @@ func TestMaxFlowMinCutQuick(t *testing.T) {
 		nodes := 4 + rng.Intn(5)
 		nArcs := rng.Intn(3 * nodes)
 		var arcs [][3]int
-		n := NewNet(nodes)
+		n := newNet(nodes)
 		for i := 0; i < nArcs; i++ {
 			u, v := rng.Intn(nodes), rng.Intn(nodes)
 			if u == v {
@@ -294,7 +301,7 @@ func TestSinkSideMatchesForwardReference(t *testing.T) {
 // verdicts match fresh networks: Reset must fully erase earlier arcs, flows
 // and scratch.
 func TestResetReuse(t *testing.T) {
-	n := NewNet(4)
+	n := newNet(4)
 	n.AddArc(0, 1, Inf)
 	n.AddArc(1, 2, 1)
 	n.AddArc(2, 3, Inf)
@@ -327,7 +334,7 @@ func TestResetReuse(t *testing.T) {
 // one build/solve cycle at a given size, repeating the cycle allocates
 // nothing.
 func TestWarmNetZeroAlloc(t *testing.T) {
-	n := NewNet(8)
+	n := newNet(8)
 	cycle := func() {
 		n.Reset(8)
 		for v := 1; v <= 6; v++ {
@@ -350,19 +357,5 @@ func TestWarmNetZeroAlloc(t *testing.T) {
 	cycle() // warm up
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("warm Net cycle allocates %.1f objects/run, want 0", allocs)
-	}
-}
-
-func TestAddNode(t *testing.T) {
-	n := NewNet(1)
-	a := n.AddNode()
-	b := n.AddNode()
-	n.AddArc(0, a, 1)
-	n.AddArc(a, b, 1)
-	if f := n.MaxFlowUpTo(0, b, 5); f != 1 {
-		t.Fatalf("flow through appended nodes = %d", f)
-	}
-	if n.NumNodes() != 3 {
-		t.Fatalf("NumNodes = %d", n.NumNodes())
 	}
 }

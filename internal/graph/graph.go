@@ -1,6 +1,6 @@
 // Package graph provides the directed-graph utilities shared by the mapping
 // and retiming engines: strongly connected components, condensation with a
-// topological order, reachability, and simple traversals.
+// topological order, and simple traversals.
 //
 // Graphs are addressed by dense integer node ids in [0, N). Callers supply
 // adjacency through the Adjacency interface so that netlist structures can be
@@ -36,41 +36,6 @@ func (g Slice) AddEdge(u, v int) { g[u] = append(g[u], v) }
 
 // NewSlice returns an empty adjacency-list graph with n nodes.
 func NewSlice(n int) Slice { return make(Slice, n) }
-
-// Reverse returns the reversed adjacency lists of g.
-func Reverse(g Adjacency) Slice {
-	n := g.NumNodes()
-	r := NewSlice(n)
-	for u := 0; u < n; u++ {
-		g.Succ(u, func(v int) { r[v] = append(r[v], u) })
-	}
-	return r
-}
-
-// Reachable returns the set of nodes reachable from the given sources
-// (including the sources themselves) as a boolean slice.
-func Reachable(g Adjacency, sources []int) []bool {
-	n := g.NumNodes()
-	seen := make([]bool, n)
-	queue := make([]int, 0, len(sources))
-	for _, s := range sources {
-		if s >= 0 && s < n && !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		g.Succ(u, func(v int) {
-			if !seen[v] {
-				seen[v] = true
-				queue = append(queue, v)
-			}
-		})
-	}
-	return seen
-}
 
 // TopoOrder returns a topological order of g (nodes with no incoming edges
 // first) and reports whether g is acyclic. When g has cycles, ok is false and

@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// Reverse returns the reversed adjacency lists of g: the predecessor-list
+// oracle the condensation tests compare against.
+func Reverse(g Adjacency) Slice {
+	n := g.NumNodes()
+	r := NewSlice(n)
+	for u := 0; u < n; u++ {
+		g.Succ(u, func(v int) { r[v] = append(r[v], u) })
+	}
+	return r
+}
+
 func TestReverse(t *testing.T) {
 	g := NewSlice(4)
 	g.AddEdge(0, 1)
@@ -21,36 +32,6 @@ func TestReverse(t *testing.T) {
 	if r[3][0] != 1 || r[3][1] != 2 {
 		t.Fatalf("reverse of node 3: %v", r[3])
 	}
-}
-
-func TestReachable(t *testing.T) {
-	g := NewSlice(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	got := Reachable(g, []int{0})
-	want := []bool{true, true, true, false, false, false}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Reachable[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if r := Reachable(g, nil); anyTrue(r) {
-		t.Errorf("no sources should reach nothing: %v", r)
-	}
-	// Out-of-range sources are ignored rather than panicking.
-	if r := Reachable(g, []int{-1, 99, 5}); !r[5] || r[0] {
-		t.Errorf("source filtering wrong: %v", r)
-	}
-}
-
-func anyTrue(b []bool) bool {
-	for _, v := range b {
-		if v {
-			return true
-		}
-	}
-	return false
 }
 
 func TestTopoOrderAcyclic(t *testing.T) {
@@ -172,12 +153,26 @@ func TestSCCLongChainNoRecursionLimit(t *testing.T) {
 }
 
 // referenceSCC is a brute-force component computation for cross-checking:
-// u and v are in one SCC iff they reach each other.
+// u and v are in one SCC iff they reach each other (transitive closure by
+// Warshall's algorithm).
 func referenceSCC(g Slice) []int {
 	n := g.NumNodes()
 	reach := make([][]bool, n)
 	for u := 0; u < n; u++ {
-		reach[u] = Reachable(g, []int{u})
+		reach[u] = make([]bool, n)
+		reach[u][u] = true
+		for _, v := range g[u] {
+			reach[u][v] = true
+		}
+	}
+	for k := 0; k < n; k++ {
+		for u := 0; u < n; u++ {
+			if reach[u][k] {
+				for v := 0; v < n; v++ {
+					reach[u][v] = reach[u][v] || reach[k][v]
+				}
+			}
+		}
 	}
 	comp := make([]int, n)
 	for i := range comp {

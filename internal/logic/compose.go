@@ -1,6 +1,6 @@
 package logic
 
-// ComposeBool substitutes functions for variables like Compose, but runs
+// ComposeBoolPool substitutes functions for variables like Compose, but runs
 // word-parallel over the substituted tables via Shannon expansion of t:
 //
 //	t = ~x_j·t0 + x_j·t1  =>  result = (~subs[j] AND compose(t0)) OR
@@ -9,26 +9,23 @@ package logic
 // Cost is O(2^support(t) * words(result)) instead of the bit-serial
 // O(2^result * support(t)) of Compose — the difference matters when the
 // result ranges over many variables (cone functions over wide cuts).
-func (t *TT) ComposeBool(subs []*TT) *TT {
-	return t.ComposeBoolPool(subs, nil)
-}
-
-// ComposeBoolPool is ComposeBool with every transient table — Shannon
-// cofactors, negated substitutions, the per-level partial results — drawn
-// from and returned to p. The result itself is also pool-owned: the caller
-// must Put it back (or Clone it out) when done. A nil pool reproduces
-// ComposeBool exactly, with the result owned by the garbage collector.
+//
+// Every transient table — Shannon cofactors, negated substitutions, the
+// per-level partial results — is drawn from and returned to p. The result
+// itself is also pool-owned: the caller must Put it back (or Clone it out)
+// when done. With a nil pool every table, the result included, is owned by
+// the garbage collector.
 func (t *TT) ComposeBoolPool(subs []*TT, p *TTPool) *TT {
 	if len(subs) != t.nvar {
-		panic("logic: ComposeBool: need one substitution per variable")
+		panic("logic: ComposeBoolPool: need one substitution per variable")
 	}
 	if t.nvar == 0 {
-		panic("logic: ComposeBool on 0-var table")
+		panic("logic: ComposeBoolPool on 0-var table")
 	}
 	nv := subs[0].nvar
 	for _, s := range subs {
 		if s.nvar != nv {
-			panic("logic: ComposeBool: substitutions over different variable sets")
+			panic("logic: ComposeBoolPool: substitutions over different variable sets")
 		}
 	}
 	negs := make([]*TT, len(subs))

@@ -8,43 +8,9 @@ type Cube struct {
 	Pol  uint32
 }
 
-// NumLiterals returns the literal count of the cube.
-func (q Cube) NumLiterals() int {
-	n := 0
-	for m := q.Care; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
-}
-
-// TT materializes the cube as a truth table over nvar variables.
-func (q Cube) TT(nvar int) *TT {
-	t := Const(nvar, true)
-	for i := 0; i < nvar; i++ {
-		if q.Care&(1<<uint(i)) == 0 {
-			continue
-		}
-		x := Var(nvar, i)
-		if q.Pol&(1<<uint(i)) == 0 {
-			x.Not(x)
-		}
-		t.And(t, x)
-	}
-	return t
-}
-
-// CoverTT returns the disjunction of the cubes over nvar variables.
-func CoverTT(nvar int, cover []Cube) *TT {
-	t := Const(nvar, false)
-	for _, q := range cover {
-		t.Or(t, q.TT(nvar))
-	}
-	return t
-}
-
 // ISOP computes an irredundant sum-of-products cover of f using the
-// Minato–Morreale procedure. The cover is exact: CoverTT(f.NumVars(), cover)
-// equals f. Covers are usually far smaller than minterm covers, which keeps
+// Minato–Morreale procedure. The cover is exact: the disjunction of its
+// cubes equals f. Covers are usually far smaller than minterm covers, which keeps
 // the gate-decomposition trees (and BLIF files) small.
 func ISOP(f *TT) []Cube {
 	cover, _ := isop(f.Clone(), f.Clone(), f.NumVars())

@@ -53,13 +53,3 @@ func Mux21() *TT {
 	hi := b.And(b, s)
 	return lo.Or(lo, hi)
 }
-
-// Maj3 returns the 3-input majority function.
-func Maj3() *TT {
-	a, b, c := Var(3, 0), Var(3, 1), Var(3, 2)
-	ab := NewTT(3).And(a, b)
-	ac := NewTT(3).And(a, c)
-	bc := NewTT(3).And(b, c)
-	r := NewTT(3).Or(ab, ac)
-	return r.Or(r, bc)
-}

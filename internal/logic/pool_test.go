@@ -20,7 +20,7 @@ func TestComposeBoolPoolMatchesUnpooled(t *testing.T) {
 		for i := range subs {
 			subs[i] = randTT(rng, nv)
 		}
-		want := f.ComposeBool(subs)
+		want := f.ComposeBoolPool(subs, nil)
 		got := f.ComposeBoolPool(subs, &pool)
 		if !got.Equal(want) {
 			t.Fatalf("round %d: pooled compose diverged\nwant %s\ngot  %s", round, want, got)

@@ -340,50 +340,6 @@ func (t *TT) SupportSize() int {
 	return n
 }
 
-// Expand returns the same function over a larger variable set: variable j of
-// t becomes variable varMap[j] of the result, which has nvar variables.
-// varMap must be injective. The table is replicated over the new variables
-// and then reordered word-parallel by PermuteVarsInPlace.
-func (t *TT) Expand(nvar int, varMap []int) *TT {
-	if len(varMap) != t.nvar {
-		panic("logic: Expand: varMap length mismatch")
-	}
-	r := NewTT(nvar)
-	var perm [MaxVars]int
-	var used [MaxVars]bool
-	for j, p := range varMap {
-		if p < 0 || p >= nvar || used[p] {
-			panic(fmt.Sprintf("logic: Expand: bad varMap %v for %d variables", varMap, nvar))
-		}
-		perm[j], used[p] = p, true
-	}
-	// The added variables t.nvar..nvar-1 take the unused positions in
-	// increasing order; the replicated table does not depend on them.
-	next := 0
-	for j := t.nvar; j < nvar; j++ {
-		for used[next] {
-			next++
-		}
-		perm[j], used[next] = next, true
-	}
-	if t.nvar < 6 {
-		w := t.words[0]
-		for s := uint(1) << uint(t.nvar); s < 64; s <<= 1 {
-			w |= w << s
-		}
-		w &= mask(nvar)
-		for i := range r.words {
-			r.words[i] = w
-		}
-	} else {
-		for i := 0; i < len(r.words); i += len(t.words) {
-			copy(r.words[i:], t.words)
-		}
-	}
-	r.PermuteVarsInPlace(perm[:nvar])
-	return r
-}
-
 // BlocksEqual reports whether blocks i and j of t are equal. Block b is the
 // 2^m bits starting at bit b<<m: the subfunction over variables 0..m-1 with
 // the variables above fixed to the bits of b.

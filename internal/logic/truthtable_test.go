@@ -259,10 +259,20 @@ func TestDependsOnZeroAlloc(t *testing.T) {
 	}
 }
 
+// expand returns t over nvar variables, variable j of t becoming variable
+// varMap[j] of the result, by composing t with projections.
+func expand(t *TT, nvar int, varMap []int) *TT {
+	subs := make([]*TT, len(varMap))
+	for j, v := range varMap {
+		subs[j] = Var(nvar, v)
+	}
+	return t.ComposeBoolPool(subs, nil)
+}
+
 func TestExpand(t *testing.T) {
 	// xor(a,b) over 2 vars, embedded as vars 4 and 1 of a 5-var space.
 	f := XorAll(2)
-	g := f.Expand(5, []int{4, 1})
+	g := expand(f, 5, []int{4, 1})
 	for i := 0; i < 32; i++ {
 		a := i&(1<<4) != 0
 		b := i&(1<<1) != 0
@@ -272,7 +282,7 @@ func TestExpand(t *testing.T) {
 	}
 }
 
-// referenceExpand is the bit-serial definition of Expand: bit i of the
+// referenceExpand is the bit-serial definition of expand: bit i of the
 // result is t at the assignment whose bit j is bit varMap[j] of i.
 func referenceExpand(t *TT, nvar int, varMap []int) *TT {
 	r := NewTT(nvar)
@@ -288,17 +298,17 @@ func referenceExpand(t *TT, nvar int, varMap []int) *TT {
 	return r
 }
 
-// TestExpandMatchesPointwise: replication plus reordering equals the
-// bit-serial definition for random tables and random injective maps, from
-// 0..10 variables into up to MaxVars.
+// TestExpandMatchesPointwise: composing with projections equals the
+// bit-serial definition of expansion for random tables and random injective
+// maps, from 1..10 variables into up to MaxVars.
 func TestExpandMatchesPointwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 300; iter++ {
-		nvar := rng.Intn(MaxVars + 1)
-		k := rng.Intn(min(nvar, 10) + 1)
+		nvar := 1 + rng.Intn(MaxVars)
+		k := 1 + rng.Intn(min(nvar, 10))
 		f := randomTT(rng, k)
 		varMap := rng.Perm(nvar)[:k]
-		if got, want := f.Expand(nvar, varMap), referenceExpand(f, nvar, varMap); !got.Equal(want) {
+		if got, want := expand(f, nvar, varMap), referenceExpand(f, nvar, varMap); !got.Equal(want) {
 			t.Fatalf("%d vars into %d via %v: expansion differs", k, nvar, varMap)
 		}
 	}
@@ -410,18 +420,6 @@ func TestGates(t *testing.T) {
 			t.Fatalf("mux wrong at %d", i)
 		}
 	}
-	maj := Maj3()
-	for i := 0; i < 8; i++ {
-		n := 0
-		for b := 0; b < 3; b++ {
-			if i&(1<<b) != 0 {
-				n++
-			}
-		}
-		if maj.Bit(i) != (n >= 2) {
-			t.Fatalf("maj wrong at %d", i)
-		}
-	}
 	if !Inv().Equal(NewTT(1).Not(Buf())) {
 		t.Error("Inv != NOT Buf")
 	}
@@ -463,7 +461,6 @@ func TestPanics(t *testing.T) {
 	assertPanics("DependsOn out of range", func() { NewTT(2).DependsOn(2) })
 	assertPanics("block out of range", func() { NewTT(3).BlocksEqual(2, 0, 2) })
 	assertPanics("block wider than table", func() { NewTT(3).CopyBlock(4, 0, NewTT(5), 0) })
-	assertPanics("Expand non-injective", func() { NewTT(2).Expand(3, []int{1, 1}) })
 }
 
 func BenchmarkAnd10Var(b *testing.B) {

@@ -1,8 +1,7 @@
-// Package mapper provides the combinational mapping entry points (FlowMap,
-// FlowSYN) built on the same label engine as the sequential algorithms, the
-// FlowSYN-s baseline of the paper's experiments (cut the sequential circuit
-// at its registers, map every combinational island, merge back), and the
-// post-mapping LUT packing that reduces area.
+// Package mapper provides the FlowSYN-s baseline of the paper's experiments
+// (cut the sequential circuit at its registers, map every combinational
+// island on the same label engine as the sequential algorithms, merge back)
+// and the post-mapping LUT packing that reduces area.
 package mapper
 
 import (
@@ -15,35 +14,17 @@ import (
 	"turbosyn/internal/retime"
 )
 
-// combOptions returns core options tuned for exact combinational mapping:
-// expansions must reach the primary inputs, so candidate expansion is
-// unbounded (the circuit is acyclic, so it terminates).
-func combOptions(k int, decompose bool) core.Options {
+// combOptions returns core options tuned for exact combinational mapping
+// with decomposition (FlowSYN): expansions must reach the primary inputs, so
+// candidate expansion is unbounded (the circuit is acyclic, so it
+// terminates).
+func combOptions(k int) core.Options {
 	opts := core.DefaultOptions()
 	opts.K = k
-	opts.Decompose = decompose
 	opts.Pipelined = false
 	opts.LowDepth = 1 << 20
 	opts.MaxExpand = 1 << 22
 	return opts
-}
-
-// FlowMap computes a depth-optimal K-LUT mapping of a combinational
-// circuit (Cong–Ding). The result's Phi is the LUT depth.
-func FlowMap(c *netlist.Circuit, k int) (*core.Result, error) {
-	if c.NumFFs() != 0 {
-		return nil, fmt.Errorf("mapper: FlowMap needs a combinational circuit")
-	}
-	return core.Minimize(c, combOptions(k, false))
-}
-
-// FlowSYN maps a combinational circuit with Boolean resynthesis (functional
-// decomposition), reaching depths below FlowMap's structural optimum.
-func FlowSYN(c *netlist.Circuit, k int) (*core.Result, error) {
-	if c.NumFFs() != 0 {
-		return nil, fmt.Errorf("mapper: FlowSYN needs a combinational circuit")
-	}
-	return core.Minimize(c, combOptions(k, true))
 }
 
 // FlowSYNS is the paper's FlowSYN-s baseline for sequential circuits: cut
@@ -61,7 +42,7 @@ func FlowSYNSContext(ctx context.Context, c *netlist.Circuit, k int) (*core.Resu
 		return nil, err
 	}
 	split, bound := splitAtRegisters(c)
-	res, err := core.MinimizeContext(ctx, split, combOptions(k, true))
+	res, err := core.MinimizeContext(ctx, split, combOptions(k))
 	if err != nil {
 		if core.IsAbort(err) {
 			return nil, err // keep the structured error reachable by errors.As

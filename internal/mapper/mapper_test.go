@@ -34,9 +34,18 @@ func andTree32(t *testing.T) *netlist.Circuit {
 	return c
 }
 
+// mapComb maps a combinational circuit on the label engine with the exact
+// combinational options: FlowMap (Cong–Ding) without decomposition, FlowSYN
+// with it. The result's Phi is the LUT depth.
+func mapComb(c *netlist.Circuit, k int, decompose bool) (*core.Result, error) {
+	opts := combOptions(k)
+	opts.Decompose = decompose
+	return core.Minimize(c, opts)
+}
+
 func TestFlowMapDepthOptimal(t *testing.T) {
 	c := andTree32(t)
-	res, err := FlowMap(c, 4)
+	res, err := mapComb(c, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +78,11 @@ func TestFlowSYNBeatsFlowMapOnSkewedChain(t *testing.T) {
 		}
 	}
 	c.AddPO("z", g, 0)
-	fm, err := FlowMap(c, 4)
+	fm, err := mapComb(c, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := FlowSYN(c, 4)
+	fs, err := mapComb(c, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,15 +241,5 @@ func TestPackPreservesRegistersAndTiming(t *testing.T) {
 	vecs := sim.RandomVectors(rng, 200, 2)
 	if err := sim.CompareAligned(c, packed, origOf, vecs, 6); err != nil {
 		t.Fatalf("packed network diverges: %v", err)
-	}
-}
-
-func TestFlowMapRejectsSequential(t *testing.T) {
-	c := mealyish(t)
-	if _, err := FlowMap(c, 5); err == nil {
-		t.Fatal("sequential input accepted by FlowMap")
-	}
-	if _, err := FlowSYN(c, 5); err == nil {
-		t.Fatal("sequential input accepted by FlowSYN")
 	}
 }

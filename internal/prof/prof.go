@@ -63,9 +63,6 @@ func init() {
 // -cpuprofile is set.
 func Enable(on bool) { enabled = on }
 
-// Enabled reports whether phase labelling is on.
-func Enabled() bool { return enabled }
-
 // Phase tags the calling goroutine with the named stage until the next Phase
 // call. A no-op (one branch, zero allocation) when labelling is disabled.
 func Phase(op obs.Op) {

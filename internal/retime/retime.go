@@ -284,27 +284,3 @@ func MinPeriodPipelined(c *netlist.Circuit) (int, []int) {
 	}
 	return best, bestR
 }
-
-// PipelinePIs returns a clone of c with k extra registers on every edge
-// leaving a primary input, delaying every output by k cycles. This is the
-// paper's pipelining primitive ("insert the same number of FFs on the fanout
-// edges of every PI"), normally followed by retiming.
-func PipelinePIs(c *netlist.Circuit, k int) *netlist.Circuit {
-	if k < 0 {
-		panic("retime: negative pipeline depth")
-	}
-	d := c.Clone()
-	isPI := make([]bool, d.NumNodes())
-	for _, pi := range d.PIs {
-		isPI[pi] = true
-	}
-	for _, nd := range d.Nodes {
-		for i := range nd.Fanins {
-			if isPI[nd.Fanins[i].From] {
-				nd.Fanins[i].Weight += k
-			}
-		}
-	}
-	d.InvalidateCaches()
-	return d
-}

@@ -207,7 +207,7 @@ func TestChaosKillDuringDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
+	defer drain(s2)
 	if got := s2.Stats().Recovered; got != 3 {
 		t.Fatalf("recovered = %d, want 3", got)
 	}
@@ -405,7 +405,7 @@ func TestChaosKillDuringDrainTracesRecoverable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
+	defer drain(s2)
 	s2.Start()
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()

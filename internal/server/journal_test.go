@@ -313,7 +313,7 @@ func TestJournalVersionSkewQuarantinedAtStartup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer drain(s)
 	bad, err := os.ReadFile(path + ".bad")
 	if err != nil {
 		t.Fatalf("version-skewed journal was not quarantined: %v", err)

@@ -332,7 +332,7 @@ func TestTenantShedAndRejectedMetrics(t *testing.T) {
 	if _, err := s.Submit(quickSpec("acme")); err == nil {
 		t.Fatal("over-quota submission accepted")
 	}
-	if err := s.Close(); err != nil {
+	if err := drain(s); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")

@@ -46,8 +46,6 @@ type Config struct {
 	// 60s); MaxTimeout caps what they may ask for (default 10m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// DrainTimeout bounds Close's drain (default 30s).
-	DrainTimeout time.Duration
 	// JournalDir enables the crash-safe job journal ("" disables: jobs do
 	// not survive a restart).
 	JournalDir string
@@ -81,9 +79,6 @@ func (c Config) fill() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 10 * time.Minute
 	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 30 * time.Second
-	}
 	if c.TraceRingCap == 0 {
 		c.TraceRingCap = 1024
 	}
@@ -97,7 +92,7 @@ func (c Config) fill() Config {
 }
 
 // Server is the daemon. Create with New, serve its Handler, stop with
-// Drain (or Close).
+// Drain.
 type Server struct {
 	cfg     Config
 	queue   *jobqueue.Queue
@@ -227,9 +222,7 @@ func (s *Server) worker() {
 		job.setState(StateAdmitted)
 		s.running.Add(1)
 		s.tenantRunning(tenant, 1)
-		s.execJob(job)
-		s.tenantRunning(tenant, -1)
-		s.running.Add(-1)
+		s.execJob(job) // finishJob releases the running slot
 	}
 }
 
@@ -304,9 +297,11 @@ func (s *Server) shedJob(job *Job, reason string, errInfo *ErrorInfo) {
 // journal failure here is logged, not fatal: the in-memory answer stands,
 // and the crash-recovery worst case is one duplicate re-run.
 //
-// Ordering matters for the stitched trace: every daemon span is written
-// before job.finish makes the terminal state visible, because terminal
-// visibility is what licenses the trace handler to read the rings.
+// Ordering matters: every daemon span is written, and every gauge and
+// counter updated, before job.finish makes the terminal state visible.
+// Terminal visibility is what licenses the trace handler to read the rings,
+// and a reader that sees the job terminal must not still count it running
+// or miss it in done/failed/shed.
 func (s *Server) finishJob(job *Job, state State, meta ResultMeta, blif []byte, errInfo *ErrorInfo) {
 	if job.ring != nil {
 		if job.dispatchStart > 0 {
@@ -329,6 +324,8 @@ func (s *Server) finishJob(job *Job, state State, meta ResultMeta, blif []byte, 
 	// histogram must fill with tracing disabled too.
 	if !job.started.IsZero() {
 		s.metrics.run.Observe(time.Since(job.started).Seconds())
+		s.tenantRunning(tenantOf(job.Spec), -1)
+		s.running.Add(-1)
 	}
 	jt := job.traceNow()
 	jstart := time.Now()
@@ -344,7 +341,6 @@ func (s *Server) finishJob(job *Job, state State, meta ResultMeta, blif []byte, 
 	if jerr != nil {
 		s.logf("journal terminal failed", "job", job.ID, "err", jerr.Error())
 	}
-	job.finish(state, meta, blif, errInfo)
 	s.releaseMem()
 	switch state {
 	case StateDone:
@@ -357,6 +353,7 @@ func (s *Server) finishJob(job *Job, state State, meta ResultMeta, blif []byte, 
 		s.failed.Add(1)
 		s.logf("job failed", "job", job.ID, "tenant", tenantOf(job.Spec), "kind", string(errInfo.Kind), "err", errInfo.Message)
 	}
+	job.finish(state, meta, blif, errInfo)
 }
 
 // Submit runs admission control on spec and either admits it (returning the
@@ -519,13 +516,6 @@ func (s *Server) drain(ctx context.Context) error {
 		return fmt.Errorf("server: drain deadline expired; in-flight jobs were cancelled")
 	}
 	return nil
-}
-
-// Close drains with the configured DrainTimeout.
-func (s *Server) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-	defer cancel()
-	return s.Drain(ctx)
 }
 
 // Draining reports whether the server has stopped admitting.

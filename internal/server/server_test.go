@@ -27,6 +27,14 @@ func quickSpec(tenant string) JobSpec {
 	return JobSpec{Tenant: tenant, BLIF: quickBLIF}
 }
 
+// drain is the graceful shutdown the tests end a server with: Drain under a
+// 30 s deadline.
+func drain(s *Server) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	return s.Drain(ctx)
+}
+
 func testServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.JournalDir == "" {
@@ -36,7 +44,7 @@ func testServer(t *testing.T, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
+	t.Cleanup(func() { drain(s) })
 	return s
 }
 
@@ -171,7 +179,7 @@ func TestDaemonSmoke(t *testing.T) {
 		t.Errorf("legacy spec with bdd_node_budget ended %s, want %s", states[legacy.ID], StateDone)
 	}
 
-	if err := s.Close(); err != nil {
+	if err := drain(s); err != nil {
 		t.Fatalf("clean drain: %v", err)
 	}
 	st := s.Stats()
@@ -244,7 +252,7 @@ func TestDaemonRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
+	defer drain(s2)
 	if got := s2.Stats().Recovered; got != 3 {
 		t.Fatalf("recovered = %d, want 3", got)
 	}
@@ -267,7 +275,7 @@ func TestDaemonRecovery(t *testing.T) {
 			t.Errorf("%s: result not marked recovered: %+v", id, st.Result)
 		}
 	}
-	if err := s2.Close(); err != nil {
+	if err := drain(s2); err != nil {
 		t.Fatal(err)
 	}
 	// After a clean drain the compact-on-open cycle leaves nothing pending.
@@ -285,7 +293,7 @@ func TestDaemonRecovery(t *testing.T) {
 func TestDaemonDrainRejectsSubmit(t *testing.T) {
 	s := testServer(t, Config{Fleet: 1})
 	s.Start()
-	if err := s.Close(); err != nil {
+	if err := drain(s); err != nil {
 		t.Fatal(err)
 	}
 	_, err := s.Submit(quickSpec("t"))
@@ -293,7 +301,7 @@ func TestDaemonDrainRejectsSubmit(t *testing.T) {
 	if !errors.As(err, &rej) || rej.Reason != jobqueue.ReasonClosed {
 		t.Fatalf("submit after drain: %v, want RejectError{closed}", err)
 	}
-	if err := s.Close(); err != nil {
+	if err := drain(s); err != nil {
 		t.Fatalf("second drain: %v", err)
 	}
 }
@@ -371,7 +379,7 @@ func TestProgressStream(t *testing.T) {
 func TestNewRejectsNegativeWorkersPerJob(t *testing.T) {
 	s, err := New(Config{Fleet: 1, WorkersPerJob: -1})
 	if err == nil {
-		s.Close()
+		drain(s)
 		t.Fatal("New accepted WorkersPerJob = -1")
 	}
 	if !strings.Contains(err.Error(), "WorkersPerJob") {

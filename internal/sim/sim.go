@@ -23,7 +23,6 @@ type Simulator struct {
 	// hist[n][(cursor - w) mod depth] is the value w cycles ago.
 	hist   [][]bool
 	cursor int
-	cycle  int
 	cur    []bool
 }
 
@@ -53,20 +52,6 @@ func New(c *netlist.Circuit) (*Simulator, error) {
 	}
 	return s, nil
 }
-
-// Reset returns every register to zero and the cycle counter to zero.
-func (s *Simulator) Reset() {
-	for _, h := range s.hist {
-		for i := range h {
-			h[i] = false
-		}
-	}
-	s.cursor = 0
-	s.cycle = 0
-}
-
-// Cycle returns the number of completed steps since the last Reset.
-func (s *Simulator) Cycle() int { return s.cycle }
 
 // past returns node n's output w cycles ago (w >= 1).
 func (s *Simulator) past(n, w int) bool {
@@ -114,7 +99,6 @@ func (s *Simulator) Step(inputs []bool) []bool {
 		}
 	}
 	s.cursor++
-	s.cycle++
 	return out
 }
 

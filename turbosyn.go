@@ -311,7 +311,6 @@ func (o Options) coreOptions(pg *obs.Progress, logger *slog.Logger) core.Options
 		Decompose:       o.Algorithm == TurboSYN,
 		PLD:             !o.NoPLD,
 		Pipelined:       o.Objective == MinRatio,
-		Relax:           true,
 		Workers:         o.Workers,
 		CacheDir:        o.CacheDir,
 		RothKarpBudget:  o.RothKarpBudget,
