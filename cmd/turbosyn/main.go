@@ -172,9 +172,8 @@ func main() {
 	if *metricsAddr != "" {
 		// Idempotent publication: a second engine in the same process (or a
 		// test running main twice) re-targets the "turbosyn" expvar instead
-		// of panicking in expvar.Publish. Daemons hosting many concurrent
-		// runs scope the name by run id instead — see Metrics.PublishExpvar.
-		unpublish := met.PublishExpvar("")
+		// of panicking in expvar.Publish.
+		unpublish := met.PublishExpvar()
 		defer unpublish()
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", met)

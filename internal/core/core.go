@@ -57,10 +57,8 @@ type Options struct {
 	// just as valid and never worse.
 	MaxExpand int
 	// Decompose enables TurboSYN's sequential functional decomposition;
-	// false gives TurboMap. The mapping pass of a decomposing run always
-	// applies the paper's label relaxation for area: after convergence,
-	// resynthesized covers whose labels can rise without breaking
-	// feasibility revert to single structural LUTs.
+	// false gives TurboMap. The paper's label relaxation for area is left
+	// out (DESIGN.md, "Deviation: no label relaxation").
 	Decompose bool
 	// PLD enables predecessor-graph positive loop detection. Without it,
 	// infeasible targets fall back to the conservative per-SCC n^2 bound.

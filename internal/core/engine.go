@@ -372,7 +372,7 @@ func (e *Engine) checkinState(s *state) {
 
 // withState checks a probe state out for (phi, opts) under call c, runs fn
 // on it and checks it back in. It is the one panic boundary around a
-// state's run and whatever follows it (relaxation, mapping generation): a
+// state's run and whatever follows it (mapping generation): a
 // panic that escapes the label engine's own per-component boundary becomes
 // an *InternalError of op instead of killing the process, and is recorded on
 // the state so checkin poisons its arenas — nothing about the state's
@@ -467,9 +467,8 @@ func (e *Engine) MapAtRatioContext(ctx context.Context, phi int, opts Options) (
 	return res, nil
 }
 
-// mapAtRatio is the mapping pass of call c at phi: one probe, then (when it
-// is feasible) relaxation for area — the paper's TurboSYN always relaxes, so
-// it runs whenever decomposition is on — and mapping generation. It returns
+// mapAtRatio is the mapping pass of call c at phi: one cold probe and, when
+// it is feasible, mapping generation from its converged labels. It returns
 // the pass's work, partial when err != nil; the caller sets Result.Stats.
 // The pass runs inside withState's panic boundary, like every probe.
 func (e *Engine) mapAtRatio(phi int, c *call) (res *Result, st Stats, err error) {
@@ -488,11 +487,6 @@ func (e *Engine) mapAtRatio(phi int, c *call) (res *Result, st Stats, err error)
 		}
 		if !ok {
 			return fmt.Errorf("core: target %d is infeasible for %s", phi, e.c.Name)
-		}
-		if opts.Decompose {
-			if err := s.relaxForArea(); err != nil {
-				return err
-			}
 		}
 		m, origOf, err := s.generate()
 		if err != nil {

@@ -15,7 +15,7 @@ import (
 //
 //	m := &obs.Metrics{}
 //	opts.Progress = m.Update
-//	release := m.PublishExpvar("")  // or a run-id-scoped name
+//	release := m.PublishExpvar()
 //	defer release()
 //	http.Handle("/metrics", m)
 //
@@ -68,16 +68,11 @@ func PublishExpvar(name string, fn func() any) (release func()) {
 	}
 }
 
-// PublishExpvar publishes the metrics' latest snapshot under
-// "turbosyn.<scope>" (or plain "turbosyn" for an empty scope). Scope it by
-// run id when several engines share a process — the daemon's debug mux
-// does — so concurrent runs never clobber each other's series.
-func (m *Metrics) PublishExpvar(scope string) (release func()) {
-	name := "turbosyn"
-	if scope != "" {
-		name = "turbosyn." + scope
-	}
-	return PublishExpvar(name, m.Expvar)
+// PublishExpvar publishes the metrics' latest snapshot under "turbosyn".
+// Other values go through the package-level PublishExpvar under their own
+// names (turbosynd publishes its stats as "turbosynd").
+func (m *Metrics) PublishExpvar() (release func()) {
+	return PublishExpvar("turbosyn", m.Expvar)
 }
 
 // Update records the latest snapshot; use it directly as the progress

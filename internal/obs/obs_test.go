@@ -164,7 +164,7 @@ func TestPublishExpvarIdempotent(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m := &Metrics{}
 		m.Update(Snapshot{RunID: fmt.Sprintf("run-%d", i)})
-		rel = append(rel, m.PublishExpvar(""))
+		rel = append(rel, m.PublishExpvar())
 	}
 	v := expvar.Get("turbosyn")
 	if v == nil {
@@ -188,7 +188,8 @@ func TestPublishExpvarIdempotent(t *testing.T) {
 	a, b := &Metrics{}, &Metrics{}
 	a.Update(Snapshot{RunID: "job-a"})
 	b.Update(Snapshot{RunID: "job-b"})
-	relA, relB := a.PublishExpvar("job-a"), b.PublishExpvar("job-b")
+	relA := PublishExpvar("turbosyn.job-a", a.Expvar)
+	relB := PublishExpvar("turbosyn.job-b", b.Expvar)
 	defer relA()
 	defer relB()
 	if !strings.Contains(expvar.Get("turbosyn.job-a").String(), "job-a") ||
@@ -198,7 +199,7 @@ func TestPublishExpvarIdempotent(t *testing.T) {
 	// Re-publishing a released name revives it.
 	c := &Metrics{}
 	c.Update(Snapshot{RunID: "revived"})
-	defer c.PublishExpvar("")()
+	defer c.PublishExpvar()()
 	if !strings.Contains(expvar.Get("turbosyn").String(), "revived") {
 		t.Fatal("re-publish after release did not revive the name")
 	}

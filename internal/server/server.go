@@ -56,9 +56,6 @@ type Config struct {
 	// in events (default 1024, ~48 KiB per ring; -1 disables per-job
 	// tracing — GET /jobs/{id}/trace then answers 404).
 	TraceRingCap int
-	// ProgressInterval is the engine's progress-snapshot cadence pushed to
-	// progress-stream subscribers (default 250ms).
-	ProgressInterval time.Duration
 	// Logger receives structured serving logs (nil = silent).
 	Logger *slog.Logger
 }
@@ -84,9 +81,6 @@ func (c Config) fill() Config {
 	}
 	if c.TraceRingCap < 0 {
 		c.TraceRingCap = 0 // 0 = disabled from here on
-	}
-	if c.ProgressInterval <= 0 {
-		c.ProgressInterval = 250 * time.Millisecond
 	}
 	return c
 }
@@ -226,6 +220,10 @@ func (s *Server) worker() {
 	}
 }
 
+// progressInterval is the engine's progress-snapshot cadence pushed to
+// progress-stream subscribers.
+const progressInterval = 250 * time.Millisecond
+
 // execJob runs one job inside the panic fence: any panic that escapes the
 // engine's own containment (or lives in the serving path itself) marks this
 // job failed and the worker keeps serving.
@@ -250,7 +248,7 @@ func (s *Server) execJob(job *Job) {
 	}
 	opts.RunID = job.ID
 	opts.Logger = s.cfg.Logger
-	opts.ProgressInterval = s.cfg.ProgressInterval
+	opts.ProgressInterval = progressInterval
 	opts.Progress = func(snap obs.Snapshot) {
 		job.snap.Store(&snap)
 		job.publish(job.Status())

@@ -93,8 +93,8 @@ const (
 )
 
 // Options configures Synthesize. The zero value requests the paper's
-// defaults: TurboSYN, K = 5, resynthesis cuts up to 15 inputs, PLD on, label
-// relaxation on, MDR objective, packing and realization enabled.
+// defaults: TurboSYN, K = 5, resynthesis cuts up to 15 inputs, PLD on, MDR
+// objective, packing and realization enabled.
 type Options struct {
 	K         int
 	Algorithm Algorithm
