@@ -127,34 +127,6 @@ func BenchmarkPLDOff_bbara(b *testing.B) { benchmarkProbe(b, "bbara", false) }
 func BenchmarkPLDOn_s420(b *testing.B)   { benchmarkProbe(b, "s420", true) }
 func BenchmarkPLDOff_s420(b *testing.B)  { benchmarkProbe(b, "s420", false) }
 
-// --- F-WARM: the warm-started binary search ---
-//
-// Every probe after the first feasible one is seeded from the nearest
-// feasible probe's labels; iters, warmstarts, visits and skips report what
-// the search spent. The warm-versus-cold iteration saving is pinned as a
-// count by TestWarmStartReducesSweeps in internal/core.
-
-func benchmarkSearch(b *testing.B, name string) {
-	c := benchCase(b, name)
-	opts := core.DefaultOptions()
-	opts.Workers = 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.Minimize(c, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Stats.Iterations), "iters")
-		b.ReportMetric(float64(res.Stats.WarmStarts), "warmstarts")
-		b.ReportMetric(float64(res.Stats.SweepNodeVisits), "visits")
-		b.ReportMetric(float64(res.Stats.DirtySkips), "skips")
-	}
-}
-
-func BenchmarkWarmProbes_bbara(b *testing.B) { benchmarkSearch(b, "bbara") }
-func BenchmarkWarmProbes_s420(b *testing.B)  { benchmarkSearch(b, "s420") }
-
 // --- F-SCALE: runtime growth with circuit size ---
 //
 // The j1/jN sub-benchmarks pin Options.Workers to 1 (sequential) and 0 (all

@@ -212,7 +212,7 @@ func main() {
 	var (
 		totalRuns int
 		totalLUTs int
-		totalCPU  time.Duration
+		totalWall time.Duration
 		// Work-avoidance and memory aggregates across every file and -repeat
 		// run: sweep visit/skip sums, worklist and arena high-water marks, and
 		// the engines' arena-pool checkout traffic.
@@ -298,7 +298,7 @@ func main() {
 		}
 		totalRuns += *repeat
 		totalLUTs += res.LUTs
-		totalCPU += elapsed
+		totalWall += elapsed
 		totalVisits += fileVisits
 		totalSkips += fileSkips
 		if fileWorklist > peakWorklist {
@@ -316,7 +316,7 @@ func main() {
 			perRun = fmt.Sprintf(" (%d runs, %v/run)", *repeat, (elapsed / time.Duration(*repeat)).Round(time.Millisecond))
 		}
 		fmt.Fprintf(os.Stderr,
-			"%s: %v phi=%d luts=%d latency=%v cpu=%v%s (in: %d gates, %d FFs)\n",
+			"%s: %v phi=%d luts=%d latency=%v wall=%v%s (in: %d gates, %d FFs)\n",
 			c.Name, res.Algorithm, res.Phi, res.LUTs, res.Latency,
 			elapsed.Round(time.Millisecond), perRun, c.NumGates(), c.NumFFs())
 		fmt.Fprintf(os.Stderr,
@@ -359,9 +359,9 @@ func main() {
 	}
 	writeTrace()
 	if len(files) > 1 || *repeat > 1 {
-		fmt.Fprintf(os.Stderr, "total: %d circuits, %d runs, luts=%d, cpu=%v (%v/run)\n",
-			len(files), totalRuns, totalLUTs, totalCPU.Round(time.Millisecond),
-			(totalCPU / time.Duration(totalRuns)).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "total: %d circuits, %d runs, luts=%d, wall=%v (%v/run)\n",
+			len(files), totalRuns, totalLUTs, totalWall.Round(time.Millisecond),
+			(totalWall / time.Duration(totalRuns)).Round(time.Millisecond))
 		fmt.Fprintf(os.Stderr,
 			"total: sweeps: %d visits, %d skips (%s avoided), worklist peak %d, arena peak %s, pool: %d reuses, %d creates, %d discards\n",
 			totalVisits, totalSkips, pctAvoided(totalVisits, totalSkips),

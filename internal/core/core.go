@@ -68,9 +68,8 @@ type Options struct {
 	Pipelined bool
 	// IterBudget, when positive, aborts a probe (reporting infeasible)
 	// once the label computation exceeds this many iterations. Used by the
-	// ablation harness to bound the conservative n^2 stopping rule. A
-	// positive budget also stops the binary search from warm-starting its
-	// probes, so every probe counts iterations from the initial labels.
+	// ablation harness to bound the conservative n^2 stopping rule; every
+	// probe is cold, so each counts iterations from the initial labels.
 	IterBudget int
 	// Workers bounds the worker pool of the dataflow component scheduler
 	// that runs each probe's label computation: 0 means runtime.NumCPU(),
@@ -172,7 +171,10 @@ func DefaultOptions() Options {
 	return Options{Decompose: true, PLD: true, Pipelined: true}.withDefaults()
 }
 
-// Stats counts the work a run performed. Results never depend on
+// Stats counts the work a run performed. Every probe is cold: its label
+// work is a function of (circuit, phi, options), and a Minimize run's is
+// exactly the sum of its search probes' (its mapping is generated from the
+// best probe's state, with no further probe). Results never depend on
 // Options.Workers, but above 1 worker some counters do: the decomposition
 // cache and Roth-Karp counters, every work counter of an infeasible probe,
 // and the concurrency counters. Every counter is exact only at Workers 1
@@ -186,11 +188,10 @@ type Stats struct {
 	PLDChecks      int // predecessor-graph reachability checks
 	PLDHits        int // infeasibility detected by PLD
 
-	// Arena and warm-start effectiveness counters (see DESIGN.md).
+	// Arena effectiveness counters (see DESIGN.md).
 	ExpandBuilds   int // expansions built from scratch
 	ExpandReuses   int // expansions served by in-place Tighten/Loosen
 	ArenaPeakBytes int // high-water footprint of the busiest scratch arena
-	WarmStarts     int // search probes seeded from a neighbouring probe's labels
 
 	// Engine arena-pool effectiveness (zero on the throwaway path, where
 	// states have no pool): how many worker arenas this run checked out, and
@@ -231,7 +232,7 @@ type Stats struct {
 	CacheShardMisses   int // sharded decomposition-cache misses
 	CachePersistedHits int // hits served by entries loaded from a CacheDir log
 	CacheNPNHits       int // hits reached through a non-identity NPN transform
-	ProbesLaunched     int // feasibility probes started by the search
+	ProbesLaunched     int // probes started: one per search step, Feasible or MapAtRatio call
 	// ProbesCancelled is always 0: the search runs one probe at a time and
 	// never abandons one. The field stays because tools that read Stats
 	// (the repository benchmark among them) report it.
@@ -266,7 +267,6 @@ func (s *Stats) Add(s2 Stats) {
 	if s2.ArenaPeakBytes > s.ArenaPeakBytes {
 		s.ArenaPeakBytes = s2.ArenaPeakBytes
 	}
-	s.WarmStarts += s2.WarmStarts
 	s.ArenaCheckouts += s2.ArenaCheckouts
 	s.ArenaPoolHits += s2.ArenaPoolHits
 	s.BoundSetsExamined += s2.BoundSetsExamined

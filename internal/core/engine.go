@@ -40,8 +40,7 @@ type analysis struct {
 	// sameFlat/sameOff: per-node same-component successor lists (CSR) — the
 	// nodes the worklist re-marks dirty when id's label raises. Only
 	// intra-SCC edges appear: a raise never needs to mark across components,
-	// because downstream components either seed fully dirty (cold probes) or
-	// reconcile against upstream labels when they start (warm probes); see
+	// because downstream components seed fully dirty when they start; see
 	// iterateComp. Duplicate edges (parallel fanins) repeat here — marking a
 	// dirty bit twice is free.
 	sameFlat []int32
@@ -345,21 +344,12 @@ func (e *Engine) checkoutState(phi int, opts Options, c *call) *state {
 	return s
 }
 
-// checkinState releases a probe state back to the engine. The state's arenas
-// return to the pool — poisoned first when the probe aborted through a fatal
-// error (contained panic, strict budget) or context cancellation, so scratch
-// that may have been interrupted mid-mutation is never reused. The state
-// shell itself is always reusable: resetFor reinitializes every per-probe
-// field from scratch on the next checkout.
+// checkinState releases a probe state back to the engine: its arenas
+// return to the pool (see releaseArenas) and the state shell is pooled. The
+// shell is always reusable: resetFor reinitializes every per-probe field
+// from scratch on the next checkout.
 func (e *Engine) checkinState(s *state) {
-	poisoned := s.fails.tripped() || s.guard.cancelled()
-	for _, ar := range s.arenas {
-		if poisoned {
-			ar.poisoned = true
-		}
-		e.pool.checkin(ar, s.opts.ArenaByteBudget)
-	}
-	s.arenas = s.arenas[:0]
+	e.releaseArenas(s)
 	s.cache = nil
 	s.conc = nil
 	s.guard = nil
@@ -370,16 +360,49 @@ func (e *Engine) checkinState(s *state) {
 	e.mu.Unlock()
 }
 
-// withState checks a probe state out for (phi, opts) under call c, runs fn
-// on it and checks it back in. It is the one panic boundary around a
-// state's run and whatever follows it (mapping generation): a
-// panic that escapes the label engine's own per-component boundary becomes
-// an *InternalError of op instead of killing the process, and is recorded on
-// the state so checkin poisons its arenas — nothing about the state's
-// scratch can be trusted after it.
-func (e *Engine) withState(phi int, opts Options, c *call, op string, fn func(*state) error) (err error) {
+// releaseArenas returns the state's arenas to the pool — poisoned first
+// when the probe aborted through a fatal error (contained panic, strict
+// budget) or context cancellation, so scratch that may have been
+// interrupted mid-mutation is never reused. A state held after its run
+// (the search's best probe) keeps its labels and covers, which mapping
+// generation reads without any arena.
+func (e *Engine) releaseArenas(s *state) {
+	poisoned := s.fails.tripped() || s.guard.cancelled()
+	for _, ar := range s.arenas {
+		if poisoned {
+			ar.poisoned = true
+		}
+		e.pool.checkin(ar, s.opts.ArenaByteBudget)
+	}
+	s.arenas = s.arenas[:0]
+}
+
+// withState checks a probe state out for (phi, opts) under call c and runs
+// fn on it inside contain's panic boundary (op). The state goes back to the
+// engine afterwards, unless fn succeeded and asked to keep it: then only its
+// arenas return to the pool and the state is returned, owned by the caller
+// until checkinState.
+func (e *Engine) withState(phi int, opts Options, c *call, op string, fn func(*state) (keep bool, err error)) (*state, error) {
 	s := e.checkoutState(phi, opts, c)
-	defer e.checkinState(s)
+	keep := false
+	err := contain(s, op, func() (err error) {
+		keep, err = fn(s)
+		return err
+	})
+	if keep && err == nil {
+		e.releaseArenas(s)
+		return s, nil
+	}
+	e.checkinState(s)
+	return nil, err
+}
+
+// contain is the one panic boundary around a state's use outside the label
+// engine's own per-component boundary: its run and the mapping generation
+// that follows. A panic becomes an *InternalError of op instead of killing
+// the process, and is recorded on the state so that releasing its arenas
+// poisons them — nothing about the state's scratch can be trusted after it.
+func contain(s *state, op string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ie := newInternalError(r, op, -1, -1)
@@ -387,7 +410,7 @@ func (e *Engine) withState(phi int, opts Options, c *call, op string, fn func(*s
 			err = ie
 		}
 	}()
-	return fn(s)
+	return fn()
 }
 
 // call is the bookkeeping of one public entry point (FeasibleContext,
@@ -445,21 +468,36 @@ func (e *Engine) FeasibleContext(ctx context.Context, phi int, opts Options) (bo
 	if c.opts.Trace != nil {
 		ring = c.opts.Trace.NewRing("probe")
 	}
-	ok, st, _, err := e.probe(ring, phi, c.opts, c, nil, 0)
+	st, s, err := e.probe(ring, phi, c.opts, c)
+	if s != nil {
+		e.checkinState(s)
+	}
 	if err := c.end(&st, err, "probe", -1); err != nil {
 		return false, st, err
 	}
-	return ok, st, nil
+	return s != nil, st, nil
 }
 
 // MapAtRatioContext computes labels and a mapped LUT network for a specific
-// feasible phi on the engine's circuit. It fails if phi is infeasible.
+// feasible phi on the engine's circuit: one cold probe and, when it is
+// feasible, mapping generation from its converged labels. It fails if phi
+// is infeasible.
 func (e *Engine) MapAtRatioContext(ctx context.Context, phi int, opts Options) (*Result, error) {
 	c, err := e.begin(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	res, st, err := e.mapAtRatio(phi, c)
+	var st Stats
+	res, err := e.mapStep(c.opts, phi, func() (*state, error) {
+		return e.withState(phi, c.opts, c, "map", func(s *state) (bool, error) {
+			defer func() { st = s.stats }()
+			ok, err := s.run()
+			if err == nil && !ok {
+				err = fmt.Errorf("core: target %d is infeasible for %s", phi, e.c.Name)
+			}
+			return true, err
+		})
+	})
 	if err := c.end(&st, err, "map", -1); err != nil {
 		return nil, err
 	}
@@ -467,51 +505,35 @@ func (e *Engine) MapAtRatioContext(ctx context.Context, phi int, opts Options) (
 	return res, nil
 }
 
-// mapAtRatio is the mapping pass of call c at phi: one cold probe and, when
-// it is feasible, mapping generation from its converged labels. It returns
-// the pass's work, partial when err != nil; the caller sets Result.Stats.
-// The pass runs inside withState's panic boundary, like every probe.
-func (e *Engine) mapAtRatio(phi int, c *call) (res *Result, st Stats, err error) {
-	opts := c.opts
+// mapStep is a call's mapping step at phi, under progress phase "map" and
+// inside one OpMap span: it takes a state kept after a feasible run from
+// kept, generates the mapping from it inside contain's panic boundary (op
+// "map") and checks the state in. The caller sets Result.Stats.
+func (e *Engine) mapStep(opts Options, phi int, kept func() (*state, error)) (res *Result, err error) {
 	opts.Progress.SetPhase("map")
 	if opts.Trace != nil {
 		ring := opts.Trace.NewRing("map")
 		t0 := ring.Now()
 		defer func() { ring.Span(obs.OpMap, t0, int64(phi), probeVerdict(err == nil, err)) }()
 	}
-	err = e.withState(phi, opts, c, "map", func(s *state) error {
-		defer func() { st = s.stats }()
-		ok, err := s.run()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("core: target %d is infeasible for %s", phi, e.c.Name)
-		}
-		m, origOf, err := s.generate()
-		if err != nil {
-			return err
-		}
-		res = &Result{
-			Phi: phi,
-			// The state returns to the engine and its label array is reused
-			// by the next probe; the result must own its copy.
-			Labels: append([]int(nil), s.labels...),
-			Mapped: m,
-			LUTs:   m.NumGates(),
-			OrigOf: origOf,
-			Opts:   opts,
-		}
-		return nil
+	s, err := kept()
+	if err != nil {
+		return nil, err
+	}
+	defer e.checkinState(s)
+	err = contain(s, "map", func() (err error) {
+		res, err = s.generate()
+		return err
 	})
-	return res, st, err
+	return res, err
 }
 
 // MinimizeContext finds the minimum feasible phi by binary search on the
 // engine's circuit and returns the mapping at that phi (see the package
 // MinimizeContext for the search and abort semantics). Every probe of the
 // search checks its state and arenas out of the engine instead of
-// rebuilding the circuit analysis.
+// rebuilding the circuit analysis, and the mapping is generated from the
+// state of the search's best probe, so no probe runs after the search.
 func (e *Engine) MinimizeContext(ctx context.Context, opts Options) (*Result, error) {
 	c, err := e.begin(ctx, opts)
 	if err != nil {
@@ -519,7 +541,7 @@ func (e *Engine) MinimizeContext(ctx context.Context, opts Options) (*Result, er
 	}
 	opts = c.opts
 	// One call spans the whole search — every probe and the final mapping
-	// pass. (The decomposition cache is the engine's and spans calls.)
+	// step. (The decomposition cache is the engine's and spans calls.)
 	var total Stats
 	fail := func(err error, phase string, best int) (*Result, error) {
 		if opts.Logger != nil {
@@ -533,22 +555,22 @@ func (e *Engine) MinimizeContext(ctx context.Context, opts Options) (*Result, er
 		opts.Progress.SetPhase("turbomap-ub")
 		tmOpts := opts
 		tmOpts.Decompose = false
-		tm, err := e.minimizeSearch(ub, tmOpts, c, &total)
+		tm, s, err := e.minimizeSearch(ub, tmOpts, c, &total)
 		if err != nil {
 			return fail(err, "turbomap-ub", tm)
 		}
+		e.checkinState(s)
 		if opts.Logger != nil {
 			opts.Logger.Debug("turbomap upper bound", "ub", tm, "retimedUB", ub)
 		}
 		ub = tm
 	}
 	opts.Progress.SetPhase("search")
-	best, err := e.minimizeSearch(ub, opts, c, &total)
+	best, s, err := e.minimizeSearch(ub, opts, c, &total)
 	if err != nil {
 		return fail(err, "search", best)
 	}
-	res, st, err := e.mapAtRatio(best, c)
-	total.Add(st)
+	res, err := e.mapStep(opts, best, func() (*state, error) { return s, nil })
 	if err != nil {
 		return fail(err, "map", best)
 	}

@@ -113,11 +113,25 @@ func TestEngineMapAtRatioMatchesOneShot(t *testing.T) {
 
 // TestArenaPoolBounded: 20 Minimize runs on one engine must converge to a
 // steady state — after a short warmup no new arenas are created, nothing is
-// discarded, and the pool's retained footprint stops growing. A linear
+// discarded, and no pooled arena retains more than twice what the single
+// arena of a fresh Workers 1 Minimize retains (arenas keep their largest
+// backing arrays, and one arena that ran every component bounds what any
+// one of them needed, whichever components the schedule gave it). A linear
 // growth in Creates or FreeBytes here means arenas leak past the pool.
 func TestArenaPoolBounded(t *testing.T) {
 	c := faultCircuit(t)
 	opts := DefaultOptions()
+	opts.Workers = 1
+	one, err := NewEngine(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := one.MinimizeContext(context.Background(), opts); err != nil {
+		t.Fatal(err)
+	}
+	perArena := one.PoolStats().FreeBytes
+	one.Close()
+
 	opts.Workers = 4
 	e, err := NewEngine(c, opts)
 	if err != nil {
@@ -142,8 +156,9 @@ func TestArenaPoolBounded(t *testing.T) {
 	if final.Discards != 0 {
 		t.Errorf("clean runs discarded %d arenas", final.Discards)
 	}
-	if final.FreeBytes > 2*warm.FreeBytes+1<<20 {
-		t.Errorf("pooled bytes grew past bound: warm %d, final %d", warm.FreeBytes, final.FreeBytes)
+	if final.FreeBytes > final.Free*2*perArena {
+		t.Errorf("pooled bytes grew past bound: %d arenas hold %d, one Workers 1 arena %d",
+			final.Free, final.FreeBytes, perArena)
 	}
 	if final.Reuses < 15*opts.Workers {
 		t.Errorf("pool barely reused: %+v", final)

@@ -38,7 +38,7 @@ func (e *CancelError) Unwrap() error { return e.Err }
 // boundary, and the run shut down cleanly. Op names the subsystem: "labels"
 // (one component's iteration), "scheduler" (a worker of the dataflow
 // scheduler), "probe" (a search probe outside those) or "map" (the mapping
-// pass: run and generation); the daemon adds "job". Comp is the
+// step: generation, and MapAtRatio's own probe); the daemon adds "job". Comp is the
 // SCC component and Node the circuit node being processed (-1 when
 // unknown), and Value carries the recovered panic value (for injected
 // faults, a *faultinject.Injected).

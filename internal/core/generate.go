@@ -11,8 +11,9 @@ import (
 // cover records. The result is cycle-accurate equivalent to the input
 // circuit: LUT_v computes v's sequential function, and an edge from LUT_u
 // into LUT_v carries the register count w of the covered replica u^w.
-// Retiming the result (pipelined or not) realizes the target phi.
-func (s *state) generate() (*netlist.Circuit, []int, error) {
+// Retiming the result (pipelined or not) realizes the target phi. The
+// caller sets Result.Stats.
+func (s *state) generate() (*Result, error) {
 	c := s.c
 	m := netlist.NewCircuit(c.Name + "_mapped")
 	mapped := make([]int, c.NumNodes())
@@ -38,7 +39,7 @@ func (s *state) generate() (*netlist.Circuit, []int, error) {
 		neededIDs = append(neededIDs, id)
 		rec := s.recs[id]
 		if rec.tree == nil {
-			return nil, nil, fmt.Errorf("core: no cover recorded for needed gate %q", c.Nodes[id].Name)
+			return nil, fmt.Errorf("core: no cover recorded for needed gate %q", c.Nodes[id].Name)
 		}
 		for _, r := range rec.cut {
 			want(r.Orig)
@@ -54,23 +55,23 @@ func (s *state) generate() (*netlist.Circuit, []int, error) {
 	}
 	for _, id := range neededIDs {
 		if err := s.materialize(m, mapped, id); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	for _, po := range c.POs {
 		f := c.Nodes[po].Fanins[0]
 		if mapped[f.From] < 0 {
-			return nil, nil, fmt.Errorf("core: PO %q driver unmapped", c.Nodes[po].Name)
+			return nil, fmt.Errorf("core: PO %q driver unmapped", c.Nodes[po].Name)
 		}
 		id := m.AddPO(c.Nodes[po].Name, mapped[f.From], f.Weight)
 		mapped[po] = id
 	}
 	m.InvalidateCaches()
 	if err := m.Check(); err != nil {
-		return nil, nil, fmt.Errorf("core: generated network is malformed: %v", err)
+		return nil, fmt.Errorf("core: generated network is malformed: %v", err)
 	}
 	if !m.IsKBounded(s.opts.K) {
-		return nil, nil, fmt.Errorf("core: generated network exceeds K=%d (max fanin %d)",
+		return nil, fmt.Errorf("core: generated network exceeds K=%d (max fanin %d)",
 			s.opts.K, m.MaxFanin())
 	}
 	// Origin map for initial-state alignment.
@@ -83,7 +84,16 @@ func (s *state) generate() (*netlist.Circuit, []int, error) {
 			origOf[mid] = orig
 		}
 	}
-	return m, origOf, nil
+	return &Result{
+		Phi: s.phi,
+		// The state returns to the engine and its label array is reused by
+		// the next probe; the result must own its copy.
+		Labels: append([]int(nil), s.labels...),
+		Mapped: m,
+		LUTs:   m.NumGates(),
+		OrigOf: origOf,
+		Opts:   s.opts,
+	}, nil
 }
 
 // materialize builds gate id's LUT tree inside m. The tree's root replaces

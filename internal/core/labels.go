@@ -51,9 +51,8 @@ type state struct {
 	// predecessor's label changed since the node's last decision, cleared as
 	// the fast pass drains it. The parallel schedule never races on it:
 	// within a run only the worker that owns a node's component writes its
-	// bit (raises mark same-component successors only; cross-component
-	// staleness is reconciled when the successor component starts), and the
-	// warm pre-seeding runs before any worker is spawned.
+	// bit (raises mark same-component successors only; a successor
+	// component seeds fully dirty when it starts).
 	dirty []bool
 	// fullSweep turns the dirty-set worklist off: every fast pass visits
 	// every updatable member, the behaviour the worklist must reproduce bit
@@ -61,11 +60,6 @@ type state struct {
 	// Engine.fullSweep or directly on a newState) to build the sequential,
 	// full-sweep, cold reference every bit-identity test compares against.
 	fullSweep bool
-	// warmSeeded marks a probe whose decision cache and dirty set were
-	// pre-seeded by seedLabels: components then reconcile their dirty bits
-	// against upstream labels when they start instead of seeding fully
-	// dirty. Cleared by resetFor.
-	warmSeeded bool
 	// Decomposition backoff: nodes whose label keeps rising (a diverging
 	// or slowly converging loop) skip repeated expensive resynthesis
 	// attempts during fast passes; recording passes always attempt, so the
@@ -177,7 +171,6 @@ func (s *state) resetFor(phi int, opts Options) {
 	s.fails.reset()
 	s.failed.Store(false)
 	s.stats = Stats{}
-	s.warmSeeded = false
 	for i := range s.lastL {
 		s.lastL[i] = -labelInf
 		s.decided[i] = false
@@ -197,58 +190,6 @@ func (s *state) resetFor(phi int, opts Options) {
 			s.labels[n.ID] = 1 // the paper's initial lower bound
 		}
 	}
-}
-
-// seedLabels warm-starts this probe from labels converged at seedPhi (a
-// phi no smaller than s.phi, by warmUseful's gate). Labels are monotone
-// non-increasing in phi, so labels converged at seedPhi are a pointwise
-// lower bound on this probe's fixpoint, and the monotone iteration started
-// from them reaches the same fixpoint as a cold start, in fewer sweeps (see
-// DESIGN.md, "Warm-started probes").
-//
-// With the dirty-set worklist on, seeding extends the delta discipline
-// across probes: only nodes whose fanin max L moves between seedPhi and
-// s.phi are marked dirty; every other node is pre-decided at its unchanged
-// L — exactly the state an in-run decision whose label did not raise would
-// leave behind — so the probe's first sweeps touch a small fraction of the
-// circuit. A pre-seeded decision can be stale (a decision depends on phi
-// beyond L, through the expansion), but the decision cache is never trusted
-// at convergence: the full fresh recording pass remains the only arbiter
-// (see iterateComp), so the final labels and covers still match the cold
-// fixpoint exactly.
-func (s *state) seedLabels(seed []int, seedPhi int) {
-	copy(s.labels, seed)
-	s.stats.WarmStarts++
-	if s.fullSweep || seedPhi <= 0 {
-		return
-	}
-	for _, n := range s.c.Nodes {
-		if n.Kind == netlist.PI || len(n.Fanins) == 0 {
-			continue
-		}
-		Lnew, Lold := -labelInf, -labelInf
-		for _, f := range n.Fanins {
-			l := s.labels[f.From]
-			if x := l - s.phi*f.Weight; x > Lnew {
-				Lnew = x
-			}
-			if x := l - seedPhi*f.Weight; x > Lold {
-				Lold = x
-			}
-		}
-		if Lnew != Lold {
-			s.dirty[n.ID] = true
-			continue
-		}
-		// POs carry no decisions (update's PO branch is a pure label max),
-		// but their lastL feeds the reconcile staleness test like any other
-		// node's.
-		s.lastL[n.ID] = Lnew
-		if n.Kind != netlist.PO {
-			s.decided[n.ID] = true
-		}
-	}
-	s.warmSeeded = true
 }
 
 // stopped reports whether the probe should abandon work: a sibling
@@ -501,31 +442,17 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 	if s.opts.PLD && capIter < pldFrom+4 {
 		capIter = pldFrom + 4
 	}
-	// Seed the dirty-set worklist. Cold components mark every updatable
-	// member; warm-seeded probes (seedLabels) instead reconcile: a member
-	// pre-decided clean may have gone stale through upstream components this
-	// run raised since seeding, which the L-vs-lastL test detects exactly —
-	// upstream labels are final when a component starts (in both schedules),
-	// and only this component's owning worker touches its members' bits, so
-	// the reconcile is race-free. From here, fast passes visit only dirty
-	// members (every skipped visit would have been a decision-cache no-op:
-	// same L, already decided — or a PO max against an unchanged L), which
-	// is why labels, covers and every pre-worklist Stats counter are
-	// bit-identical to full-membership sweeps. See DESIGN.md §11.
-	worklist := !s.fullSweep
-	if worklist {
-		if s.warmSeeded {
-			for _, id := range updatable {
-				if !s.dirty[id] && s.computeL(int(id)) != s.lastL[id] {
-					s.dirty[id] = true
-				}
-			}
-		} else {
-			for _, id := range updatable {
-				s.dirty[id] = true
-			}
-		}
+	// Seed the dirty-set worklist: every updatable member starts dirty.
+	// Cross-component effects need no marking, because upstream labels are
+	// final when a component starts (in both schedules). From here, fast
+	// passes visit only dirty members (every skipped visit would have been a
+	// decision-cache no-op: same L, already decided — or a PO max against an
+	// unchanged L), which is why labels, covers and every pre-worklist Stats
+	// counter are bit-identical to full-membership sweeps. See DESIGN.md §11.
+	for _, id := range updatable {
+		s.dirty[id] = true
 	}
+	worklist := !s.fullSweep
 	ar.curNode = -1
 	for iter := 0; iter < capIter; iter++ {
 		faultinject.Sweep()
@@ -570,8 +497,8 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 			// Recording pass: re-decide everything at the converged
 			// labels and keep the covers — the worklist never thins this
 			// pass, so convergence is still declared only by a full fresh
-			// sweep. A change here means the Gauss-Seidel sweep raced
-			// itself, or a warm-seeded decision went stale; keep iterating.
+			// sweep. A change here means a cached decision went stale
+			// (decisions also read labels deeper than L); keep iterating.
 			st.Iterations++
 			s.conc.iterations.Add(1)
 			for ui, id32 := range updatable {
@@ -651,9 +578,8 @@ func (s *state) update(id int, record bool, st *Stats, ar *arena) bool {
 
 // markDirty flags id's same-component successors for a revisit after id's
 // label rose. Same-component only, so the bits stay owned by the worker
-// running the component; cross-component effects are handled when the
-// successor component starts (cold components seed fully dirty, warm ones
-// reconcile against the by-then-final upstream labels — see iterateComp).
+// running the component; a successor component seeds every member dirty
+// when it starts (see iterateComp).
 func (s *state) markDirty(id int) {
 	for _, v := range s.an.sameCompSucc(id) {
 		s.dirty[v] = true

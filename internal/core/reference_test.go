@@ -25,13 +25,12 @@ var (
 
 // reference is the single baseline every bit-identity test in this package
 // compares against. It is sequential (Workers 1), full-sweep (the dirty-set
-// worklist off, through Engine.fullSweep) and cold: instead of the
-// production binary search it scans phi upward with single-probe Feasible
-// calls — each starts from the initial labels, so none is warm — and maps
-// at the first feasible phi. Feasibility is monotone in phi, so the scan
-// reaches the phi the search finds by a different route, and neither
-// warm-starting, the worklist, the dataflow scheduler nor the binary
-// search can leak into the baseline.
+// worklist off, through Engine.fullSweep) and cold like every probe:
+// instead of the production binary search it scans phi upward with
+// single-probe Feasible calls and maps at the first feasible phi with
+// MapAtRatio. Feasibility is monotone in phi, so the scan reaches the phi
+// the search finds by a different route, and neither the worklist, the
+// dataflow scheduler nor the binary search can leak into the baseline.
 //
 // Results are memoized per input netlist and option set (callers only read
 // them), so tests sharing a circuit pay for its reference once.

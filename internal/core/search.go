@@ -59,95 +59,73 @@ func MinimizeContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Re
 	return e.MinimizeContext(ctx, opts)
 }
 
-// warmUseful reports whether labels converged at seedPhi should seed a
-// probe at phi. Seeding is always sound (the seed lower-bounds the probe's
-// fixpoint), but its payoff decays with distance: far below seedPhi the
-// bound is loose while it still pushes the very first sweeps into large
-// expansions, where K-cut checks are most expensive — on small circuits a
-// distant infeasible probe runs measurably slower warm than cold (bbara's
-// TurboMap probe at phi=1 seeded from phi=3 nearly doubles its cut checks).
-// Probes within a factor of two of their seed keep the measured benefit, so
-// the gate skips only the far ones.
-func warmUseful(phi, seedPhi int) bool {
-	return 2*phi >= seedPhi
-}
-
 // minimizeSearch binary-searches the smallest feasible phi in [1, ub] for
 // call c; ub must be feasible. Each step decides Problem 2 at the midpoint
-// with one probe, run inline on the calling goroutine with the call's whole
-// worker pool for the dataflow component scheduler. total accumulates the
-// work of every probe.
+// with one cold probe, run inline on the calling goroutine with the call's
+// whole worker pool for the dataflow component scheduler. total accumulates
+// the work of every probe.
 //
-// Once a probe is feasible, later probes warm-start from the labels of the
-// latest feasible one (subject to the warmUseful distance gate). A positive
-// IterBudget keeps every probe cold, so the n^2 ablation counts iterations
-// from the initial labels.
+// The state of the best feasible probe — its converged labels and recorded
+// covers — stays checked out, its arenas already back in the pool, and is
+// returned with its phi: the caller maps from it or discards it, and must
+// return it with checkinState. Every other probe's state goes back to the
+// engine when the probe ends.
 //
-// On an aborting error the returned phi is the best feasible one proven
-// before the abort (-1 when none), so the caller can report partial
-// progress.
-func (e *Engine) minimizeSearch(ub int, opts Options, c *call, total *Stats) (int, error) {
+// On an aborting error no state is held and the returned phi is the best
+// feasible one proven before the abort (-1 when none), so the caller can
+// report partial progress.
+func (e *Engine) minimizeSearch(ub int, opts Options, c *call, total *Stats) (int, *state, error) {
 	var ring *obs.Ring
 	if opts.Trace != nil {
 		ring = opts.Trace.NewRing("search")
 	}
-	// Warm-start store: every probe targets a phi strictly below the best
-	// feasible one so far, so the latest feasible probe's labels always
-	// qualify as a seed.
-	var warmLabels []int
-	warmPhi := 0
-
+	var held *state
 	lo, hi, best := 1, ub, -1
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		seed := warmLabels
-		if opts.IterBudget > 0 || !warmUseful(mid, warmPhi) {
-			seed = nil
-		}
-		ok, st, labels, err := e.probe(ring, mid, opts, c, seed, warmPhi)
+		st, s, err := e.probe(ring, mid, opts, c)
 		total.Add(st)
 		if err != nil {
-			return best, err
+			if held != nil {
+				e.checkinState(held)
+			}
+			return best, nil, err
 		}
-		if ok {
-			best = mid
+		if s != nil {
+			if held != nil {
+				e.checkinState(held)
+			}
+			held, best = s, mid
 			opts.Progress.SetBestPhi(mid)
-			warmLabels, warmPhi = labels, mid
 			hi = mid - 1
 		} else {
 			lo = mid + 1
 		}
 	}
-	if best < 0 {
-		return -1, fmt.Errorf("core: no feasible target up to %d for %s (is the upper bound wrong?)",
+	if held == nil {
+		return -1, nil, fmt.Errorf("core: no feasible target up to %d for %s (is the upper bound wrong?)",
 			ub, e.c.Name)
 	}
-	return best, nil
+	return best, held, nil
 }
 
-// probe decides feasibility at phi for call c, warm-started from seed
-// (labels converged at seedPhi) when seed is non-nil. When feasible it
-// returns a copy of the converged labels, the seed for later probes. The
-// probe runs inside withState's panic boundary (op "probe"); its span goes
-// to ring (when non-nil) and its log line to opts.Logger.
-func (e *Engine) probe(ring *obs.Ring, phi int, opts Options, c *call, seed []int, seedPhi int) (ok bool, st Stats, labels []int, err error) {
+// probe decides feasibility at phi for call c with one cold label
+// computation. When phi is feasible it returns the probe's state, still
+// checked out with its arenas back in the pool; the caller owns it and must
+// return it with checkinState. An infeasible or aborted probe returns a nil
+// state. The probe runs inside withState's panic boundary (op "probe"); its
+// span goes to ring (when non-nil) and its log line to opts.Logger.
+func (e *Engine) probe(ring *obs.Ring, phi int, opts Options, c *call) (st Stats, feasible *state, err error) {
 	var t0 int64
 	if ring != nil {
 		t0 = ring.Now()
 	}
-	err = e.withState(phi, opts, c, "probe", func(s *state) error {
-		if seed != nil {
-			s.seedLabels(seed, seedPhi)
-		}
-		var err error
-		ok, err = s.run()
+	feasible, err = e.withState(phi, opts, c, "probe", func(s *state) (bool, error) {
+		ok, err := s.run()
 		st = s.stats
-		if ok {
-			// Copy out before checkin recycles the state.
-			labels = append([]int(nil), s.labels...)
-		}
-		return err
+		return ok, err
 	})
+	ok := feasible != nil
 	if ring != nil {
 		ring.Span(obs.OpProbe, t0, int64(phi), probeVerdict(ok, err))
 	}
@@ -155,5 +133,5 @@ func (e *Engine) probe(ring *obs.Ring, phi int, opts Options, c *call, seed []in
 		opts.Logger.Debug("probe", "phi", phi, "feasible", ok,
 			"iterations", st.Iterations, "cutChecks", st.CutChecks, "err", err)
 	}
-	return ok, st, labels, err
+	return st, feasible, err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,9 +12,7 @@ import (
 
 // searchWork is what the search golden pins of a Minimize result: the
 // achieved phi and LUT count and the work Stats. ArenaPeakBytes is zeroed:
-// it is a footprint, not work. The golden file may omit fields that are
-// zero in every case (scheduler counters of a one-worker run, trace
-// totals with tracing off); they decode as zero.
+// it is a footprint, not work.
 type searchWork struct {
 	Phi  int
 	LUTs int
@@ -29,9 +28,10 @@ func workOf(res *Result) searchWork {
 // TestSequentialSearchGolden pins what a one-probe-at-a-time binary search
 // does on the quick FSM suite: the phi and LUT count it returns and every
 // work counter it accumulates, under TurboSYN and TurboMap. One more case
-// runs with a positive IterBudget, which keeps every probe cold and runs its
-// components sequentially whatever Workers says, so it is pinned at Workers
-// 1 and 4 against the same values. Regenerate deliberately with
+// runs with a positive IterBudget, which runs its components sequentially
+// whatever Workers says, so it is pinned at Workers 1 and 4 against the same
+// values. The committed file is byte for byte what the update path writes.
+// Regenerate deliberately with
 // TURBOSYN_UPDATE_GOLDEN=1 go test ./internal/core -run TestSequentialSearchGolden.
 func TestSequentialSearchGolden(t *testing.T) {
 	circuits := map[string]bool{"bbara": true, "bbsse": true, "cse": true,
@@ -107,6 +107,11 @@ func TestSequentialSearchGolden(t *testing.T) {
 	var want map[string]searchWork
 	if err := json.Unmarshal(b, &want); err != nil {
 		t.Fatal(err)
+	}
+	if canon, err := json.MarshalIndent(want, "", "  "); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(b, append(canon, '\n')) {
+		t.Errorf("%s is not what TURBOSYN_UPDATE_GOLDEN=1 writes for its own values; regenerate it", golden)
 	}
 	if !testing.Short() && len(got) != len(want) {
 		t.Errorf("%d cases, %s has %d", len(got), golden, len(want))

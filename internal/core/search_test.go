@@ -63,10 +63,12 @@ func TestSearchProbesOnlyMidpoints(t *testing.T) {
 
 // TestProbePanicBecomesInternalError: a panic that escapes the label
 // engine's per-component boundary is contained where the state is used —
-// by the search probe, or by the mapping pass of MapAtRatioContext and of
-// MinimizeContext's final step. The call returns an *InternalError of op
-// "probe" or "map" instead of crashing, and the state's arena is poisoned
-// rather than pooled.
+// by the search probe, by MapAtRatioContext's probe-and-generate step, or
+// by the generation step that ends MinimizeContext. The call returns an
+// *InternalError of op "probe" or "map" instead of crashing. A panic inside
+// a run poisons the state's arena rather than pooling it; MinimizeContext's
+// generation runs after the best probe's arenas are back in the pool, so
+// that panic discards nothing and the engine's next run is bit-identical.
 func TestProbePanicBecomesInternalError(t *testing.T) {
 	fenceGoroutines(t)
 	var circuit *netlist.Circuit
@@ -78,38 +80,48 @@ func TestProbePanicBecomesInternalError(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 1
 	ctx := context.Background()
-	// plantAtMap plants the broken state when the final map pass starts, so
-	// every search probe before it runs on a healthy one.
-	plantAtMap := func(e *Engine) Options {
+	want, err := Minimize(circuit, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cutPO, on entering the "map" phase, drops the first PO's fanin, so
+	// generation panics indexing it after every search probe ran on the
+	// intact circuit; the returned func restores the fanin.
+	cutPO := func() (Options, func()) {
+		po := circuit.Nodes[circuit.POs[0]]
+		fanins := po.Fanins
 		o := opts
 		o.Progress = obs.NewProgress("plant", time.Hour, func(snap obs.Snapshot) {
 			if snap.Phase == "map" {
-				plantBrokenState(e, opts)
+				po.Fanins = nil
 			}
 		})
-		return o
+		return o, func() { po.Fanins = fanins }
 	}
 	for _, tc := range []struct {
 		name, op, phase string
+		discards        int
 		run             func(e *Engine) error
 	}{
-		{"Feasible", "probe", "probe", func(e *Engine) error {
+		{"Feasible", "probe", "probe", 1, func(e *Engine) error {
 			plantBrokenState(e, opts)
 			_, _, err := e.FeasibleContext(ctx, 2, opts)
 			return err
 		}},
-		{"Minimize", "probe", "turbomap-ub", func(e *Engine) error {
+		{"Minimize", "probe", "turbomap-ub", 1, func(e *Engine) error {
 			plantBrokenState(e, opts)
 			_, err := e.MinimizeContext(ctx, opts)
 			return err
 		}},
-		{"MapAtRatio", "map", "map", func(e *Engine) error {
+		{"MapAtRatio", "map", "map", 1, func(e *Engine) error {
 			plantBrokenState(e, opts)
 			_, err := e.MapAtRatioContext(ctx, 2, opts)
 			return err
 		}},
-		{"MinimizeMap", "map", "map", func(e *Engine) error {
-			_, err := e.MinimizeContext(ctx, plantAtMap(e))
+		{"MinimizeMap", "map", "map", 0, func(e *Engine) error {
+			o, restore := cutPO()
+			defer restore()
+			_, err := e.MinimizeContext(ctx, o)
 			return err
 		}},
 	} {
@@ -125,8 +137,17 @@ func TestProbePanicBecomesInternalError(t *testing.T) {
 		if ie.Op != tc.op || ie.Phase != tc.phase {
 			t.Errorf("%s: op %q phase %q, want op %q phase %q", tc.name, ie.Op, ie.Phase, tc.op, tc.phase)
 		}
-		if got := e.PoolStats().Discards; got != 1 {
-			t.Errorf("%s: %d arenas discarded, want the panicking state's one", tc.name, got)
+		if got := e.PoolStats().Discards; got != tc.discards {
+			t.Errorf("%s: %d arenas discarded, want %d", tc.name, got, tc.discards)
+		}
+		if tc.discards == 0 {
+			res, err := e.MinimizeContext(ctx, opts)
+			if err != nil {
+				t.Fatalf("%s: next run: %v", tc.name, err)
+			}
+			if res.Phi != want.Phi || !bytes.Equal(blifBytes(t, res.Mapped), blifBytes(t, want.Mapped)) {
+				t.Errorf("%s: next run (phi %d) differs from a fresh Minimize (phi %d)", tc.name, res.Phi, want.Phi)
+			}
 		}
 		e.Close()
 	}

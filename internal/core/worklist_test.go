@@ -30,7 +30,7 @@ func suiteCases() []goldenCase {
 // TestWorklistMatchesFullSweep is the determinism contract of the dirty-set
 // worklist: it skips exactly the member visits that full sweeps would have
 // elided as decision-cache no-ops, so for every circuit and worker count the
-// default Minimize — warm-started, worklist on — must return the reference
+// default Minimize — worklist on — must return the reference
 // result (sequential, full sweeps, cold; see reference): same phi, same
 // converged labels, same LUT count, byte-identical mapped netlist. On the
 // benchmark-suite circuits the worklist must also report the visits it
@@ -129,7 +129,7 @@ func TestWorklistMatchesFullSweep(t *testing.T) {
 }
 
 // TestWorklistAvoidsWork pins the perf claim behind the worklist: on the
-// warm-started binary search (the default Minimize path) the dirty-set drain
+// binary search (the default Minimize path) the dirty-set drain
 // must elide a nonzero number of member visits and record a worklist
 // high-water mark, without moving the result off the reference; and a cold
 // probe at the optimum must visit strictly fewer members than full sweeps.
@@ -144,7 +144,7 @@ func TestWorklistAvoidsWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Stats.DirtySkips == 0 {
-		t.Error("worklist elided no visits on the warm search")
+		t.Error("worklist elided no visits on the search")
 	}
 	if got.Stats.WorklistPeak <= 0 {
 		t.Errorf("WorklistPeak = %d, want > 0", got.Stats.WorklistPeak)
@@ -159,12 +159,12 @@ func TestWorklistAvoidsWork(t *testing.T) {
 	}
 }
 
-// TestInjectedPanicWorklistWarmRecovers: a contained panic mid-probe leaves
-// per-probe dirty bits and warm pre-decided labels behind on states that go
-// back to the engine's pool. The next run on the same engine must reconcile
-// or reset all of it — completing bit-identically to the reference, with the
-// interrupted run's arenas poisoned (Discards > 0).
-func TestInjectedPanicWorklistWarmRecovers(t *testing.T) {
+// TestInjectedPanicWorklistRecovers: a contained panic mid-probe leaves
+// per-probe dirty bits and half-made decisions behind on states that go
+// back to the engine's pool. The next run on the same engine must reset all
+// of it — completing bit-identically to the reference, with the interrupted
+// run's arenas poisoned (Discards > 0).
+func TestInjectedPanicWorklistRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered by make chaos (-count 2, no -short); trimmed from the -short race budget")
 	}

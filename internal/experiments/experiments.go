@@ -42,9 +42,9 @@ func quickSkip(c *netlist.Circuit) bool {
 type caseResult struct {
 	bench.Case
 	fsns, tm, ts *core.Result
-	fsnsCPU      time.Duration
-	tmCPU        time.Duration
-	tsCPU        time.Duration
+	fsnsWall     time.Duration
+	tmWall       time.Duration
+	tsWall       time.Duration
 }
 
 var (
@@ -82,19 +82,19 @@ func runSuite(cfg Config) ([]caseResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s/flowsyns: %v", cs.Name, err)
 		}
-		r.fsnsCPU = time.Since(start)
+		r.fsnsWall = time.Since(start)
 		start = time.Now()
 		r.tm, err = core.Minimize(cs.Circuit, turboMapOpts(cfg.K))
 		if err != nil {
 			return nil, fmt.Errorf("%s/turbomap: %v", cs.Name, err)
 		}
-		r.tmCPU = time.Since(start)
+		r.tmWall = time.Since(start)
 		start = time.Now()
 		r.ts, err = core.Minimize(cs.Circuit, turboSYNOpts(cfg.K))
 		if err != nil {
 			return nil, fmt.Errorf("%s/turbosyn: %v", cs.Name, err)
 		}
-		r.tsCPU = time.Since(start)
+		r.tsWall = time.Since(start)
 		// Area post-pass, identical for the three flows.
 		for _, res := range []*core.Result{r.fsns, r.tm, r.ts} {
 			packed, _, err := mapper.Pack(res.Mapped, cfg.K, res.OrigOf)
@@ -110,8 +110,8 @@ func runSuite(cfg Config) ([]caseResult, error) {
 }
 
 // Table1 reproduces the paper's Table 1: minimum clock period (MDR ratio)
-// under retiming + pipelining and CPU time for FlowSYN-s, TurboMap and
-// TurboSYN. The paper reports period reductions of 1.72x (vs FlowSYN-s)
+// under retiming + pipelining and wall-clock time for FlowSYN-s, TurboMap
+// and TurboSYN. The paper reports period reductions of 1.72x (vs FlowSYN-s)
 // and 1.96x (vs TurboMap).
 func Table1(cfg Config) error {
 	rs, err := runSuite(cfg)
@@ -120,7 +120,7 @@ func Table1(cfg Config) error {
 	}
 	fmt.Fprintf(cfg.Out, "Table 1: clock period (MDR ratio) under retiming+pipelining, K=%d\n", cfg.K)
 	t := newTable("circuit", "class", "gate", "ff",
-		"fsns.phi", "fsns.cpu", "tm.phi", "tm.cpu", "ts.phi", "ts.cpu")
+		"fsns.phi", "fsns.wall", "tm.phi", "tm.wall", "ts.phi", "ts.wall")
 	var fsnsPhi, tmPhi, tsPhi []float64
 	for _, r := range rs {
 		// TurboSYN's search space contains TurboMap's (it seeds from
@@ -133,7 +133,7 @@ func Table1(cfg Config) error {
 				r.Name, r.ts.Phi, r.tm.Phi)
 		}
 		t.AddRow(r.Name, r.Class, r.Circuit.NumGates(), r.Circuit.NumFFs(),
-			r.fsns.Phi, cpu(r.fsnsCPU), r.tm.Phi, cpu(r.tmCPU), r.ts.Phi, cpu(r.tsCPU))
+			r.fsns.Phi, wall(r.fsnsWall), r.tm.Phi, wall(r.tmWall), r.ts.Phi, wall(r.tsWall))
 		fsnsPhi = append(fsnsPhi, float64(r.fsns.Phi))
 		tmPhi = append(tmPhi, float64(r.tm.Phi))
 		tsPhi = append(tsPhi, float64(r.ts.Phi))
@@ -176,7 +176,7 @@ func Table2(cfg Config) error {
 func TablePLD(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "PLD ablation: infeasible-target probes, K=%d\n", cfg.K)
 	t := newTable("circuit", "target", "iters.pld", "iters.n2",
-		"cpu.pld", "cpu.n2", "speedup")
+		"wall.pld", "wall.n2", "speedup")
 	rs, err := runSuite(cfg)
 	if err != nil {
 		return err
@@ -227,7 +227,7 @@ func TablePLD(cfg Config) error {
 		speedups = append(speedups, sp)
 		t.AddRow(r.Name, target, statsOn.Iterations,
 			fmt.Sprintf("%s%d", capped, statsOff.Iterations),
-			cpu(dOn), capped+cpu(dOff), fmt.Sprintf("%s%.1fx", capped, sp))
+			wall(dOn), capped+wall(dOff), fmt.Sprintf("%s%.1fx", capped, sp))
 	}
 	t.Render(cfg.Out)
 	fmt.Fprintf(cfg.Out, "geomean speedup >= %.1fx (paper reports 10-50x)\n",
@@ -239,7 +239,7 @@ func TablePLD(cfg Config) error {
 // of over 10^4 gates and 10^3 flipflops "in reasonable time".
 func TableScale(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "Scale: full TurboSYN minimization, K=%d\n", cfg.K)
-	t := newTable("circuit", "gates", "ffs", "phi", "luts", "cpu")
+	t := newTable("circuit", "gates", "ffs", "phi", "luts", "wall")
 	for _, c := range scaleCases(cfg) {
 		start := time.Now()
 		res, err := core.Minimize(c, turboSYNOpts(cfg.K))
@@ -247,7 +247,7 @@ func TableScale(cfg Config) error {
 			return fmt.Errorf("%s: %v", c.Name, err)
 		}
 		t.AddRow(c.Name, c.NumGates(), c.NumFFs(), res.Phi, res.LUTs,
-			cpu(time.Since(start)))
+			wall(time.Since(start)))
 	}
 	t.Render(cfg.Out)
 	return nil
@@ -328,7 +328,8 @@ func scaleCases(cfg Config) []*netlist.Circuit {
 	return out
 }
 
-func cpu(d time.Duration) string {
+// wall formats a wall-clock duration for a table cell.
+func wall(d time.Duration) string {
 	switch {
 	case d < time.Millisecond:
 		return fmt.Sprintf("%.2fms", float64(d)/1e6)
@@ -348,7 +349,7 @@ func TablePeriod(cfg Config) error {
 		"s420": true, "s838": true, "s1423": true,
 	}
 	fmt.Fprintf(cfg.Out, "Clock-period objective (no pipelining), K=%d\n", cfg.K)
-	t := newTable("circuit", "period", "retimed", "mapped+retimed", "cpu")
+	t := newTable("circuit", "period", "retimed", "mapped+retimed", "wall")
 	for _, cs := range bench.Suite() {
 		if !subset[cs.Name] {
 			continue
@@ -365,7 +366,7 @@ func TablePeriod(cfg Config) error {
 		if res.Phi > pr {
 			return fmt.Errorf("%s: mapping (%d) lost to plain retiming (%d)", cs.Name, res.Phi, pr)
 		}
-		t.AddRow(cs.Name, p0, pr, res.Phi, cpu(time.Since(start)))
+		t.AddRow(cs.Name, p0, pr, res.Phi, wall(time.Since(start)))
 	}
 	t.Render(cfg.Out)
 	return nil

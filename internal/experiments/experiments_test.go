@@ -20,7 +20,9 @@ func TestQuickTables(t *testing.T) {
 		t.Fatalf("Table1: %v", err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "bbara") || !strings.Contains(out, "geomean period ratio") {
+	// Times are wall-clock (time.Since), and the headers say so.
+	if !strings.Contains(out, "bbara") || !strings.Contains(out, "geomean period ratio") ||
+		!strings.Contains(out, "ts.wall") {
 		t.Fatalf("Table1 output incomplete:\n%s", out)
 	}
 	// Table1 itself enforces the row-wise invariant ts.phi <= tm.phi (it
@@ -54,7 +56,7 @@ func TestQuickTables(t *testing.T) {
 	if err := TablePLD(cfg); err != nil {
 		t.Fatalf("TablePLD: %v", err)
 	}
-	if !strings.Contains(buf.String(), "speedup") {
+	if !strings.Contains(buf.String(), "speedup") || !strings.Contains(buf.String(), "wall.pld") {
 		t.Fatalf("TablePLD output incomplete:\n%s", buf.String())
 	}
 
@@ -62,7 +64,7 @@ func TestQuickTables(t *testing.T) {
 	if err := TableScale(cfg); err != nil {
 		t.Fatalf("TableScale: %v", err)
 	}
-	if !strings.Contains(buf.String(), "fsm0.8k") {
+	if !strings.Contains(buf.String(), "fsm0.8k") || !strings.Contains(buf.String(), "wall") {
 		t.Fatalf("TableScale output incomplete:\n%s", buf.String())
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // TestWorklistSuiteBitIdentical runs the quick suite slice (the same four
 // circuits as the cache-warm gate: FSM SOPs plus a datapath carry chain)
-// through Synthesize — warm-started probes, dirty-set worklist, dataflow
+// through Synthesize — binary search, dirty-set worklist, dataflow
 // scheduler — on the sequential path (Workers 1) and on a parallel pool, and
 // requires byte-identical realized BLIF, phi and LUT counts per circuit.
 // The phi must also be the one an upward scan of cold single-probe Feasible
