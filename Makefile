@@ -126,8 +126,15 @@ bench:
 
 # Sample observability artifact: synthesize one suite circuit with tracing,
 # logging and progress on, leaving trace.json for inspection (CI uploads it;
-# load it in https://ui.perfetto.dev or chrome://tracing).
+# load it in https://ui.perfetto.dev or chrome://tracing). The same circuit
+# through FlowSYN-s must trace the engine too: its census has to hold probe
+# and component spans.
 trace-smoke:
 	$(GO) run ./cmd/benchgen -dir benchmarks
 	$(GO) run ./cmd/turbosyn -trace trace.json -log-json -o /dev/null benchmarks/bbara.blif
 	@$(GO) run ./cmd/tracecheck trace.json
+	$(GO) run ./cmd/turbosyn -alg flowsyns -trace trace-flowsyns.json -o /dev/null benchmarks/bbara.blif
+	@census=$$($(GO) run ./cmd/tracecheck trace-flowsyns.json) && echo "$$census" && \
+		for span in probe component; do \
+			echo "$$census" | grep -Eq "^  $$span +[1-9]" || { echo "trace-smoke: FlowSYN-s trace has no $$span spans"; exit 1; }; \
+		done

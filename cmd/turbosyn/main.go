@@ -243,24 +243,15 @@ func main() {
 
 		// One reusable engine per circuit-option pair: analysis, caches and
 		// arenas are built once and every -repeat run checks out of them.
-		// FlowSYN-s has no reusable state, so it runs through the one-shot
-		// path instead.
-		var eng *turbosyn.Engine
-		if opts.Algorithm != turbosyn.FlowSYNS {
-			eng, err = turbosyn.NewEngine(c, opts)
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", name, err))
-			}
+		eng, err := turbosyn.NewEngine(c, opts)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", name, err))
 		}
 		var res *turbosyn.Result
 		var fileVisits, fileSkips, fileWorklist, fileArena int
 		start := time.Now()
 		for r := 0; r < *repeat; r++ {
-			if eng != nil {
-				res, err = eng.SynthesizeContext(ctx)
-			} else {
-				res, err = turbosyn.SynthesizeContext(ctx, c, opts)
-			}
+			res, err = eng.SynthesizeContext(ctx)
 			if err == nil {
 				fileVisits += res.Stats.SweepNodeVisits
 				fileSkips += res.Stats.DirtySkips
@@ -272,9 +263,7 @@ func main() {
 				}
 			}
 			if err != nil {
-				if eng != nil {
-					eng.Close()
-				}
+				eng.Close()
 				writeTrace()
 				var ce *turbosyn.CancelError
 				if errors.As(err, &ce) {
@@ -291,11 +280,8 @@ func main() {
 			}
 		}
 		elapsed := time.Since(start)
-		var pool turbosyn.PoolStats
-		if eng != nil {
-			pool = eng.PoolStats()
-			eng.Close()
-		}
+		pool := eng.PoolStats()
+		eng.Close()
 		totalRuns += *repeat
 		totalLUTs += res.LUTs
 		totalWall += elapsed
@@ -323,12 +309,10 @@ func main() {
 			"%s: sweeps: %d visits, %d skips (%s avoided), worklist peak %d, arena peak %s\n",
 			c.Name, fileVisits, fileSkips, pctAvoided(fileVisits, fileSkips),
 			fileWorklist, byteString(fileArena))
-		if eng != nil {
-			fmt.Fprintf(os.Stderr,
-				"%s: arena pool: %d reuses, %d creates, %d discards, %d parked (%s retained)\n",
-				c.Name, pool.Reuses, pool.Creates, pool.Discards,
-				pool.Free, byteString(pool.FreeBytes))
-		}
+		fmt.Fprintf(os.Stderr,
+			"%s: arena pool: %d reuses, %d creates, %d discards, %d parked (%s retained)\n",
+			c.Name, pool.Reuses, pool.Creates, pool.Discards,
+			pool.Free, byteString(pool.FreeBytes))
 		if *cacheDir != "" {
 			fmt.Fprintf(os.Stderr,
 				"%s: decomp cache: %d/%d hits persisted, %d via NPN, %d roth-karp runs\n",

@@ -5,41 +5,40 @@ import (
 	"fmt"
 
 	"turbosyn/internal/core"
+	"turbosyn/internal/mapper"
+	"turbosyn/internal/obs"
+	"turbosyn/internal/retime"
 )
 
 // Engine binds one circuit to one option set and keeps everything that is
 // invariant across runs alive between calls: the K-bounded form of the
-// circuit, its graph analysis (topological order, SCC condensation, levels,
-// degrees), the NPN-keyed decomposition cache — including the persisted
-// cross-run log, which is loaded once at construction instead of once per
-// call — and a checkout pool of worker scratch arenas that survive probe and
-// run boundaries. Repeated calls on one engine skip all of that setup; the
-// one-shot functions (Synthesize, Feasible) construct a throwaway engine per
-// call, so results from an engine are bit-identical to the one-shot path.
+// circuit (and, for FlowSYN-s, its register cut), its graph analysis
+// (topological order, SCC condensation, degrees), the NPN-keyed
+// decomposition cache — including the persisted cross-run log, which is
+// loaded once at construction instead of once per call — and a checkout
+// pool of worker scratch arenas that survive probe and run boundaries.
+// Repeated calls on one engine skip all of that setup; the package-level
+// functions (Synthesize, Feasible) are NewEngine, one call and Close.
 //
 // An Engine is safe for concurrent use. Close flushes the persistent
 // decomposition log (when Options.CacheDir is set); runs after Close still
 // compute correctly but their new cache entries are not persisted.
-//
-// FlowSYN-s is a per-call island decomposition with no reusable state, so
-// NewEngine rejects Options.Algorithm == FlowSYNS; use Synthesize for it.
 type Engine struct {
-	opts Options
-	orig *Circuit
-	work *Circuit // orig after K-bounding (orig itself when already bounded)
-	core *core.Engine
+	opts  Options
+	orig  *Circuit
+	work  *Circuit      // orig after K-bounding (orig itself when already bounded)
+	split *mapper.Split // FlowSYN-s's register cut of work; nil for the other algorithms
+	core  *core.Engine  // over work, or over split.Islands for FlowSYN-s
 }
 
 // NewEngine validates c against o, K-bounds it if needed, analyzes it once
-// and returns an engine ready to serve runs. When o.CacheDir is set the
-// persisted decomposition log is loaded here, once.
+// and returns an engine ready to serve runs. FlowSYN-s engines analyze the
+// register-free island circuit instead. When o.CacheDir is set the persisted
+// decomposition log is loaded here, once.
 func NewEngine(c *Circuit, o Options) (*Engine, error) {
 	o = o.fill()
 	if err := o.validate(); err != nil {
 		return nil, err
-	}
-	if o.Algorithm == FlowSYNS {
-		return nil, fmt.Errorf("turbosyn: Engine does not support FlowSYN-s (no reusable state); use Synthesize")
 	}
 	if err := c.Check(); err != nil {
 		return nil, err
@@ -48,11 +47,16 @@ func NewEngine(c *Circuit, o Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	ce, err := core.NewEngine(work, o.coreOptions(nil, nil))
-	if err != nil {
+	e := &Engine{opts: o, orig: c, work: work}
+	mapped := work
+	if o.Algorithm == FlowSYNS {
+		e.split = mapper.Cut(work)
+		mapped = e.split.Islands
+	}
+	if e.core, err = core.NewEngine(mapped, o.coreOptions(nil, o.Logger)); err != nil {
 		return nil, err
 	}
-	return &Engine{opts: o, orig: c, work: work, core: ce}, nil
+	return e, nil
 }
 
 // Close flushes the persistent decomposition log and marks the engine
@@ -67,6 +71,16 @@ type PoolStats = core.PoolStats
 // poisoned-or-oversized discards). See core.PoolStats and DESIGN.md §10.
 func (e *Engine) PoolStats() core.PoolStats { return e.core.PoolStats() }
 
+// decides reports whether the engine's algorithm answers Problem 2 at a
+// given phi. FlowSYN-s does not: it computes its phi on the merged network
+// after mapping the islands at their own minimum depth.
+func (e *Engine) decides() error {
+	if e.split != nil {
+		return fmt.Errorf("turbosyn: %v has no decision at a given phi: it computes its phi on the merged network", e.opts.Algorithm)
+	}
+	return nil
+}
+
 // Feasible is FeasibleContext with a background context.
 func (e *Engine) Feasible(phi int) (bool, core.Stats, error) {
 	return e.FeasibleContext(context.Background(), phi)
@@ -74,9 +88,11 @@ func (e *Engine) Feasible(phi int) (bool, core.Stats, error) {
 
 // FeasibleContext decides the paper's Problem 2 on the engine's circuit: can
 // it be mapped with clock period (MinPeriod) or MDR ratio (MinRatio) at most
-// phi? Equivalent to the package-level Feasible with the engine's options,
-// minus the per-call circuit analysis and cache loading.
+// phi? It fails for FlowSYN-s, which has no such decision.
 func (e *Engine) FeasibleContext(ctx context.Context, phi int) (bool, core.Stats, error) {
+	if err := e.decides(); err != nil {
+		return false, core.Stats{}, err
+	}
 	return e.core.FeasibleContext(ctx, phi, e.opts.coreOptions(nil, e.opts.Logger))
 }
 
@@ -86,11 +102,14 @@ func (e *Engine) MapAtRatio(phi int) (*core.Result, error) {
 }
 
 // MapAtRatioContext computes labels and a mapped LUT network for a specific
-// feasible phi; it fails when phi is infeasible. The result is relative to
-// the K-bounded circuit (Engine's internal working form); use
-// SynthesizeContext for origins remapped to the constructor's circuit plus
-// packing and realization.
+// feasible phi; it fails when phi is infeasible, and for FlowSYN-s. The
+// result is relative to the K-bounded circuit (Engine's internal working
+// form); use SynthesizeContext for origins remapped to the constructor's
+// circuit plus packing and realization.
 func (e *Engine) MapAtRatioContext(ctx context.Context, phi int) (*core.Result, error) {
+	if err := e.decides(); err != nil {
+		return nil, err
+	}
 	return e.core.MapAtRatioContext(ctx, phi, e.opts.coreOptions(nil, e.opts.Logger))
 }
 
@@ -100,12 +119,22 @@ func (e *Engine) Minimize() (*core.Result, error) {
 }
 
 // MinimizeContext finds the minimum feasible phi by binary search and
-// returns the mapping at that phi, without the packing/realization
-// post-passes of SynthesizeContext. Every probe of the search checks its
-// state and scratch arenas out of the engine instead of re-deriving the
-// circuit analysis.
+// returns the mapping at that phi, relative to the K-bounded circuit and
+// without the packing/realization post-passes of SynthesizeContext. Every
+// probe of the search checks its state and scratch arenas out of the engine
+// instead of re-deriving the circuit analysis.
 func (e *Engine) MinimizeContext(ctx context.Context) (*core.Result, error) {
-	return e.core.MinimizeContext(ctx, e.opts.coreOptions(nil, e.opts.Logger))
+	return e.minimize(ctx, e.opts.coreOptions(nil, e.opts.Logger))
+}
+
+// minimize runs the search under opts and, for FlowSYN-s, merges the
+// island mapping back over the registers.
+func (e *Engine) minimize(ctx context.Context, opts core.Options) (*core.Result, error) {
+	res, err := e.core.MinimizeContext(ctx, opts)
+	if err != nil || e.split == nil {
+		return res, err
+	}
+	return e.split.Merge(res)
 }
 
 // Synthesize is SynthesizeContext with a background context.
@@ -113,11 +142,103 @@ func (e *Engine) Synthesize() (*Result, error) {
 	return e.SynthesizeContext(context.Background())
 }
 
-// SynthesizeContext runs the full flow of the package-level
-// SynthesizeContext — search, LUT packing, realization by retiming and
-// pipelining, full observability — on the engine, reusing its analysis,
-// decomposition cache and arena pool. Results are bit-identical to the
-// package-level call with the same options.
-func (e *Engine) SynthesizeContext(ctx context.Context) (*Result, error) {
-	return synthesizeOn(ctx, e.core, e.orig, e.work, e.opts)
+// SynthesizeContext runs the full flow — search, LUT packing, realization
+// by retiming and pipelining, full observability — on the engine, reusing
+// its analysis, decomposition cache and arena pool. Results are
+// bit-identical on every run and at every Workers setting.
+func (e *Engine) SynthesizeContext(ctx context.Context) (out *Result, err error) {
+	o, c := e.opts, e.orig
+	// Observability setup: one run id shared by logs, trace and progress; a
+	// reporter goroutine that is always joined — with a final Done snapshot
+	// delivered exactly once — before this function returns, on every path.
+	runID := o.RunID
+	if runID == "" && (o.Trace != nil || o.Progress != nil || o.Logger != nil) {
+		runID = obs.NewRunID()
+	}
+	logger := o.Logger
+	if logger != nil {
+		logger = logger.With("run", runID, "circuit", c.Name)
+	}
+	var pg *obs.Progress
+	if o.Progress != nil {
+		pg = obs.NewProgress(runID, o.ProgressInterval, o.Progress)
+		pg.Start()
+	}
+	defer func() {
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
+		pg.Finish(msg) // nil-safe; no-op when o.Progress is nil
+	}()
+	if logger != nil {
+		logger.Info("synthesis start", "algorithm", o.Algorithm.String(),
+			"k", o.K, "workers", o.Workers, "nodes", c.NumNodes(), "gates", c.NumGates())
+	}
+	res, err := e.minimize(ctx, o.coreOptions(pg, logger))
+	if err != nil {
+		if logger != nil {
+			logger.Warn("synthesis aborted", "err", err)
+		}
+		return nil, err
+	}
+	pg.SetBestPhi(res.Phi)
+	// The mapping is relative to the K-bounded circuit; stream alignment
+	// must refer to the caller's circuit. KBound preserves node names for
+	// original gates, so remap through names when we rebounded.
+	origOf := res.OrigOf
+	if e.work != c {
+		origOf = remapOrigins(res.OrigOf, e.work, c)
+	}
+	out = &Result{
+		Phi:       res.Phi,
+		LUTs:      res.LUTs,
+		Mapped:    res.Mapped,
+		OrigOf:    origOf,
+		Stats:     res.Stats,
+		Algorithm: o.Algorithm,
+		RunID:     runID,
+	}
+	// The packing and realization post-passes are fast relative to the
+	// search but not free on large networks; honour cancellation between
+	// phases so a deadline that expires after the search still aborts
+	// promptly with the work done so far attributed to the right phase.
+	pg.SetPhase("pack")
+	if err := phaseCancelled(ctx, "pack", out); err != nil {
+		return nil, err
+	}
+	if !o.NoPack {
+		packed, packedOrig, err := mapper.Pack(res.Mapped, o.K, origOf)
+		if err != nil {
+			return nil, err
+		}
+		out.Mapped, out.OrigOf, out.LUTs = packed, packedOrig, packed.NumGates()
+	}
+	pg.SetPhase("realize")
+	if err := phaseCancelled(ctx, "realize", out); err != nil {
+		return nil, err
+	}
+	if !o.NoRealize {
+		pipeline := o.Objective == MinRatio
+		r, ok := retime.RetimeForPeriod(out.Mapped, out.Phi, pipeline)
+		if !ok {
+			return nil, fmt.Errorf("turbosyn: internal error: phi=%d not realizable", out.Phi)
+		}
+		realized, rerr := retime.Apply(out.Mapped, r)
+		if rerr != nil {
+			return nil, rerr
+		}
+		out.Realized = realized
+		out.Latency = retime.Latency(out.Mapped, r)
+	} else {
+		out.Latency = make([]int, len(out.Mapped.POs))
+	}
+	if o.Trace != nil {
+		out.Stats.TraceEvents, out.Stats.TraceDropped = o.Trace.Totals()
+	}
+	if logger != nil {
+		logger.Info("synthesis done", "phi", out.Phi, "luts", out.LUTs,
+			"iterations", out.Stats.Iterations, "degradations", out.Stats.Degradations)
+	}
+	return out, nil
 }

@@ -16,10 +16,11 @@ func blifString(t *testing.T, c *Circuit) []byte {
 	return buf.Bytes()
 }
 
-// TestEngineFacade pins the public Engine against the one-shot Synthesize:
-// repeated runs on one engine reuse its analysis, cache and arena pool and
-// still produce byte-identical realized netlists, and the probe/map entry
-// points agree with their package-level counterparts.
+// TestEngineFacade pins a reused Engine against the package-level
+// Synthesize, which builds a fresh engine per call: repeated runs on one
+// engine reuse its analysis, cache and arena pool and still produce
+// byte-identical realized netlists, and the probe/map entry points agree
+// with their package-level counterparts.
 func TestEngineFacade(t *testing.T) {
 	c := bench.ScaleFSM("TestEngineFacade", 7, 4)
 	opts := Options{K: 5}
@@ -44,10 +45,10 @@ func TestEngineFacade(t *testing.T) {
 				run, res.Phi, want.Phi, res.LUTs, want.LUTs)
 		}
 		if !bytes.Equal(blifString(t, res.Realized), wantBLIF) {
-			t.Fatalf("run %d: realized netlist diverged from one-shot Synthesize", run)
+			t.Fatalf("run %d: realized netlist diverged from package-level Synthesize", run)
 		}
 		if !bytes.Equal(blifString(t, res.Mapped), blifString(t, want.Mapped)) {
-			t.Fatalf("run %d: mapped netlist diverged from one-shot Synthesize", run)
+			t.Fatalf("run %d: mapped netlist diverged from package-level Synthesize", run)
 		}
 	}
 	if ps := eng.PoolStats(); ps.Reuses == 0 {
@@ -74,15 +75,6 @@ func TestEngineFacade(t *testing.T) {
 	}
 	if _, err := eng.MapAtRatio(mr.Phi); err != nil {
 		t.Fatalf("MapAtRatio(%d): %v", mr.Phi, err)
-	}
-}
-
-// TestEngineRejectsFlowSYNS: FlowSYN-s has no reusable state; the
-// constructor says so instead of silently falling back.
-func TestEngineRejectsFlowSYNS(t *testing.T) {
-	c := bench.ScaleFSM("TestEngineRejectsFlowSYNS", 6, 4)
-	if _, err := NewEngine(c, Options{Algorithm: FlowSYNS}); err == nil {
-		t.Fatal("NewEngine accepted FlowSYN-s")
 	}
 }
 

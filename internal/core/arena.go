@@ -16,10 +16,11 @@ import (
 // allocation on the structural path.
 //
 // Ownership model (see DESIGN.md, "Scratch arenas"): the sequential engine
-// owns arena 0; the parallel engine hands arena w to pool worker w, and a
-// level barrier separates any two uses of the same arena by different
-// goroutines. Results never alias arena memory — covers copy replicas out —
-// so arenas are invisible in the output.
+// owns arena 0; the dataflow scheduler hands arena w to worker goroutine w
+// before launch, and that one goroutine uses it from the probe's first
+// component to its last. Between probes the engine's pool passes an arena
+// on only through checkin and checkout. Results never alias arena memory —
+// covers copy replicas out — so arenas are invisible in the output.
 type arena struct {
 	xb expand.Builder
 	ca cut.Arena

@@ -193,9 +193,11 @@ type Stats struct {
 	ExpandReuses   int // expansions served by in-place Tighten/Loosen
 	ArenaPeakBytes int // high-water footprint of the busiest scratch arena
 
-	// Engine arena-pool effectiveness (zero on the throwaway path, where
-	// states have no pool): how many worker arenas this run checked out, and
-	// how many of those came warm from the pool instead of being created.
+	// Engine arena-pool effectiveness: how many worker arenas this run
+	// checked out of its engine's pool, and how many of those came warm
+	// from the pool instead of being created. Every public entry point runs
+	// on an engine, so only package tests that build a state with no pool
+	// see zero here.
 	ArenaCheckouts int
 	ArenaPoolHits  int
 

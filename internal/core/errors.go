@@ -96,17 +96,6 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// IsAbort reports whether err is one of the structured run-abort errors
-// (*CancelError, *InternalError, *BudgetError) or a bare context error.
-// Wrappers use it to pass such errors through untouched so errors.Is/As
-// keep working at the public API surface.
-func IsAbort(err error) bool {
-	var ce *CancelError
-	var ie *InternalError
-	var be *BudgetError
-	return isCtxErr(err) || errors.As(err, &ce) || errors.As(err, &ie) || errors.As(err, &be)
-}
-
 // wrapAbort dresses a run-aborting error for the public API: context errors
 // become a CancelError carrying phase, best-so-far and partial stats;
 // InternalErrors get their phase filled in; everything else passes through.

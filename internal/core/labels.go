@@ -888,7 +888,7 @@ func (s *state) coneFunction(x *expand.Expanded, res *cut.Result, ar *arena) (*l
 			_, v := orig.Func.IsConst()
 			tt = ar.tt.Get(m).SetConst(v)
 		} else {
-			tt = orig.Func.ComposeBoolPool(subs, &ar.tt)
+			tt = orig.Func.Compose(subs, &ar.tt)
 		}
 		memo[repID] = tt
 		return tt

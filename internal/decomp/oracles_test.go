@@ -5,17 +5,27 @@ import "turbosyn/internal/logic"
 // Test oracles over decomposition results: recomposition, the tree's
 // function, and its shape.
 
-// Verify recomposes the decomposition and compares with f exhaustively.
+// Verify checks the decomposition against f exhaustively, one minterm at a
+// time: f(x) = G(α_1(x_B), ..., α_e(x_B), x_F) at every x.
 func (r *RothKarpResult) Verify(f *logic.TT) bool {
-	n := f.NumVars()
-	subs := make([]*logic.TT, len(r.Alphas)+len(r.FreeSet))
-	for i, a := range r.Alphas {
-		subs[i] = expand(a, n, r.BoundSet)
+	for x := 0; x < f.NumBits(); x++ {
+		var b, g uint
+		for j, v := range r.BoundSet {
+			b |= uint(x>>v&1) << j
+		}
+		for i, a := range r.Alphas {
+			if a.Eval(b) {
+				g |= 1 << i
+			}
+		}
+		for i, v := range r.FreeSet {
+			g |= uint(x>>v&1) << (len(r.Alphas) + i)
+		}
+		if r.G.Eval(g) != f.Bit(x) {
+			return false
+		}
 	}
-	for i, v := range r.FreeSet {
-		subs[len(r.Alphas)+i] = logic.Var(n, v)
-	}
-	return r.G.Compose(subs).Equal(f)
+	return true
 }
 
 // expand returns f over n variables, variable j of f becoming variable
@@ -25,7 +35,7 @@ func expand(f *logic.TT, n int, vars []int) *logic.TT {
 	for j, v := range vars {
 		subs[j] = logic.Var(n, v)
 	}
-	return f.ComposeBoolPool(subs, nil)
+	return f.Compose(subs, nil)
 }
 
 // TT materializes the tree's function, composing the node tables
@@ -45,7 +55,7 @@ func (t *Tree) TT() *logic.TT {
 		for j, c := range nd.Children {
 			subs[j] = vals[c]
 		}
-		vals[n+i] = nd.Func.ComposeBoolPool(subs, nil)
+		vals[n+i] = nd.Func.Compose(subs, nil)
 	}
 	return vals[t.Root()]
 }

@@ -1,31 +1,37 @@
 package logic
 
-// ComposeBoolPool substitutes functions for variables like Compose, but runs
-// word-parallel over the substituted tables via Shannon expansion of t:
+// Compose substitutes functions for variables: result(x) =
+// t(subs[0](x), ..., subs[nvar-1](x)). All substituted functions must range
+// over the same variable count, which becomes the result's variable count.
+// It runs word-parallel over the substituted tables via Shannon expansion
+// of t:
 //
 //	t = ~x_j·t0 + x_j·t1  =>  result = (~subs[j] AND compose(t0)) OR
 //	                                    (subs[j] AND compose(t1))
 //
 // Cost is O(2^support(t) * words(result)) instead of the bit-serial
-// O(2^result * support(t)) of Compose — the difference matters when the
-// result ranges over many variables (cone functions over wide cuts).
+// O(2^result * support(t)) of evaluating t once per result minterm — the
+// difference matters when the result ranges over many more variables than
+// t (K-input node functions over cone cuts of up to 15 inputs). When t
+// ranges over nearly as many variables as the result, per-minterm
+// evaluation is the cheaper one.
 //
 // Every transient table — Shannon cofactors, negated substitutions, the
 // per-level partial results — is drawn from and returned to p. The result
 // itself is also pool-owned: the caller must Put it back (or Clone it out)
 // when done. With a nil pool every table, the result included, is owned by
 // the garbage collector.
-func (t *TT) ComposeBoolPool(subs []*TT, p *TTPool) *TT {
+func (t *TT) Compose(subs []*TT, p *TTPool) *TT {
 	if len(subs) != t.nvar {
-		panic("logic: ComposeBoolPool: need one substitution per variable")
+		panic("logic: Compose: need one substitution per variable")
 	}
 	if t.nvar == 0 {
-		panic("logic: ComposeBoolPool on 0-var table")
+		panic("logic: Compose on 0-var table")
 	}
 	nv := subs[0].nvar
 	for _, s := range subs {
 		if s.nvar != nv {
-			panic("logic: ComposeBoolPool: substitutions over different variable sets")
+			panic("logic: Compose: substitutions over different variable sets")
 		}
 	}
 	negs := make([]*TT, len(subs))

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestComposeBoolPoolMatchesUnpooled: the pooled composition is the same
+// TestComposePoolMatchesUnpooled: the pooled composition is the same
 // pure function as the allocating one, for random tables across variable
 // counts, and the pool ends each round holding every transient it issued
 // (nothing leaks, nothing double-frees into visible corruption).
-func TestComposeBoolPoolMatchesUnpooled(t *testing.T) {
+func TestComposePoolMatchesUnpooled(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var pool TTPool
 	for round := 0; round < 200; round++ {
@@ -20,8 +20,8 @@ func TestComposeBoolPoolMatchesUnpooled(t *testing.T) {
 		for i := range subs {
 			subs[i] = randTT(rng, nv)
 		}
-		want := f.ComposeBoolPool(subs, nil)
-		got := f.ComposeBoolPool(subs, &pool)
+		want := f.Compose(subs, nil)
+		got := f.Compose(subs, &pool)
 		if !got.Equal(want) {
 			t.Fatalf("round %d: pooled compose diverged\nwant %s\ngot  %s", round, want, got)
 		}
@@ -32,9 +32,9 @@ func TestComposeBoolPoolMatchesUnpooled(t *testing.T) {
 	}
 }
 
-// TestComposeBoolPoolPreservesInputs: composition must not mutate the outer
+// TestComposePreservesInputs: composition must not mutate the outer
 // function or the substitutions, pooled or not.
-func TestComposeBoolPoolPreservesInputs(t *testing.T) {
+func TestComposePreservesInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var pool TTPool
 	f := randTT(rng, 4)
@@ -45,13 +45,13 @@ func TestComposeBoolPoolPreservesInputs(t *testing.T) {
 		snap[i] = subs[i].Clone()
 	}
 	fsnap := f.Clone()
-	got := f.ComposeBoolPool(subs, &pool)
+	got := f.Compose(subs, &pool)
 	if !f.Equal(fsnap) {
-		t.Error("ComposeBoolPool mutated the outer function")
+		t.Error("Compose mutated the outer function")
 	}
 	for i := range subs {
 		if !subs[i].Equal(snap[i]) {
-			t.Errorf("ComposeBoolPool mutated substitution %d", i)
+			t.Errorf("Compose mutated substitution %d", i)
 		}
 	}
 	pool.Put(got)

@@ -387,38 +387,6 @@ func (t *TT) checkBlock(m, b int) {
 	}
 }
 
-// Compose substitutes functions for variables: result(x) =
-// t(subs[0](x), ..., subs[nvar-1](x)). All substituted functions must range
-// over the same variable count, which becomes the result's variable count.
-func (t *TT) Compose(subs []*TT) *TT {
-	if len(subs) != t.nvar {
-		panic("logic: Compose: need one substitution per variable")
-	}
-	if t.nvar == 0 {
-		panic("logic: Compose on 0-var table")
-	}
-	nv := subs[0].nvar
-	for _, s := range subs {
-		if s.nvar != nv {
-			panic("logic: Compose: substitutions over different variable sets")
-		}
-	}
-	r := NewTT(nv)
-	n := r.NumBits()
-	for i := 0; i < n; i++ {
-		var j uint
-		for k, s := range subs {
-			if s.Bit(i) {
-				j |= 1 << uint(k)
-			}
-		}
-		if t.Eval(j) {
-			r.SetBit(i, true)
-		}
-	}
-	return r
-}
-
 // FromBits builds a table from a little-endian bit string such as "1011"
 // (bit i of the string is the value at minterm i; index 0 first).
 func FromBits(nvar int, bitstr string) (*TT, error) {

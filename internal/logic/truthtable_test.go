@@ -266,7 +266,7 @@ func expand(t *TT, nvar int, varMap []int) *TT {
 	for j, v := range varMap {
 		subs[j] = Var(nvar, v)
 	}
-	return t.ComposeBoolPool(subs, nil)
+	return t.Compose(subs, nil)
 }
 
 func TestExpand(t *testing.T) {
@@ -379,16 +379,49 @@ func TestBlocksMatchBits(t *testing.T) {
 	}
 }
 
+// composeBitSerial is the definition Compose must meet, evaluated one
+// result minterm at a time: bit i of the result is t at the assignment
+// whose bit k is subs[k] at minterm i.
+func composeBitSerial(t *TT, subs []*TT) *TT {
+	r := NewTT(subs[0].nvar)
+	for i := 0; i < r.NumBits(); i++ {
+		var j uint
+		for k, s := range subs {
+			if s.Bit(i) {
+				j |= 1 << uint(k)
+			}
+		}
+		if t.Eval(j) {
+			r.SetBit(i, true)
+		}
+	}
+	return r
+}
+
 func TestCompose(t *testing.T) {
 	// g(y0,y1) = y0 AND y1; y0 = x0 XOR x1, y1 = x2. Result over 3 vars.
 	g := AndAll(2)
 	y0 := NewTT(3).Xor(Var(3, 0), Var(3, 1))
 	y1 := Var(3, 2)
-	h := g.Compose([]*TT{y0, y1})
+	h := g.Compose([]*TT{y0, y1}, nil)
 	for i := 0; i < 8; i++ {
 		want := ((i&1 != 0) != (i&2 != 0)) && i&4 != 0
 		if h.Bit(i) != want {
 			t.Fatalf("compose wrong at %d", i)
+		}
+	}
+	// The word-parallel composition against the bit-serial definition.
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 300; round++ {
+		k := 1 + rng.Intn(6)
+		nv := 1 + rng.Intn(10)
+		f := randTT(rng, k)
+		subs := make([]*TT, k)
+		for i := range subs {
+			subs[i] = randTT(rng, nv)
+		}
+		if got, want := f.Compose(subs, nil), composeBitSerial(f, subs); !got.Equal(want) {
+			t.Fatalf("round %d: Compose diverged from the bit-serial definition\nwant %s\ngot  %s", round, want, got)
 		}
 	}
 }

@@ -5,7 +5,6 @@
 package mapper
 
 import (
-	"context"
 	"fmt"
 
 	"turbosyn/internal/core"
@@ -14,17 +13,18 @@ import (
 	"turbosyn/internal/retime"
 )
 
-// combOptions returns core options tuned for exact combinational mapping
-// with decomposition (FlowSYN): expansions must reach the primary inputs, so
-// candidate expansion is unbounded (the circuit is acyclic, so it
-// terminates).
-func combOptions(k int) core.Options {
-	opts := core.DefaultOptions()
-	opts.K = k
-	opts.Pipelined = false
-	opts.LowDepth = 1 << 20
-	opts.MaxExpand = 1 << 22
-	return opts
+// IslandOptions returns o with FlowSYN's overrides for exact combinational
+// mapping with decomposition: the clock-period objective (islands have no
+// registers to pipeline), decomposition on, and candidate expansion
+// unbounded, because expansions must reach the primary inputs (an island is
+// acyclic, so it terminates). Every other option — workers, budgets, cache,
+// observability — is the caller's.
+func IslandOptions(o core.Options) core.Options {
+	o.Decompose = true
+	o.Pipelined = false
+	o.LowDepth = 1 << 20
+	o.MaxExpand = 1 << 22
+	return o
 }
 
 // FlowSYNS is the paper's FlowSYN-s baseline for sequential circuits: cut
@@ -32,59 +32,46 @@ func combOptions(k int) core.Options {
 // merge the mapped islands with the original registers, and report the
 // minimum clock period of the merged network under retiming and pipelining.
 func FlowSYNS(c *netlist.Circuit, k int) (*core.Result, error) {
-	return FlowSYNSContext(context.Background(), c, k)
-}
-
-// FlowSYNSContext is FlowSYNS under a context: cancellation aborts the
-// island mapping and surfaces as a *core.CancelError.
-func FlowSYNSContext(ctx context.Context, c *netlist.Circuit, k int) (*core.Result, error) {
 	if err := c.Check(); err != nil {
 		return nil, err
 	}
-	split, bound := splitAtRegisters(c)
-	res, err := core.MinimizeContext(ctx, split, combOptions(k))
+	s := Cut(c)
+	opts := core.DefaultOptions()
+	opts.K = k
+	res, err := core.Minimize(s.Islands, IslandOptions(opts))
 	if err != nil {
-		if core.IsAbort(err) {
-			return nil, err // keep the structured error reachable by errors.As
-		}
-		return nil, fmt.Errorf("mapper: FlowSYN-s island mapping: %v", err)
+		return nil, fmt.Errorf("mapper: FlowSYN-s island mapping: %w", err)
 	}
-	merged, origOf, err := merge(c, split, bound, res)
-	if err != nil {
-		return nil, err
-	}
-	phi, _ := retime.MinPeriodPipelined(merged)
-	return &core.Result{
-		Phi:    phi,
-		Mapped: merged,
-		LUTs:   merged.NumGates(),
-		OrigOf: origOf,
-		Stats:  res.Stats,
-		Opts:   res.Opts,
-	}, nil
+	return s.Merge(res)
 }
 
-// boundary records the correspondence between the original circuit and its
-// register-free split.
-type boundary struct {
-	toSplit  []int          // original node id -> split node id (PIs, gates)
-	pseudoPI map[int][2]int // split pseudo-PI id -> (original source, weight)
+// Split is FlowSYN-s's register cut of one circuit: Islands is the
+// register-free circuit whose combinational islands get mapped, and Merge
+// rewires a mapping of Islands back into a sequential network over the
+// original circuit.
+type Split struct {
+	Islands *netlist.Circuit
+	orig    *netlist.Circuit
+	toSplit []int          // original node id -> Islands node id (PIs, gates)
+	pseudo  map[int][2]int // Islands pseudo-PI id -> (original source, weight)
 }
 
-// splitAtRegisters builds the combinational circuit obtained by replacing
-// every registered connection with a pseudo primary input, and exposing
-// every register driver as a pseudo primary output (so it is mapped).
-func splitAtRegisters(c *netlist.Circuit) (*netlist.Circuit, *boundary) {
+// Cut splits the checked circuit c at its registers: every registered
+// connection becomes a pseudo primary input, and every register driver is
+// exposed as a pseudo primary output (so it is mapped).
+func Cut(c *netlist.Circuit) *Split {
 	s := netlist.NewCircuit(c.Name + "_split")
-	b := &boundary{
-		toSplit:  make([]int, c.NumNodes()),
-		pseudoPI: make(map[int][2]int),
+	sp := &Split{
+		Islands: s,
+		orig:    c,
+		toSplit: make([]int, c.NumNodes()),
+		pseudo:  make(map[int][2]int),
 	}
-	for i := range b.toSplit {
-		b.toSplit[i] = -1
+	for i := range sp.toSplit {
+		sp.toSplit[i] = -1
 	}
 	for _, pi := range c.PIs {
-		b.toSplit[pi] = s.AddPI(c.Nodes[pi].Name)
+		sp.toSplit[pi] = s.AddPI(c.Nodes[pi].Name)
 	}
 	// Pseudo PIs, one per distinct (source, weight >= 1) pair in use.
 	pseudo := make(map[[2]int]int)
@@ -95,14 +82,14 @@ func splitAtRegisters(c *netlist.Circuit) (*netlist.Circuit, *boundary) {
 		}
 		id := s.AddPI(fmt.Sprintf("ps$%d$%d", from, w))
 		pseudo[key] = id
-		b.pseudoPI[id] = key
+		sp.pseudo[id] = key
 		return id
 	}
 	// Gates in two passes (placeholders, then wiring), like the other
 	// netlist transformers, although the split is acyclic by construction.
 	for _, n := range c.Nodes {
 		if n.Kind == netlist.Gate {
-			b.toSplit[n.ID] = s.AddGate(n.Name, logic.Const(0, false)) // wired below
+			sp.toSplit[n.ID] = s.AddGate(n.Name, logic.Const(0, false)) // wired below
 		}
 	}
 	regDriver := make([]bool, c.NumNodes())
@@ -110,11 +97,11 @@ func splitAtRegisters(c *netlist.Circuit) (*netlist.Circuit, *boundary) {
 		if n.Kind != netlist.Gate {
 			continue
 		}
-		g := s.Nodes[b.toSplit[n.ID]]
+		g := s.Nodes[sp.toSplit[n.ID]]
 		g.Func = n.Func
 		for _, f := range n.Fanins {
 			if f.Weight == 0 {
-				g.Fanins = append(g.Fanins, netlist.Fanin{From: b.toSplit[f.From]})
+				g.Fanins = append(g.Fanins, netlist.Fanin{From: sp.toSplit[f.From]})
 			} else {
 				g.Fanins = append(g.Fanins, netlist.Fanin{From: pseudoID(f.From, f.Weight)})
 				regDriver[f.From] = true
@@ -124,7 +111,7 @@ func splitAtRegisters(c *netlist.Circuit) (*netlist.Circuit, *boundary) {
 	for _, po := range c.POs {
 		f := c.Nodes[po].Fanins[0]
 		if f.Weight == 0 {
-			s.AddPO(c.Nodes[po].Name, b.toSplit[f.From], 0)
+			s.AddPO(c.Nodes[po].Name, sp.toSplit[f.From], 0)
 		} else {
 			s.AddPO(c.Nodes[po].Name, pseudoID(f.From, f.Weight), 0)
 			regDriver[f.From] = true
@@ -135,15 +122,20 @@ func splitAtRegisters(c *netlist.Circuit) (*netlist.Circuit, *boundary) {
 	// BLIF) is the same on every run.
 	for from, drives := range regDriver {
 		if drives && c.Nodes[from].Kind == netlist.Gate {
-			s.AddPO(fmt.Sprintf("po$%d", from), b.toSplit[from], 0)
+			s.AddPO(fmt.Sprintf("po$%d", from), sp.toSplit[from], 0)
 		}
 	}
 	s.InvalidateCaches()
-	return s, b
+	return sp
 }
 
-// merge rewires the mapped split network back into a sequential circuit.
-func merge(c, split *netlist.Circuit, b *boundary, res *core.Result) (*netlist.Circuit, []int, error) {
+// Merge rewires res, a mapping of s.Islands, back into a sequential circuit
+// over the original circuit's registers. The merged result's Phi is the
+// minimum clock period of the merged network under retiming and pipelining,
+// its OrigOf points into the original circuit, and its Stats and Opts are
+// the island mapping's.
+func (s *Split) Merge(res *core.Result) (*core.Result, error) {
+	c, split := s.orig, s.Islands
 	mapped := res.Mapped
 	// splitDriver[sid] = mapped node computing split node sid's function
 	// (for split PIs and gates that were covered).
@@ -167,7 +159,7 @@ func merge(c, split *netlist.Circuit, b *boundary, res *core.Result) (*netlist.C
 	isPseudo := make([]bool, mapped.NumNodes())
 	for mid, sid := range splitOf {
 		if sid >= 0 {
-			if _, ok := b.pseudoPI[sid]; ok && mapped.Nodes[mid].Kind == netlist.PI {
+			if _, ok := s.pseudo[sid]; ok && mapped.Nodes[mid].Kind == netlist.PI {
 				isPseudo[mid] = true
 			}
 		}
@@ -176,7 +168,7 @@ func merge(c, split *netlist.Circuit, b *boundary, res *core.Result) (*netlist.C
 	for i := range splitToOrig {
 		splitToOrig[i] = -1
 	}
-	for oid, sid := range b.toSplit {
+	for oid, sid := range s.toSplit {
 		if sid >= 0 {
 			splitToOrig[sid] = oid
 		}
@@ -208,9 +200,9 @@ func merge(c, split *netlist.Circuit, b *boundary, res *core.Result) (*netlist.C
 		if !isPseudo[src] {
 			return netlist.Fanin{From: newID[src], Weight: f.Weight}, nil
 		}
-		key := b.pseudoPI[splitOf[src]]
+		key := s.pseudo[splitOf[src]]
 		origSrc, w := key[0], key[1]
-		driver := newID[mappedOf[b.toSplit[origSrc]]]
+		driver := newID[mappedOf[s.toSplit[origSrc]]]
 		if driver < 0 {
 			return netlist.Fanin{}, fmt.Errorf("mapper: register driver %d unmapped", origSrc)
 		}
@@ -225,7 +217,7 @@ func merge(c, split *netlist.Circuit, b *boundary, res *core.Result) (*netlist.C
 		for _, f := range n.Fanins {
 			rf, err := resolveFanin(f)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			g.Fanins = append(g.Fanins, rf)
 		}
@@ -243,13 +235,13 @@ func merge(c, split *netlist.Circuit, b *boundary, res *core.Result) (*netlist.C
 		f := mapped.Nodes[po].Fanins[0]
 		rf, err := resolveFanin(f)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		m.AddPO(name, rf.From, rf.Weight)
 	}
 	m.InvalidateCaches()
 	if err := m.Check(); err != nil {
-		return nil, nil, fmt.Errorf("mapper: merged network malformed: %v", err)
+		return nil, fmt.Errorf("mapper: merged network malformed: %v", err)
 	}
 	// Origin map into the ORIGINAL circuit.
 	origOf := make([]int, m.NumNodes())
@@ -269,5 +261,13 @@ func merge(c, split *netlist.Circuit, b *boundary, res *core.Result) (*netlist.C
 			realPOs++
 		}
 	}
-	return m, origOf, nil
+	phi, _ := retime.MinPeriodPipelined(m)
+	return &core.Result{
+		Phi:    phi,
+		Mapped: m,
+		LUTs:   m.NumGates(),
+		OrigOf: origOf,
+		Stats:  res.Stats,
+		Opts:   res.Opts,
+	}, nil
 }

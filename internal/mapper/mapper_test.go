@@ -38,7 +38,7 @@ func andTree32(t *testing.T) *netlist.Circuit {
 // combinational options: FlowMap (Cong–Ding) without decomposition, FlowSYN
 // with it. The result's Phi is the LUT depth.
 func mapComb(c *netlist.Circuit, k int, decompose bool) (*core.Result, error) {
-	opts := combOptions(k)
+	opts := IslandOptions(core.Options{K: k, PLD: true})
 	opts.Decompose = decompose
 	return core.Minimize(c, opts)
 }

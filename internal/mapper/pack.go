@@ -142,7 +142,7 @@ func collapse(c *netlist.Circuit, k int) bool {
 				_, val := u.Func.IsConst()
 				uTT = logic.Const(m, val)
 			} else {
-				uTT = u.Func.Compose(uSubs)
+				uTT = u.Func.Compose(uSubs, nil)
 			}
 			for i, mv := range vVarOf {
 				if mv == -1 {
@@ -156,7 +156,7 @@ func collapse(c *netlist.Circuit, k int) bool {
 				_, val := v.Func.IsConst()
 				newFn = logic.Const(m, val)
 			} else {
-				newFn = v.Func.Compose(subs)
+				newFn = v.Func.Compose(subs, nil)
 			}
 			v.Func = newFn
 			v.Fanins = merged

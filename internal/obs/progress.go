@@ -38,7 +38,7 @@ type Counters struct {
 // stream as the single source of truth for partial progress.
 type Snapshot struct {
 	RunID   string
-	Phase   string // "init", "turbomap-ub", "search", "map", "pack", "realize", "flowsyns"
+	Phase   string // "init", "turbomap-ub", "search", "map", "pack", "realize"
 	Elapsed time.Duration
 	BestPhi int // smallest feasible phi proven so far, -1 when none
 	Done    bool

@@ -98,6 +98,33 @@ func TestJobTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestJobTraceFlowSYNS: a flowsyns job runs on the same engine as the
+// other algorithms, so its stitched trace holds the engine's probe,
+// component and map spans beside the daemon lifecycle spans.
+func TestJobTraceFlowSYNS(t *testing.T) {
+	s := testServer(t, Config{Fleet: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.Start()
+	job, err := s.Submit(JobSpec{
+		Tenant:    "acme",
+		Options:   JobOptions{Algorithm: "flowsyns"},
+		Generator: &GeneratorSpec{Kind: "suite", Name: "bbara"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, job); st.State != StateDone {
+		t.Fatalf("job finished %s (%+v)", st.State, st.Error)
+	}
+	counts := chaosTrace(t, ts.URL, job.ID).Counts()
+	for _, span := range []string{"admission", "dispatch", "probe", "component", "map"} {
+		if counts[span] == 0 {
+			t.Errorf("flowsyns job trace has no %q spans (counts: %v)", span, counts)
+		}
+	}
+}
+
 // TestJobTraceDisabled: TraceRingCap < 0 turns per-job tracing off — jobs
 // run ringless (no recorder allocation) and the endpoint answers 404.
 func TestJobTraceDisabled(t *testing.T) {

@@ -272,25 +272,20 @@ func Synthesize(c *Circuit, o Options) (*Result, error) {
 	return SynthesizeContext(context.Background(), c, o)
 }
 
-// SynthesizeContext is Synthesize under a context. Cancellation or deadline
-// expiry aborts the synthesis at the next engine checkpoint — the label
-// engine polls an atomic flag at sweep granularity, so the abort lands well
-// under a second even on large circuits — and returns a *CancelError that
-// wraps the context's error and carries the aborting phase, the best
-// feasible phi proven so far and the partial work statistics.
+// SynthesizeContext is Synthesize under a context: NewEngine, the engine's
+// SynthesizeContext and Close. Cancellation or deadline expiry aborts the
+// synthesis at the next engine checkpoint — the label engine polls an
+// atomic flag at sweep granularity, so the abort lands well under a second
+// even on large circuits — and returns a *CancelError that wraps the
+// context's error and carries the aborting phase, the best feasible phi
+// proven so far and the partial work statistics.
 func SynthesizeContext(ctx context.Context, c *Circuit, o Options) (*Result, error) {
-	o = o.fill()
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	if err := c.Check(); err != nil {
-		return nil, err
-	}
-	work, err := kBoundFor(c, o.K)
+	e, err := NewEngine(c, o)
 	if err != nil {
 		return nil, err
 	}
-	return synthesizeOn(ctx, nil, c, work, o)
+	defer e.Close()
+	return e.SynthesizeContext(ctx)
 }
 
 // kBoundFor returns c itself when already K-bounded, or the structural
@@ -306,7 +301,7 @@ func kBoundFor(c *Circuit, k int) (*Circuit, error) {
 // pg and logger are the run-scoped observability sinks (the logger already
 // carries the run id); both may be nil.
 func (o Options) coreOptions(pg *obs.Progress, logger *slog.Logger) core.Options {
-	return core.Options{
+	co := core.Options{
 		K:               o.K,
 		Decompose:       o.Algorithm == TurboSYN,
 		PLD:             !o.NoPLD,
@@ -320,120 +315,10 @@ func (o Options) coreOptions(pg *obs.Progress, logger *slog.Logger) core.Options
 		Progress:        pg,
 		Logger:          logger,
 	}
-}
-
-// synthesizeOn runs the synthesis pipeline — observability setup, search,
-// packing, realization — on the already K-bounded work derived from the
-// caller's circuit c. When eng is non-nil the search runs on that engine,
-// reusing its circuit analysis, decomposition cache and arena pool across
-// calls; when nil, the package-level core entry points build a throwaway
-// engine for this one run. Options must already be filled and validated.
-func synthesizeOn(ctx context.Context, eng *core.Engine, c, work *Circuit, o Options) (out *Result, err error) {
-	// Observability setup: one run id shared by logs, trace and progress; a
-	// reporter goroutine that is always joined — with a final Done snapshot
-	// delivered exactly once — before this function returns, on every path.
-	runID := o.RunID
-	if runID == "" && (o.Trace != nil || o.Progress != nil || o.Logger != nil) {
-		runID = obs.NewRunID()
+	if o.Algorithm == FlowSYNS {
+		co = mapper.IslandOptions(co)
 	}
-	logger := o.Logger
-	if logger != nil {
-		logger = logger.With("run", runID, "circuit", c.Name)
-	}
-	var pg *obs.Progress
-	if o.Progress != nil {
-		pg = obs.NewProgress(runID, o.ProgressInterval, o.Progress)
-		pg.Start()
-	}
-	defer func() {
-		msg := ""
-		if err != nil {
-			msg = err.Error()
-		}
-		pg.Finish(msg) // nil-safe; no-op when o.Progress is nil
-	}()
-	if logger != nil {
-		logger.Info("synthesis start", "algorithm", o.Algorithm.String(),
-			"k", o.K, "workers", o.Workers, "nodes", c.NumNodes(), "gates", c.NumGates())
-	}
-	var res *core.Result
-	switch o.Algorithm {
-	case FlowSYNS:
-		pg.SetPhase("flowsyns")
-		res, err = mapper.FlowSYNSContext(ctx, work, o.K)
-	default:
-		opts := o.coreOptions(pg, logger)
-		if eng != nil {
-			res, err = eng.MinimizeContext(ctx, opts)
-		} else {
-			res, err = core.MinimizeContext(ctx, work, opts)
-		}
-	}
-	if err != nil {
-		if logger != nil {
-			logger.Warn("synthesis aborted", "err", err)
-		}
-		return nil, err
-	}
-	pg.SetBestPhi(res.Phi)
-	// The mapping is relative to the K-bounded circuit; stream alignment
-	// must refer to the caller's circuit. KBound preserves node names for
-	// original gates, so remap through names when we rebounded.
-	origOf := res.OrigOf
-	if work != c {
-		origOf = remapOrigins(res.OrigOf, work, c)
-	}
-	out = &Result{
-		Phi:       res.Phi,
-		LUTs:      res.LUTs,
-		Mapped:    res.Mapped,
-		OrigOf:    origOf,
-		Stats:     res.Stats,
-		Algorithm: o.Algorithm,
-		RunID:     runID,
-	}
-	// The packing and realization post-passes are fast relative to the
-	// search but not free on large networks; honour cancellation between
-	// phases so a deadline that expires after the search still aborts
-	// promptly with the work done so far attributed to the right phase.
-	pg.SetPhase("pack")
-	if err := phaseCancelled(ctx, "pack", out); err != nil {
-		return nil, err
-	}
-	if !o.NoPack {
-		packed, packedOrig, err := mapper.Pack(res.Mapped, o.K, origOf)
-		if err != nil {
-			return nil, err
-		}
-		out.Mapped, out.OrigOf, out.LUTs = packed, packedOrig, packed.NumGates()
-	}
-	pg.SetPhase("realize")
-	if err := phaseCancelled(ctx, "realize", out); err != nil {
-		return nil, err
-	}
-	if !o.NoRealize {
-		pipeline := o.Objective == MinRatio
-		r, ok := retime.RetimeForPeriod(out.Mapped, out.Phi, pipeline)
-		if !ok {
-			return nil, fmt.Errorf("turbosyn: internal error: phi=%d not realizable", out.Phi)
-		}
-		realized, rerr := retime.Apply(out.Mapped, r)
-		if rerr != nil {
-			return nil, rerr
-		}
-		out.Realized = realized
-		out.Latency = retime.Latency(out.Mapped, r)
-	} else {
-		out.Latency = make([]int, len(out.Mapped.POs))
-	}
-	if o.Trace != nil {
-		out.Stats.TraceEvents, out.Stats.TraceDropped = o.Trace.Totals()
-	}
-	if logger != nil {
-		logger.Info("synthesis done", "phi", out.Phi, "luts", out.LUTs,
-			"iterations", out.Stats.Iterations, "degradations", out.Stats.Degradations)
-	}
-	return out, nil
+	return co
 }
 
 // phaseCancelled converts a done context into a *CancelError for a
@@ -476,17 +361,15 @@ func Feasible(c *Circuit, phi int, o Options) (bool, core.Stats, error) {
 	return FeasibleContext(context.Background(), c, phi, o)
 }
 
-// FeasibleContext is Feasible under a context (see SynthesizeContext).
+// FeasibleContext is Feasible under a context (see SynthesizeContext):
+// NewEngine, the engine's FeasibleContext and Close.
 func FeasibleContext(ctx context.Context, c *Circuit, phi int, o Options) (bool, core.Stats, error) {
-	o = o.fill()
-	if err := o.validate(); err != nil {
-		return false, core.Stats{}, err
-	}
-	work, err := kBoundFor(c, o.K)
+	e, err := NewEngine(c, o)
 	if err != nil {
 		return false, core.Stats{}, err
 	}
-	return core.FeasibleContext(ctx, work, phi, o.coreOptions(nil, o.Logger))
+	defer e.Close()
+	return e.FeasibleContext(ctx, phi)
 }
 
 // ClockPeriod returns the clock period of a circuit as-is (unit delay per
