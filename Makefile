@@ -38,11 +38,14 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed; skipped (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# Fast suite: skips the quick-tables smoke run and the heavier golden cases.
+# Fast suite: skips the heavier golden cases, then runs the quick-tables
+# smoke test on its own (it skips itself under -short, which keeps `make race`
+# fast), so the evaluation path through the public engine runs in CI.
 # The benchmark harness is a nested module that ./... does not reach; vetting
 # and testing it here catches public-API changes that would break it.
 test:
 	$(GO) test -short -timeout 10m ./...
+	$(GO) test -count=1 -run '^TestQuickTables$$' ./internal/experiments
 	cd tsbench && $(GO) vet . && $(GO) test .
 
 # Full tier-1 suite, including the experiments smoke test.

@@ -30,12 +30,14 @@ func benchCase(b *testing.B, name string) *netlist.Circuit {
 
 // --- Table 1: clock period (MDR ratio) per algorithm ---
 
-func benchmarkMinimize(b *testing.B, name string, opts core.Options) {
-	c := benchCase(b, name)
+// benchmarkSynthesize runs Synthesize without realization, as the
+// experiment tables do.
+func benchmarkSynthesize(b *testing.B, c *Circuit, o Options) {
+	o.NoRealize = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Minimize(c, opts)
+		res, err := Synthesize(c, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,38 +47,30 @@ func benchmarkMinimize(b *testing.B, name string, opts core.Options) {
 }
 
 func BenchmarkTable1TurboSYN_bbara(b *testing.B) {
-	benchmarkMinimize(b, "bbara", core.DefaultOptions())
+	benchmarkSynthesize(b, benchCase(b, "bbara"), Options{})
 }
 
 func BenchmarkTable1TurboSYN_s420(b *testing.B) {
-	benchmarkMinimize(b, "s420", core.DefaultOptions())
+	benchmarkSynthesize(b, benchCase(b, "s420"), Options{})
 }
 
 func BenchmarkTable1TurboMap_bbara(b *testing.B) {
-	benchmarkMinimize(b, "bbara", core.Options{Decompose: false, PLD: true, Pipelined: true})
+	benchmarkSynthesize(b, benchCase(b, "bbara"), Options{Algorithm: TurboMap})
 }
 
 func BenchmarkTable1TurboMap_s420(b *testing.B) {
-	benchmarkMinimize(b, "s420", core.Options{Decompose: false, PLD: true, Pipelined: true})
+	benchmarkSynthesize(b, benchCase(b, "s420"), Options{Algorithm: TurboMap})
 }
 
 func BenchmarkTable1FlowSYNS_bbara(b *testing.B) {
-	c := benchCase(b, "bbara")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := mapper.FlowSYNS(c, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Phi), "phi")
-	}
+	benchmarkSynthesize(b, benchCase(b, "bbara"), Options{Algorithm: FlowSYNS})
 }
 
 // --- Table 2: area (LUT counts after packing) ---
 
 func BenchmarkTable2Area_bbara(b *testing.B) {
 	c := benchCase(b, "bbara")
-	res, err := core.Minimize(c, core.DefaultOptions())
+	res, err := Synthesize(c, Options{NoPack: true, NoRealize: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,6 +87,8 @@ func BenchmarkTable2Area_bbara(b *testing.B) {
 
 // --- F-PLD: positive loop detection speedup on infeasible probes ---
 
+// benchmarkProbe decides one infeasible TurboMap target on a core engine,
+// as the PLD ablation does: the n^2 run needs core's IterBudget.
 func benchmarkProbe(b *testing.B, name string, pld bool) {
 	c := benchCase(b, name)
 	opts := core.Options{Decompose: false, PLD: pld, Pipelined: true}
@@ -100,7 +96,7 @@ func benchmarkProbe(b *testing.B, name string, pld bool) {
 		opts.IterBudget = 400000
 	}
 	// Target one below the TurboMap optimum: infeasible by construction.
-	base, err := core.Minimize(c, core.Options{Decompose: false, PLD: true, Pipelined: true})
+	base, err := Synthesize(c, Options{Algorithm: TurboMap, NoPack: true, NoRealize: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,10 +104,15 @@ func benchmarkProbe(b *testing.B, name string, pld bool) {
 	if target < 1 {
 		b.Skip("optimum already 1; no infeasible probe")
 	}
+	e, err := core.NewEngine(c, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, st, err := core.Feasible(c, target, opts)
+		ok, st, err := e.FeasibleContext(context.Background(), target, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,12 +139,11 @@ func benchmarkScale(b *testing.B, name string, stateBits, workers int) {
 	// ScaleFSM seeds its generator from the name: the j1/jN variants must
 	// share one name so they minimize the same circuit.
 	c := bench.ScaleFSM(name, stateBits, 8)
-	opts := core.DefaultOptions()
-	opts.Workers = workers
+	opts := Options{Workers: workers, NoPack: true, NoRealize: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Minimize(c, opts)
+		res, err := Synthesize(c, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,12 +175,11 @@ func BenchmarkScale2k(b *testing.B) {
 // its time in search and mapping that the scheduler doesn't touch.
 func benchmarkPipeline(b *testing.B, workers int) {
 	c := bench.Pipeline("BenchmarkPipeline4k", 16, 256, 8)
-	opts := core.DefaultOptions()
-	opts.Workers = workers
+	opts := Options{Workers: workers}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, st, err := core.Feasible(c, 2, opts)
+		ok, st, err := Feasible(c, 2, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,12 +208,11 @@ func BenchmarkPipeline4k(b *testing.B) {
 // cross-component parallelism — on a multi-core machine jN should beat j1;
 // on one CPU they tie.
 func benchmarkMultiCore(b *testing.B, c *netlist.Circuit, phi, workers int) {
-	opts := core.DefaultOptions()
-	opts.Workers = workers
+	opts := Options{Workers: workers}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, st, err := core.Feasible(c, phi, opts)
+		ok, st, err := Feasible(c, phi, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,17 +234,17 @@ func BenchmarkScale10k(b *testing.B) {
 
 // --- Engine reuse: run-persistent analysis, cache and arena pools ---
 //
-// The oneshot/engine pair runs the same Minimize workload through the
-// throwaway path (per-call analysis, cold cache, fresh arenas) and through
-// one reusable core.Engine warmed by a single untimed run. The deltas in
-// ns/op and allocs/op measure exactly what the engine amortizes; the results
-// are bit-identical (TestEngineReuseBitIdentical in internal/core).
+// The oneshot/engine pair runs the same Synthesize workload (no packing or
+// realization) through a fresh engine per run (analysis, cold cache, fresh
+// arenas) and through one reusable Engine warmed by a single untimed run.
+// The deltas in ns/op and allocs/op measure exactly what the engine
+// amortizes; the results are bit-identical (TestEngineReuseBitIdentical in
+// internal/core).
 
 func benchmarkEngineReuse(b *testing.B, workers int, oneshot bool) {
 	c := benchCase(b, "bbara")
-	opts := core.DefaultOptions()
-	opts.Workers = workers
-	check := func(res *core.Result, err error) {
+	opts := Options{Workers: workers, NoPack: true, NoRealize: true}
+	check := func(res *Result, err error) {
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,19 +254,19 @@ func benchmarkEngineReuse(b *testing.B, workers int, oneshot bool) {
 	if oneshot {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			check(core.Minimize(c, opts))
+			check(Synthesize(c, opts))
 		}
 		return
 	}
-	e, err := core.NewEngine(c, opts)
+	e, err := NewEngine(c, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	check(e.MinimizeContext(context.Background(), opts)) // untimed warmup: pools filled, cache hot
+	check(e.Synthesize()) // untimed warmup: pools filled, cache hot
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		check(e.MinimizeContext(context.Background(), opts))
+		check(e.Synthesize())
 	}
 }
 
@@ -286,17 +284,7 @@ func BenchmarkKSweep(b *testing.B) {
 	for k := 3; k <= 6; k++ {
 		k := k
 		b.Run(string(rune('0'+k)), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.K = k
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := core.Minimize(c, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Phi), "phi")
-				b.ReportMetric(float64(res.LUTs), "luts")
-			}
+			benchmarkSynthesize(b, c, Options{K: k, NoPack: true})
 		})
 	}
 }
@@ -322,7 +310,7 @@ func BenchmarkFigure1Loop6(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Minimize(c, core.DefaultOptions())
+		res, err := Synthesize(c, Options{NoPack: true, NoRealize: true})
 		if err != nil {
 			b.Fatal(err)
 		}

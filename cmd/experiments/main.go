@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-table 1|2|pld|scale|k|all] [-k 5]
+//	experiments [-table 1|2|pld|period|scale|k|all] [-k 5] [-quick]
 package main
 
 import (

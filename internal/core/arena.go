@@ -140,16 +140,10 @@ func (ar *arena) npnCanon(fn *logic.TT) (*logic.TT, logic.NPNTransform) {
 // s.stats writes.
 func (s *state) arenaFor(w int) *arena {
 	for len(s.arenas) <= w {
-		var ar *arena
-		if s.pool != nil {
-			var pooled bool
-			ar, pooled = s.pool.checkout()
-			s.stats.ArenaCheckouts++
-			if pooled {
-				s.stats.ArenaPoolHits++
-			}
-		} else {
-			ar = &arena{curNode: -1}
+		ar, pooled := s.pool.checkout()
+		s.stats.ArenaCheckouts++
+		if pooled {
+			s.stats.ArenaPoolHits++
 		}
 		if s.rec != nil {
 			ar.ring = s.rec.NewRing(fmt.Sprintf("phi=%d worker %d", s.phi, len(s.arenas)))

@@ -21,7 +21,7 @@ func cacheChaosRun(t *testing.T, dir string) (int, []int, int) {
 	opts := DefaultOptions()
 	opts.Workers = 2
 	opts.CacheDir = dir
-	res, err := Minimize(faultCircuit(t), opts)
+	res, err := minimizeOnce(faultCircuit(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCacheDirSurvivesCancel(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 2
 	opts.CacheDir = dir
-	_, err := MinimizeContext(ctx, c, opts)
+	_, err := minimizeOnceContext(ctx, c, opts)
 	off()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)

@@ -195,9 +195,7 @@ type Stats struct {
 
 	// Engine arena-pool effectiveness: how many worker arenas this run
 	// checked out of its engine's pool, and how many of those came warm
-	// from the pool instead of being created. Every public entry point runs
-	// on an engine, so only package tests that build a state with no pool
-	// see zero here.
+	// from the pool instead of being created.
 	ArenaCheckouts int
 	ArenaPoolHits  int
 
@@ -332,8 +330,6 @@ type Result struct {
 	OrigOf []int
 	// Stats accumulates work over every probe of the search.
 	Stats Stats
-	// Opts echoes the configuration used.
-	Opts Options
 }
 
 func validateInput(c *netlist.Circuit, opts Options) error {

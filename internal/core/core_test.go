@@ -19,6 +19,36 @@ func turboSYNOpts() Options {
 	return DefaultOptions()
 }
 
+// minimizeOnce minimizes c on a throwaway engine.
+func minimizeOnce(c *netlist.Circuit, opts Options) (*Result, error) {
+	return minimizeOnceContext(context.Background(), c, opts)
+}
+
+// minimizeOnceContext is minimizeOnce under ctx.
+func minimizeOnceContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Result, error) {
+	e, err := NewEngine(c, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer e.Close()
+	return e.MinimizeContext(ctx, opts)
+}
+
+// feasibleOnce decides phi for c on a throwaway engine.
+func feasibleOnce(c *netlist.Circuit, phi int, opts Options) (bool, Stats, error) {
+	return feasibleOnceContext(context.Background(), c, phi, opts)
+}
+
+// feasibleOnceContext is feasibleOnce under ctx.
+func feasibleOnceContext(ctx context.Context, c *netlist.Circuit, phi int, opts Options) (bool, Stats, error) {
+	e, err := NewEngine(c, opts)
+	if err != nil {
+		return false, Stats{}, err
+	}
+	defer e.Close()
+	return e.FeasibleContext(ctx, phi, opts)
+}
+
 // mapOnce maps c at phi on a throwaway engine.
 func mapOnce(c *netlist.Circuit, phi int, opts Options) (*Result, error) {
 	e, err := NewEngine(c, opts)
@@ -75,7 +105,7 @@ func loop6(t *testing.T) *netlist.Circuit {
 
 func TestTogglerMapsAtRatio1(t *testing.T) {
 	c := toggler(t)
-	res, err := Minimize(c, turboMapOpts())
+	res, err := minimizeOnce(c, turboMapOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +124,14 @@ func TestTogglerMapsAtRatio1(t *testing.T) {
 
 func TestLoop6TurboMapVsTurboSYN(t *testing.T) {
 	c := loop6(t)
-	tm, err := Minimize(c, turboMapOpts())
+	tm, err := minimizeOnce(c, turboMapOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tm.Phi != 2 {
 		t.Fatalf("TurboMap phi = %d, want 2", tm.Phi)
 	}
-	ts, err := Minimize(c, turboSYNOpts())
+	ts, err := minimizeOnce(c, turboSYNOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +193,7 @@ func TestCombinationalActsLikeFlowMap(t *testing.T) {
 	opts := turboMapOpts()
 	opts.K = 4
 	opts.Pipelined = false
-	res, err := Minimize(c, opts)
+	res, err := minimizeOnce(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +215,11 @@ func TestPLDSpeedsUpInfeasibleProbe(t *testing.T) {
 	optsOn := turboMapOpts()
 	optsOff := turboMapOpts()
 	optsOff.PLD = false
-	okOn, statsOn, err := Feasible(c, 1, optsOn)
+	okOn, statsOn, err := feasibleOnce(c, 1, optsOn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	okOff, statsOff, err := Feasible(c, 1, optsOff)
+	okOff, statsOff, err := feasibleOnce(c, 1, optsOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +280,7 @@ func TestFeasibleMonotone(t *testing.T) {
 	opts := turboMapOpts()
 	prev := false
 	for phi := 1; phi <= 7; phi++ {
-		ok, _, err := Feasible(c, phi, opts)
+		ok, _, err := feasibleOnce(c, phi, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +308,7 @@ func TestClockPeriodObjectiveDiffersFromRatio(t *testing.T) {
 	opts := turboMapOpts()
 	opts.K = 2
 	opts.Pipelined = false
-	res, err := Minimize(c, opts)
+	res, err := minimizeOnce(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +337,7 @@ func TestValidation(t *testing.T) {
 	}
 	g := c.AddGate("w", logic.AndAll(7), fanins...)
 	c.AddPO("z", g, 0)
-	if _, _, err := Feasible(c, 3, turboSYNOpts()); err == nil {
+	if _, _, err := feasibleOnce(c, 3, turboSYNOpts()); err == nil {
 		t.Fatal("non-K-bounded input must be rejected")
 	}
 }
@@ -378,11 +408,11 @@ func TestRandomCircuitsEndToEnd(t *testing.T) {
 			continue // generator can build comb cycles; skip
 		}
 		tmOpts := turboMapOpts()
-		tm, err := Minimize(c, tmOpts)
+		tm, err := minimizeOnce(c, tmOpts)
 		if err != nil {
 			t.Fatalf("seed %d: TurboMap: %v", seed, err)
 		}
-		ts, err := Minimize(c, turboSYNOpts())
+		ts, err := minimizeOnce(c, turboSYNOpts())
 		if err != nil {
 			t.Fatalf("seed %d: TurboSYN: %v", seed, err)
 		}

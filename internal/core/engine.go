@@ -253,12 +253,11 @@ type PoolStats struct {
 // this from scratch, which is what makes repeated runs (the daemon workload)
 // and the O(log ub) probes of one MinimizeContext cheap.
 //
-// The entry points take a context: FeasibleContext, MapAtRatioContext and
-// MinimizeContext. An Engine is safe for concurrent use; results are
-// bit-identical to the package-level Feasible and Minimize (which are
-// themselves thin wrappers over a throwaway engine). Close flushes the
-// persistent cache log; runs started after Close still compute correctly
-// but their new cache entries are lost.
+// An Engine is the package's only way in. Its entry points take a context:
+// FeasibleContext, MapAtRatioContext and MinimizeContext. An Engine is safe
+// for concurrent use, and results are bit-identical whether it serves one
+// call or many. Close flushes the persistent cache log; runs started after
+// Close still compute correctly but their new cache entries are lost.
 //
 // Per-call Options may vary freely between runs on one engine — the
 // turbomap-ub pass inside MinimizeContext already relies on that — with one
@@ -453,8 +452,10 @@ func (c *call) end(st *Stats, err error, phase string, best int) error {
 
 // FeasibleContext decides Problem 2 on the engine's circuit: does a mapping
 // with clock period (or, when opts.Pipelined, MDR ratio) at most phi exist?
-// Equivalent to the package-level FeasibleContext, minus the per-call
-// analysis and cache construction.
+// It returns the probe's work statistics alongside. Cancellation or
+// deadline expiry aborts the probe between sweeps (and within long sweeps)
+// and returns a *CancelError wrapping the context's error, with the partial
+// work statistics attached.
 func (e *Engine) FeasibleContext(ctx context.Context, phi int, opts Options) (bool, Stats, error) {
 	c, err := e.begin(ctx, opts)
 	if err != nil {
@@ -529,11 +530,20 @@ func (e *Engine) mapStep(opts Options, phi int, kept func() (*state, error)) (re
 }
 
 // MinimizeContext finds the minimum feasible phi by binary search on the
-// engine's circuit and returns the mapping at that phi (see the package
-// MinimizeContext for the search and abort semantics). Every probe of the
-// search checks its state and arenas out of the engine instead of
-// rebuilding the circuit analysis, and the mapping is generated from the
+// engine's circuit and returns the mapping at that phi. The upper bound
+// follows the paper: the trivial one-gate-per-LUT mapping achieves the
+// current clock period, and for the MDR objective TurboMap's minimum clock
+// period is itself an upper bound (computed first when opts.Decompose is
+// set, mirroring "first run TurboMap to get an upper bound UB"). Every
+// probe of the search checks its state and arenas out of the engine instead
+// of rebuilding the circuit analysis, and the mapping is generated from the
 // state of the search's best probe, so no probe runs after the search.
+//
+// Cancellation or deadline expiry aborts the search at the next checkpoint
+// — probes poll an atomic flag at sweep granularity, so the abort lands
+// well under a second even on large circuits — and returns a *CancelError
+// carrying the phase that observed it, the best feasible phi proven so far
+// (-1 when none) and the partial work statistics.
 func (e *Engine) MinimizeContext(ctx context.Context, opts Options) (*Result, error) {
 	c, err := e.begin(ctx, opts)
 	if err != nil {

@@ -44,9 +44,8 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineFeasibleMatchesOneShot: the engine's single-probe entry point
-// agrees with the package-level one on both verdicts, and pools across
-// probes.
+// TestEngineFeasibleMatchesOneShot: four probes on one engine agree with a
+// fresh engine per probe on both verdicts, and pool across probes.
 func TestEngineFeasibleMatchesOneShot(t *testing.T) {
 	c := faultCircuit(t)
 	opts := DefaultOptions()
@@ -57,7 +56,7 @@ func TestEngineFeasibleMatchesOneShot(t *testing.T) {
 	}
 	defer e.Close()
 	for phi := 1; phi <= 4; phi++ {
-		want, _, err := Feasible(c, phi, opts)
+		want, _, err := feasibleOnce(c, phi, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,14 +73,14 @@ func TestEngineFeasibleMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestEngineMapAtRatioMatchesOneShot covers the remaining public entry
-// point against the one-shot Minimize's final mapping pass at the same phi,
+// TestEngineMapAtRatioMatchesOneShot covers the remaining entry point
+// against a fresh engine's Minimize final mapping pass at the same phi,
 // including the infeasible-target error path (which poisons nothing: an
 // infeasible probe completes normally).
 func TestEngineMapAtRatioMatchesOneShot(t *testing.T) {
 	c := faultCircuit(t)
 	opts := DefaultOptions()
-	want, err := Minimize(c, opts)
+	want, err := minimizeOnce(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestInjectedPanicContained(t *testing.T) {
 				defer off()
 				opts := DefaultOptions()
 				opts.Workers = workers
-				res, err := Minimize(c, opts)
+				res, err := minimizeOnce(c, opts)
 				if plan.Fired(faultinject.KindPanicCutCheck) == 0 {
 					t.Fatalf("fault never fired (only %d cut checks)",
 						plan.Hits(faultinject.KindPanicCutCheck))
@@ -123,7 +123,7 @@ func TestInjectedCancelMidSweep(t *testing.T) {
 			defer off()
 			opts := DefaultOptions()
 			opts.Workers = workers
-			res, err := MinimizeContext(ctx, c, opts)
+			res, err := minimizeOnceContext(ctx, c, opts)
 			if plan.Fired(faultinject.KindCancelSweep) == 0 {
 				t.Fatalf("cancel point never fired (only %d sweeps)",
 					plan.Hits(faultinject.KindCancelSweep))
@@ -162,7 +162,7 @@ func TestInjectedBudgetExhaustion(t *testing.T) {
 			defer off()
 			opts := DefaultOptions()
 			opts.Workers = workers
-			res, err := Minimize(c, opts)
+			res, err := minimizeOnce(c, opts)
 			if err != nil {
 				t.Fatalf("graceful degradation must not error: %v", err)
 			}
@@ -188,7 +188,7 @@ func TestInjectedBudgetExhaustion(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Workers = workers
 			opts.Strict = true
-			res, err := Minimize(c, opts)
+			res, err := minimizeOnce(c, opts)
 			if err == nil {
 				t.Fatal("Strict budget exhaustion must error")
 			}
@@ -220,7 +220,7 @@ func TestInjectedSlowWorker(t *testing.T) {
 	})
 	defer off()
 	opts.Workers = 8
-	got, err := Minimize(c, opts)
+	got, err := minimizeOnce(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func loop6mix(t *testing.T) *netlist.Circuit {
 func TestRealBudgetDegradation(t *testing.T) {
 	c := loop6mix(t)
 	opts := turboSYNOpts()
-	base, err := Minimize(c, opts)
+	base, err := minimizeOnce(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestRealBudgetDegradation(t *testing.T) {
 	}
 
 	opts.RothKarpBudget = 1
-	res, err := Minimize(c, opts)
+	res, err := minimizeOnce(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestRealBudgetDegradation(t *testing.T) {
 	}
 
 	opts.Strict = true
-	if _, err := Minimize(c, opts); err == nil {
+	if _, err := minimizeOnce(c, opts); err == nil {
 		t.Fatal("Strict mode must surface the exhausted Roth-Karp budget")
 	} else {
 		var be *BudgetError
@@ -313,7 +313,7 @@ func TestGenerousBudgetsBitIdentical(t *testing.T) {
 	want := reference(t, c, opts)
 	opts.RothKarpBudget = 1 << 30
 	opts.ArenaByteBudget = 1 << 40
-	got, err := Minimize(c, opts)
+	got, err := minimizeOnce(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestRandomizedChaos(t *testing.T) {
 			defer off()
 			opts := DefaultOptions()
 			opts.Workers = 8
-			res, err := Minimize(c, opts)
+			res, err := minimizeOnce(c, opts)
 			switch {
 			case err == nil:
 				// The panic point lay beyond this run's cut checks; the run
@@ -367,7 +367,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	c := faultCircuit(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := MinimizeContext(ctx, c, DefaultOptions())
+	_, err := minimizeOnceContext(ctx, c, DefaultOptions())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -390,7 +390,7 @@ func TestFeasibleContextCancel(t *testing.T) {
 		CancelAtSweep: 2, OnCancel: cancel,
 	})
 	defer off()
-	_, _, err := FeasibleContext(ctx, c, 1, DefaultOptions())
+	_, _, err := feasibleOnceContext(ctx, c, 1, DefaultOptions())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

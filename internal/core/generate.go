@@ -92,7 +92,6 @@ func (s *state) generate() (*Result, error) {
 		Mapped: m,
 		LUTs:   m.NumGates(),
 		OrigOf: origOf,
-		Opts:   s.opts,
 	}, nil
 }
 

@@ -31,9 +31,9 @@ type coverRec struct {
 type state struct {
 	c  *netlist.Circuit
 	an *analysis
-	// pool, when non-nil, is the engine's arena pool: arenaFor checks
-	// worker arenas out of it instead of creating them, and checkinState
-	// returns them when the probe's state goes back to the engine.
+	// pool is the engine's arena pool: arenaFor checks worker arenas out of
+	// it, and checkinState returns them when the probe's state goes back to
+	// the engine.
 	pool   *arenaPool
 	opts   Options
 	phi    int
@@ -128,7 +128,7 @@ type state struct {
 const labelInf = int(1) << 28
 
 // blankState allocates a probe state's per-circuit arrays and wires in the
-// shared analysis and (optionally) the engine's arena pool. The state is not
+// shared analysis and the engine's arena pool. The state is not
 // usable until resetFor ran and a cache and counter set were attached.
 func blankState(c *netlist.Circuit, an *analysis, pool *arenaPool) *state {
 	n := c.NumNodes()

@@ -32,7 +32,7 @@ func TestMapPassIsOneProbe(t *testing.T) {
 		if !circuits[cs.Name] {
 			continue
 		}
-		best, err := Minimize(cs.Circuit, opts)
+		best, err := minimizeOnce(cs.Circuit, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", cs.Name, err)
 		}
@@ -72,7 +72,7 @@ func TestMinimizeIsItsProbes(t *testing.T) {
 			continue
 		}
 		seen++
-		res, err := Minimize(cs.Circuit, opts)
+		res, err := minimizeOnce(cs.Circuit, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", cs.Name, err)
 		}
@@ -134,7 +134,7 @@ func TestMapPreservesFeasibilityOnRandom(t *testing.T) {
 		if c.Check() != nil {
 			continue
 		}
-		res, err := Minimize(c, turboSYNOpts())
+		res, err := minimizeOnce(c, turboSYNOpts())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -87,7 +87,7 @@ func TestParallelMatchesSequentialGolden(t *testing.T) {
 			}
 			for _, workers := range pools {
 				opts.Workers = workers
-				got, err := Minimize(c, opts)
+				got, err := minimizeOnce(c, opts)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -114,7 +114,7 @@ func TestFeasibleParallelMatchesSequential(t *testing.T) {
 	for phi := 1; phi <= 4; phi++ {
 		for _, workers := range []int{1, 4} {
 			opts.Workers = workers
-			got, _, err := Feasible(c, phi, opts)
+			got, _, err := feasibleOnce(c, phi, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -63,11 +63,11 @@ func TestTurboSYNNeverWorseThanTurboMapQuick(t *testing.T) {
 			continue
 		}
 		for phi := 1; phi <= 4; phi++ {
-			okTM, _, err := Feasible(c, phi, turboMapOpts())
+			okTM, _, err := feasibleOnce(c, phi, turboMapOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
-			okTS, _, err := Feasible(c, phi, turboSYNOpts())
+			okTS, _, err := feasibleOnce(c, phi, turboSYNOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,12 +100,12 @@ func TestNonPipelinedRespectsOutputs(t *testing.T) {
 	opts := turboMapOpts()
 	opts.K = 3
 	opts.Pipelined = false
-	period, err := Minimize(c, opts)
+	period, err := minimizeOnce(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Pipelined = true
-	ratio, err := Minimize(c, opts)
+	ratio, err := minimizeOnce(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestNonPipelinedRespectsOutputs(t *testing.T) {
 			period.Phi, ratio.Phi)
 	}
 	// And the non-pipelined mapping must honor the PO condition.
-	ok, _, err := Feasible(c, period.Phi-1, opts2NonPipelined(opts))
+	ok, _, err := feasibleOnce(c, period.Phi-1, opts2NonPipelined(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestMaxExpandConservative(t *testing.T) {
 	c := loop6(t)
 	small := turboSYNOpts()
 	small.MaxExpand = 12 // absurdly small
-	res, err := Minimize(c, small)
+	res, err := minimizeOnce(c, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Minimize(c, turboSYNOpts())
+	full, err := minimizeOnce(c, turboSYNOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestLowDepthMonotoneStructural(t *testing.T) {
 		for _, low := range []int{-1, 3, 6} { // increasing expansion depth
 			o := turboMapOpts()
 			o.LowDepth = low
-			res, err := Minimize(c, o)
+			res, err := minimizeOnce(c, o)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -119,7 +119,7 @@ func identityWorkerPools() []int {
 // decomposition cache and counter set, no arena pool. The engine paths use
 // checkoutState instead; the direct-probe tests use this.
 func newState(c *netlist.Circuit, phi int, opts Options) *state {
-	s := blankState(c, analyze(c), nil)
+	s := blankState(c, analyze(c), &arenaPool{})
 	s.resetFor(phi, opts)
 	s.cache = newDecompCache()
 	s.conc = &counters{}

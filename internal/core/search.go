@@ -1,63 +1,13 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"turbosyn/internal/netlist"
 	"turbosyn/internal/obs"
 )
 
-// The package-level entry points are thin wrappers over a throwaway Engine:
-// the engine owns the circuit analysis, the decomposition cache (with the
-// persisted log, when configured) and the arena pool for exactly one call,
-// and its Close flushes the log on every exit path. Results are bit-identical
-// to the pooled path — the engine methods are the same code.
-
-// Feasible decides Problem 2: does a mapping with clock period (or, when
-// opts.Pipelined, MDR ratio) at most phi exist? It returns the probe's work
-// statistics alongside.
-func Feasible(c *netlist.Circuit, phi int, opts Options) (bool, Stats, error) {
-	return FeasibleContext(context.Background(), c, phi, opts)
-}
-
-// FeasibleContext is Feasible under a context: cancellation or deadline
-// expiry aborts the probe between sweeps (and within long sweeps) and
-// returns a *CancelError wrapping the context's error, with the partial
-// work statistics attached.
-func FeasibleContext(ctx context.Context, c *netlist.Circuit, phi int, opts Options) (bool, Stats, error) {
-	e, err := NewEngine(c, opts)
-	if err != nil {
-		return false, Stats{}, err
-	}
-	defer e.Close()
-	return e.FeasibleContext(ctx, phi, opts)
-}
-
-// Minimize finds the minimum feasible phi by binary search and returns the
-// mapping at that phi. The upper bound follows the paper: the trivial
-// one-gate-per-LUT mapping achieves the current clock period, and for the
-// MDR objective TurboMap's minimum clock period is itself an upper bound
-// (computed first when opts.Decompose is set, mirroring "first run TurboMap
-// to get an upper bound UB").
-func Minimize(c *netlist.Circuit, opts Options) (*Result, error) {
-	return MinimizeContext(context.Background(), c, opts)
-}
-
-// MinimizeContext is Minimize under a context. Cancellation or deadline
-// expiry aborts the search at the next checkpoint — probes poll an atomic
-// flag at sweep granularity, so the abort lands well under a second even on
-// large circuits — and returns a *CancelError carrying the phase that
-// observed it, the best feasible phi proven so far (-1 when none) and the
-// partial work statistics.
-func MinimizeContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Result, error) {
-	e, err := NewEngine(c, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	return e.MinimizeContext(ctx, opts)
-}
+// The phi search behind Engine.MinimizeContext: a binary search whose every
+// step is one cold probe on a state checked out of the engine.
 
 // minimizeSearch binary-searches the smallest feasible phi in [1, ub] for
 // call c; ub must be feasible. Each step decides Problem 2 at the midpoint

@@ -68,7 +68,7 @@ func TestSequentialSearchGolden(t *testing.T) {
 			for _, workers := range cfg.workers {
 				opts := cfg.opts
 				opts.Workers = workers
-				res, err := Minimize(cs.Circuit, opts)
+				res, err := minimizeOnce(cs.Circuit, opts)
 				if err != nil {
 					t.Fatalf("%s/%s/j%d: %v", cs.Name, cfg.name, workers, err)
 				}

@@ -32,7 +32,7 @@ func TestSearchProbesOnlyMidpoints(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			opts := DefaultOptions()
 			opts.Workers = workers
-			res, err := Minimize(cs.Circuit, opts)
+			res, err := minimizeOnce(cs.Circuit, opts)
 			if err != nil {
 				t.Fatalf("%s/j%d: %v", cs.Name, workers, err)
 			}
@@ -80,7 +80,7 @@ func TestProbePanicBecomesInternalError(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 1
 	ctx := context.Background()
-	want, err := Minimize(circuit, opts)
+	want, err := minimizeOnce(circuit, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestTraceFlushPanicAbort(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Workers = workers
 			opts.Trace = rec
-			if _, err := Minimize(c, opts); err == nil {
+			if _, err := minimizeOnce(c, opts); err == nil {
 				t.Fatal("contained panic did not surface as an error")
 			}
 			if plan.Fired(faultinject.KindPanicCutCheck) == 0 {
@@ -107,7 +107,7 @@ func TestTraceFlushCancelAbort(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Workers = workers
 			opts.Trace = rec
-			if _, err := MinimizeContext(ctx, c, opts); err == nil {
+			if _, err := minimizeOnceContext(ctx, c, opts); err == nil {
 				t.Fatal("cancelled run returned no error")
 			}
 			if plan.Fired(faultinject.KindCancelSweep) == 0 {

@@ -73,7 +73,7 @@ func TestWorklistMatchesFullSweep(t *testing.T) {
 
 			for _, workers := range workerPools {
 				opts.Workers = workers
-				got, err := Minimize(c, opts)
+				got, err := minimizeOnce(c, opts)
 				if err != nil {
 					t.Fatalf("j%d: %v", workers, err)
 				}
@@ -139,7 +139,7 @@ func TestWorklistAvoidsWork(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 1
 	want := reference(t, c, opts)
-	got, err := Minimize(c, opts)
+	got, err := minimizeOnce(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,16 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"time"
 
+	"turbosyn"
 	"turbosyn/internal/bench"
 	"turbosyn/internal/core"
-	"turbosyn/internal/mapper"
 	"turbosyn/internal/netlist"
 	"turbosyn/internal/retime"
 )
@@ -41,10 +43,8 @@ func quickSkip(c *netlist.Circuit) bool {
 // caseResult bundles the three algorithms' outcomes on one circuit.
 type caseResult struct {
 	bench.Case
-	fsns, tm, ts *core.Result
-	fsnsWall     time.Duration
-	tmWall       time.Duration
-	tsWall       time.Duration
+	fsns, tm, ts             *turbosyn.Result
+	fsnsWall, tmWall, tsWall time.Duration
 }
 
 var (
@@ -52,18 +52,20 @@ var (
 	suiteCache = map[int][]caseResult{}
 )
 
-func turboMapOpts(k int) core.Options {
-	o := core.Options{K: k, Decompose: false, PLD: true, Pipelined: true}
-	return o
+// synthesize runs the public flow on c without the realization step (no
+// table reads the retimed network) and times it.
+func synthesize(c *netlist.Circuit, o turbosyn.Options) (*turbosyn.Result, time.Duration, error) {
+	o.NoRealize = true
+	start := time.Now()
+	res, err := turbosyn.Synthesize(c, o)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s/%v: %w", c.Name, o.Algorithm, err)
+	}
+	return res, time.Since(start), nil
 }
 
-func turboSYNOpts(k int) core.Options {
-	o := core.DefaultOptions()
-	o.K = k
-	return o
-}
-
-// runSuite maps every suite circuit with the three algorithms (cached per K).
+// runSuite maps and packs every suite circuit with the three algorithms
+// (cached per K).
 func runSuite(cfg Config) ([]caseResult, error) {
 	suiteMu.Lock()
 	defer suiteMu.Unlock()
@@ -76,32 +78,12 @@ func runSuite(cfg Config) ([]caseResult, error) {
 			continue
 		}
 		r := caseResult{Case: cs}
-		var err error
-		start := time.Now()
-		r.fsns, err = mapper.FlowSYNS(cs.Circuit, cfg.K)
-		if err != nil {
-			return nil, fmt.Errorf("%s/flowsyns: %v", cs.Name, err)
-		}
-		r.fsnsWall = time.Since(start)
-		start = time.Now()
-		r.tm, err = core.Minimize(cs.Circuit, turboMapOpts(cfg.K))
-		if err != nil {
-			return nil, fmt.Errorf("%s/turbomap: %v", cs.Name, err)
-		}
-		r.tmWall = time.Since(start)
-		start = time.Now()
-		r.ts, err = core.Minimize(cs.Circuit, turboSYNOpts(cfg.K))
-		if err != nil {
-			return nil, fmt.Errorf("%s/turbosyn: %v", cs.Name, err)
-		}
-		r.tsWall = time.Since(start)
-		// Area post-pass, identical for the three flows.
-		for _, res := range []*core.Result{r.fsns, r.tm, r.ts} {
-			packed, _, err := mapper.Pack(res.Mapped, cfg.K, res.OrigOf)
-			if err != nil {
-				return nil, fmt.Errorf("%s/pack: %v", cs.Name, err)
-			}
-			res.LUTs = packed.NumGates()
+		var errFS, errTM, errTS error
+		r.fsns, r.fsnsWall, errFS = synthesize(cs.Circuit, turbosyn.Options{K: cfg.K, Algorithm: turbosyn.FlowSYNS})
+		r.tm, r.tmWall, errTM = synthesize(cs.Circuit, turbosyn.Options{K: cfg.K, Algorithm: turbosyn.TurboMap})
+		r.ts, r.tsWall, errTS = synthesize(cs.Circuit, turbosyn.Options{K: cfg.K, Algorithm: turbosyn.TurboSYN})
+		if err := errors.Join(errFS, errTM, errTS); err != nil {
+			return nil, err
 		}
 		out = append(out, r)
 	}
@@ -187,37 +169,33 @@ func TablePLD(cfg Config) error {
 		if target < 1 {
 			continue
 		}
-		on := turboMapOpts(cfg.K)
-		start := time.Now()
-		okOn, statsOn, err := core.Feasible(r.Circuit, target, on)
+		// TurboMap's label computation; the n^2 run needs IterBudget, which
+		// the public options do not offer, so both probes run on one core
+		// engine over the circuit.
+		on := core.Options{K: cfg.K, PLD: true, Pipelined: true}
+		e, err := core.NewEngine(r.Circuit, on)
 		if err != nil {
 			return err
 		}
-		dOn := time.Since(start)
+		statsOn, dOn, err := infeasibleProbe(e, target, on)
 		// The n^2 rule is given up to 100x the PLD iteration count (capped
 		// rows report lower bounds '>'); anything more only burns hours to
 		// prove a larger factor.
-		budget := 100 * statsOn.Iterations
-		budgetCap := 200000
+		budget := min(100*statsOn.Iterations, 200000)
 		if cfg.Quick {
 			// The smoke test only needs the ablation exercised, not a tight
 			// lower bound on the speedup factor.
-			budgetCap = 2000
+			budget = min(budget, 2000)
 		}
-		if budget > budgetCap {
-			budget = budgetCap
+		off := core.Options{K: cfg.K, Pipelined: true, IterBudget: budget} // on, minus PLD
+		var statsOff core.Stats
+		var dOff time.Duration
+		if err == nil {
+			statsOff, dOff, err = infeasibleProbe(e, target, off)
 		}
-		off := on
-		off.PLD = false
-		off.IterBudget = budget
-		start = time.Now()
-		okOff, statsOff, err := core.Feasible(r.Circuit, target, off)
+		e.Close()
 		if err != nil {
-			return err
-		}
-		dOff := time.Since(start)
-		if okOn || okOff {
-			return fmt.Errorf("%s: target %d unexpectedly feasible", r.Name, target)
+			return fmt.Errorf("%s: %v", r.Name, err)
 		}
 		capped := ""
 		if statsOff.Iterations >= budget {
@@ -235,19 +213,29 @@ func TablePLD(cfg Config) error {
 	return nil
 }
 
+// infeasibleProbe decides phi on e under o, which must come out infeasible,
+// and times the probe.
+func infeasibleProbe(e *core.Engine, phi int, o core.Options) (core.Stats, time.Duration, error) {
+	start := time.Now()
+	ok, st, err := e.FeasibleContext(context.Background(), phi, o)
+	d := time.Since(start)
+	if err == nil && ok {
+		err = fmt.Errorf("target %d unexpectedly feasible", phi)
+	}
+	return st, d, err
+}
+
 // TableScale reproduces the scalability claim: TurboSYN handles circuits
 // of over 10^4 gates and 10^3 flipflops "in reasonable time".
 func TableScale(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "Scale: full TurboSYN minimization, K=%d\n", cfg.K)
 	t := newTable("circuit", "gates", "ffs", "phi", "luts", "wall")
 	for _, c := range scaleCases(cfg) {
-		start := time.Now()
-		res, err := core.Minimize(c, turboSYNOpts(cfg.K))
+		res, d, err := synthesize(c, turbosyn.Options{K: cfg.K, NoPack: true})
 		if err != nil {
-			return fmt.Errorf("%s: %v", c.Name, err)
+			return err
 		}
-		t.AddRow(c.Name, c.NumGates(), c.NumFFs(), res.Phi, res.LUTs,
-			wall(time.Since(start)))
+		t.AddRow(c.Name, c.NumGates(), c.NumFFs(), res.Phi, res.LUTs, wall(d))
 	}
 	t.Render(cfg.Out)
 	return nil
@@ -266,9 +254,9 @@ func TableK(cfg Config) error {
 		}
 		row := []interface{}{cs.Name}
 		for k := 3; k <= 6; k++ {
-			res, err := core.Minimize(cs.Circuit, turboSYNOpts(k))
+			res, _, err := synthesize(cs.Circuit, turbosyn.Options{K: k, NoPack: true})
 			if err != nil {
-				return fmt.Errorf("%s k=%d: %v", cs.Name, k, err)
+				return fmt.Errorf("k=%d: %v", k, err)
 			}
 			row = append(row, res.Phi, res.LUTs)
 		}
@@ -283,15 +271,27 @@ func TableK(cfg Config) error {
 		if !subset[cs.Name] {
 			continue
 		}
+		// LowDepth is not a public option: the three runs share one core
+		// engine and vary it per call.
+		o := core.DefaultOptions()
+		o.K = cfg.K
+		e, err := core.NewEngine(cs.Circuit, o)
+		if err != nil {
+			return err
+		}
 		row := []interface{}{cs.Name}
 		for _, low := range []int{-1, 3, 6} { // -1 = strict TurboMap frontier
-			o := turboSYNOpts(cfg.K)
 			o.LowDepth = low
-			res, err := core.Minimize(cs.Circuit, o)
-			if err != nil {
-				return fmt.Errorf("%s low=%d: %v", cs.Name, low, err)
+			var res *core.Result
+			if res, err = e.MinimizeContext(context.Background(), o); err != nil {
+				err = fmt.Errorf("%s low=%d: %v", cs.Name, low, err)
+				break
 			}
 			row = append(row, res.Phi, res.LUTs)
+		}
+		e.Close()
+		if err != nil {
+			return err
 		}
 		t2.AddRow(row...)
 	}
@@ -356,17 +356,17 @@ func TablePeriod(cfg Config) error {
 		}
 		p0 := retime.Period(cs.Circuit)
 		pr, _ := retime.MinPeriod(cs.Circuit)
-		opts := turboMapOpts(cfg.K)
-		opts.Pipelined = false
-		start := time.Now()
-		res, err := core.Minimize(cs.Circuit, opts)
+		// No LUT column: the wall time is the mapping's alone.
+		res, d, err := synthesize(cs.Circuit, turbosyn.Options{
+			K: cfg.K, Algorithm: turbosyn.TurboMap, Objective: turbosyn.MinPeriod, NoPack: true,
+		})
 		if err != nil {
-			return fmt.Errorf("%s: %v", cs.Name, err)
+			return err
 		}
 		if res.Phi > pr {
 			return fmt.Errorf("%s: mapping (%d) lost to plain retiming (%d)", cs.Name, res.Phi, pr)
 		}
-		t.AddRow(cs.Name, p0, pr, res.Phi, wall(time.Since(start)))
+		t.AddRow(cs.Name, p0, pr, res.Phi, wall(d))
 	}
 	t.Render(cfg.Out)
 	return nil

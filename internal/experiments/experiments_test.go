@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// TestQuickTables runs every table in quick mode (small circuits only) and
-// sanity-checks the rendered output. This is the smoke test; the full runs
-// live in cmd/experiments and EXPERIMENTS.md.
+// TestQuickTables runs every table with a quick mode (small circuits only)
+// plus the period table, and sanity-checks the rendered output. This is the
+// smoke test; the full runs live in cmd/experiments and EXPERIMENTS.md.
+// `make test` runs it on its own, without -short.
 func TestQuickTables(t *testing.T) {
 	if testing.Short() {
-		t.Skip("quick tables still take tens of seconds")
+		t.Skip("about 9s plain and nearly 3 minutes under -race on 2 CPUs")
 	}
 	var buf bytes.Buffer
 	cfg := Config{K: 5, Quick: true, Out: &buf}
@@ -58,6 +59,16 @@ func TestQuickTables(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "speedup") || !strings.Contains(buf.String(), "wall.pld") {
 		t.Fatalf("TablePLD output incomplete:\n%s", buf.String())
+	}
+
+	// TablePeriod has no quick variant (about 1s); it fails if mapping ever
+	// loses to plain retiming.
+	buf.Reset()
+	if err := TablePeriod(cfg); err != nil {
+		t.Fatalf("TablePeriod: %v", err)
+	}
+	if !strings.Contains(buf.String(), "s1423") || !strings.Contains(buf.String(), "mapped+retimed") {
+		t.Fatalf("TablePeriod output incomplete:\n%s", buf.String())
 	}
 
 	buf.Reset()

@@ -60,7 +60,7 @@ func TestFlowSYNSRandomEndToEnd(t *testing.T) {
 		if c.Check() != nil {
 			continue
 		}
-		res, err := FlowSYNS(c, 5)
+		res, err := flowSYNS(c, 5)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -91,7 +91,7 @@ func TestPackRandomEndToEnd(t *testing.T) {
 		if c.Check() != nil {
 			continue
 		}
-		res, err := FlowSYNS(c, 5)
+		res, err := flowSYNS(c, 5)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

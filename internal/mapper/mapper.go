@@ -1,7 +1,10 @@
-// Package mapper provides the FlowSYN-s baseline of the paper's experiments
-// (cut the sequential circuit at its registers, map every combinational
-// island on the same label engine as the sequential algorithms, merge back)
-// and the post-mapping LUT packing that reduces area.
+// Package mapper provides the parts of the FlowSYN-s baseline of the
+// paper's experiments and the post-mapping LUT packing that reduces area.
+// FlowSYN-s cuts the sequential circuit at its registers (Cut), maps every
+// combinational island on the same label engine as the sequential
+// algorithms (IslandOptions) and merges the mapping back over the registers
+// (Split.Merge); the turbosyn Engine assembles these into its FlowSYNS
+// algorithm, the baseline's one entry point.
 package mapper
 
 import (
@@ -25,24 +28,6 @@ func IslandOptions(o core.Options) core.Options {
 	o.LowDepth = 1 << 20
 	o.MaxExpand = 1 << 22
 	return o
-}
-
-// FlowSYNS is the paper's FlowSYN-s baseline for sequential circuits: cut
-// the circuit at every register, map the combinational islands with FlowSYN,
-// merge the mapped islands with the original registers, and report the
-// minimum clock period of the merged network under retiming and pipelining.
-func FlowSYNS(c *netlist.Circuit, k int) (*core.Result, error) {
-	if err := c.Check(); err != nil {
-		return nil, err
-	}
-	s := Cut(c)
-	opts := core.DefaultOptions()
-	opts.K = k
-	res, err := core.Minimize(s.Islands, IslandOptions(opts))
-	if err != nil {
-		return nil, fmt.Errorf("mapper: FlowSYN-s island mapping: %w", err)
-	}
-	return s.Merge(res)
 }
 
 // Split is FlowSYN-s's register cut of one circuit: Islands is the
@@ -132,8 +117,8 @@ func Cut(c *netlist.Circuit) *Split {
 // Merge rewires res, a mapping of s.Islands, back into a sequential circuit
 // over the original circuit's registers. The merged result's Phi is the
 // minimum clock period of the merged network under retiming and pipelining,
-// its OrigOf points into the original circuit, and its Stats and Opts are
-// the island mapping's.
+// its OrigOf points into the original circuit, and its Stats are the island
+// mapping's.
 func (s *Split) Merge(res *core.Result) (*core.Result, error) {
 	c, split := s.orig, s.Islands
 	mapped := res.Mapped
@@ -268,6 +253,5 @@ func (s *Split) Merge(res *core.Result) (*core.Result, error) {
 		LUTs:   m.NumGates(),
 		OrigOf: origOf,
 		Stats:  res.Stats,
-		Opts:   res.Opts,
 	}, nil
 }

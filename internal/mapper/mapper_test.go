@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -34,13 +35,37 @@ func andTree32(t *testing.T) *netlist.Circuit {
 	return c
 }
 
+// minimize minimizes c on a throwaway core engine.
+func minimize(c *netlist.Circuit, opts core.Options) (*core.Result, error) {
+	e, err := core.NewEngine(c, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer e.Close()
+	return e.MinimizeContext(context.Background(), opts)
+}
+
+// flowSYNS runs the FlowSYN-s baseline on c the way the turbosyn engine
+// does: cut at the registers, minimize the islands under IslandOptions,
+// merge back.
+func flowSYNS(c *netlist.Circuit, k int) (*core.Result, error) {
+	s := Cut(c)
+	opts := core.DefaultOptions()
+	opts.K = k
+	res, err := minimize(s.Islands, IslandOptions(opts))
+	if err != nil {
+		return nil, err
+	}
+	return s.Merge(res)
+}
+
 // mapComb maps a combinational circuit on the label engine with the exact
 // combinational options: FlowMap (Cong–Ding) without decomposition, FlowSYN
 // with it. The result's Phi is the LUT depth.
 func mapComb(c *netlist.Circuit, k int, decompose bool) (*core.Result, error) {
 	opts := IslandOptions(core.Options{K: k, PLD: true})
 	opts.Decompose = decompose
-	return core.Minimize(c, opts)
+	return minimize(c, opts)
 }
 
 func TestFlowMapDepthOptimal(t *testing.T) {
@@ -131,7 +156,7 @@ func mealyish(t *testing.T) *netlist.Circuit {
 
 func TestFlowSYNSBaseline(t *testing.T) {
 	c := mealyish(t)
-	res, err := FlowSYNS(c, 5)
+	res, err := flowSYNS(c, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +181,12 @@ func TestFlowSYNSBaseline(t *testing.T) {
 
 func TestFlowSYNSNeverBeatsTurboSYN(t *testing.T) {
 	c := mealyish(t)
-	fsns, err := FlowSYNS(c, 5)
+	fsns, err := flowSYNS(c, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := core.DefaultOptions()
-	ts, err := core.Minimize(c, opts)
+	ts, err := minimize(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +245,7 @@ func TestPackDedupes(t *testing.T) {
 
 func TestPackPreservesRegistersAndTiming(t *testing.T) {
 	c := mealyish(t)
-	res, err := core.Minimize(c, core.DefaultOptions())
+	res, err := minimize(c, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
