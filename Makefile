@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build lint vulncheck test test-full race chaos fuzz-smoke bench trace-smoke cache-warm daemon-smoke daemon-trace-smoke
+.PHONY: build lint vulncheck test test-full tables race chaos fuzz-smoke bench trace-smoke cache-warm daemon-smoke daemon-trace-smoke
 
 # Compile everything and vet it.
 build:
@@ -51,6 +51,13 @@ test:
 # Full tier-1 suite, including the experiments smoke test.
 test-full:
 	$(GO) test -timeout 20m ./...
+
+# Full Tables 1 and 2 of the evaluation (16 circuits x 3 algorithms through
+# turbosyn.Synthesize; about 100 s on 2 CPUs). Table 1 fails when TurboSYN's
+# phi is worse than TurboMap's or FlowSYN-s's on any row; `make test` checks
+# the same invariants on the quick suite only.
+tables:
+	$(GO) run ./cmd/experiments -table 1,2
 
 # Race detector over the fast suite (covers the parallel label engine and
 # its dataflow component scheduler, the sharded decomposition cache and the

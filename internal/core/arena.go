@@ -52,11 +52,10 @@ type arena struct {
 	reach  []bool
 	rqueue []int
 
-	// The bound the builder's expansion currently describes, and whether it
-	// is valid for the node being decided (set by decide, consumed by the
-	// tighter/looser probes of the same node).
-	builtL int
-	built  bool
+	// built reports whether the builder's expansion is valid for the node
+	// being decided (set by decide and tryDecompose, consumed by the
+	// settle path's Loosen).
+	built bool
 
 	// curNode is the circuit node the owning worker is currently deciding,
 	// -1 between decisions. Read only by the panic-containment boundary

@@ -44,9 +44,11 @@ const maxH = 4
 type Options struct {
 	// K is the LUT input count (default 5).
 	K int
-	// LowDepth is the expansion depth through cut candidates (0 means the
-	// default of 3; pass a negative value for the strict TurboMap frontier
-	// that stops at the first candidate).
+	// LowDepth is the structural checks' expansion depth through cut
+	// candidates (0 means the default of 3; pass a negative value for the
+	// strict TurboMap frontier that stops at the first candidate). It also
+	// governs cut witnesses. Resynthesis cuts ignore it: tryDecompose always
+	// expands to the strict frontier.
 	LowDepth int
 	// MaxExpand caps a single expansion (0 means expand.DefaultMaxNodes,
 	// 50,000 replicas). Bigger caps only matter for exotic cuts: when an

@@ -195,7 +195,6 @@ func (p *arenaPool) checkout() (ar *arena, pooled bool) {
 	}
 	ar.ring = nil
 	ar.built = false
-	ar.builtL = 0
 	ar.curNode = -1
 	ar.poisoned = false
 	return ar, pooled

@@ -587,10 +587,11 @@ func (s *state) markDirty(id int) {
 }
 
 // decide computes the label for gate id given L, optionally producing the
-// cover record. The arena serves every probe of the decision from one
-// expansion: the structural check builds E_v at bound L, the resynthesis
-// probes tighten it in place to L-1, L-2, ... and the L+1 settle re-marks
-// it looser — only the flow computation reruns per bound.
+// cover record. The structural check builds E_v at bound L through
+// Options.LowDepth candidate levels; resynthesis rebuilds it once at the
+// strict candidate frontier and tightens that in place to L-1, L-2, ...;
+// the L+1 settle re-marks whichever region is left looser. Only the flow
+// computation reruns per bound.
 func (s *state) decide(id, L int, record bool, st *Stats, ar *arena) (int, coverRec) {
 	xopts := expand.Options{LowDepth: s.opts.LowDepth, MaxNodes: s.opts.MaxExpand}
 	// Structural K-cut of height <= L? A fast pass asks the node's cut
@@ -607,7 +608,7 @@ func (s *state) decide(id, L int, record bool, st *Stats, ar *arena) (int, cover
 	st.ExpandBuilds++
 	phase(ar, obs.OpExpand)
 	x, built := ar.xb.Build(s.c, id, s.labels, s.phi, L, xopts)
-	ar.built, ar.builtL = built, L
+	ar.built = built
 	if built {
 		phase(ar, obs.OpFlow)
 		res, ok := ar.ca.KCut(x, s.opts.K)
@@ -643,13 +644,14 @@ func (s *state) decide(id, L int, record bool, st *Stats, ar *arena) (int, cover
 	var rec coverRec
 	if record {
 		if ar.built {
-			// Reuse whatever region the L build (and any tighter probes)
-			// expanded; re-marking it for L+1 keeps every valid cut and the
-			// extra depth can only expose better ones.
+			// Reuse whatever region the L build (or resynthesis's frontier
+			// build and its tighter probes) expanded; re-marking it for L+1
+			// keeps every valid cut and the extra depth can only expose
+			// better ones.
 			st.ExpandReuses++
 			x = ar.xb.Loosen(L + 1)
 		} else {
-			// The expansion at bound L (or a tighter probe) overflowed the
+			// An expansion at bound L (or a tighter probe) overflowed the
 			// node cap; the L+1 region is smaller and may still fit.
 			st.ExpandBuilds++
 			phase(ar, obs.OpExpand)
@@ -674,15 +676,14 @@ func (s *state) decide(id, L int, record bool, st *Stats, ar *arena) (int, cover
 // cone function decomposes into a tree of K-LUTs of depth h+1, realizing
 // label L (the paper's sequential functional decomposition).
 //
-// The probes reuse decide's expansion at bound L: dropping the bound only
-// grows the expanded region, so each probe Tightens the arena's builder in
-// place instead of re-expanding from scratch.
+// The resynthesis cuts come from the strict candidate frontier (LowDepth 0),
+// not from decide's structural expansion: expanding through candidates lets
+// a Cmax-wide cut reach into deep cones that rarely decompose, at the cost
+// of flow and cone-function time. So tryDecompose rebuilds E_v at bound L on
+// the frontier once; dropping the bound only grows the expanded region, so
+// each probe then Tightens the arena's builder in place instead of
+// re-expanding from scratch.
 func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []Replica, bool) {
-	if !ar.built {
-		// The expansion at bound L already overflowed the node cap; every
-		// tighter bound expands a superset and fails the same way.
-		return nil, nil, false
-	}
 	if faultinject.BudgetExhausted(id) {
 		// Injected budget exhaustion: behave exactly like a real one — the
 		// node degrades to the structural feasibility check (or aborts under
@@ -700,6 +701,15 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		st.ShannonSplits += estats.ShannonSplits
 		st.DisjointPeels += estats.DisjointPeels
 	}()
+	st.ExpandBuilds++
+	phase(ar, obs.OpExpand)
+	if _, ok := ar.xb.Build(s.c, id, s.labels, s.phi, L, expand.Options{MaxNodes: s.opts.MaxExpand}); !ok {
+		// Every tighter bound expands a superset and fails the same way.
+		ar.built = false
+		phase(ar, obs.OpLabel)
+		return nil, nil, false
+	}
+	ar.built = true
 	for h := 1; h <= maxH; h++ {
 		phase(ar, obs.OpExpand)
 		x, ok := ar.xb.Tighten(L - h)

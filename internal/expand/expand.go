@@ -18,8 +18,8 @@
 //
 // The label hot loop probes several height bounds per node (the structural
 // check at L, resynthesis at L-1, L-2, ..., the trivial cut at L+1). A
-// Builder serves all of them from one expansion: Build expands at L reusing
-// the replica index and backing arrays of earlier calls (zero heap
+// Builder serves them without re-expanding per bound: Build expands at L
+// reusing the replica index and backing arrays of earlier calls (zero heap
 // allocation once warm), Tighten extends the expansion in place to a
 // tighter bound (the expanded region grows monotonically as the bound
 // drops), and Loosen re-marks cut candidates for a looser bound without
