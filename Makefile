@@ -114,12 +114,15 @@ cache-warm:
 # loader (any file loads without error to a re-framable valid prefix), then
 # 30s against the word-parallel Roth-Karp extraction (equal to the bit-serial
 # reference, and the decomposition recomposes to the input), then 30s against
-# cut witnesses (wherever one holds, a fresh expansion admits a K-cut).
+# cut witnesses (wherever one holds, a fresh expansion admits a K-cut), then
+# 30s against the K-cut flow kernel (same flow value, verdict, cut and cone as
+# a generic split-network Edmonds-Karp).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadBLIF -fuzztime 30s -run '^$$' ./internal/netlist
 	$(GO) test -fuzz FuzzRecordlogLoad -fuzztime 30s -run '^$$' ./internal/recordlog
 	$(GO) test -fuzz FuzzRothKarp -fuzztime 30s -run '^$$' ./internal/decomp
 	$(GO) test -fuzz FuzzCutWitness -fuzztime 30s -run '^$$' ./internal/core
+	$(GO) test -fuzz FuzzKCut -fuzztime 30s -run '^$$' ./internal/cut
 
 # The repository benchmark (tsbench/, BENCHMARK.json): both workloads, plain
 # and traced, on seed 1 for 5 s each. tsbench builds turbosyn and turbosynd

@@ -10,7 +10,7 @@ import (
 )
 
 // arena is the per-worker scratch of the label hot path: one expansion
-// builder, one cut arena (flow network + cone walk scratch) and the
+// builder, one cut arena (flow state + cone walk scratch) and the
 // cone-function evaluation scratch. Every piece retains its backing arrays
 // across calls, so a warm arena decides a node's label without heap
 // allocation on the structural path.

@@ -2,6 +2,7 @@ package cut
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"turbosyn/internal/expand"
@@ -116,5 +117,32 @@ func TestWarmArenaZeroAlloc(t *testing.T) {
 	check() // warm up
 	if allocs := testing.AllocsPerRun(100, check); allocs != 0 {
 		t.Fatalf("warm Arena.KCut allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
+// TestArenaBytesCountsEveryArray: Bytes must charge the capacity of every
+// slice the Arena retains, so arena high-water accounting and the byte
+// budget see all of it.
+func TestArenaBytesCountsEveryArray(t *testing.T) {
+	x, _, _ := andTreeExpansion(t, 100)
+	a := &Arena{}
+	if _, ok := a.KCut(x, 4); !ok {
+		t.Fatal("4-cut must exist")
+	}
+	want := 0
+	var sum func(v reflect.Value)
+	sum = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Slice:
+				want += f.Cap() * int(f.Type().Elem().Size())
+			case reflect.Struct:
+				sum(f)
+			}
+		}
+	}
+	sum(reflect.ValueOf(a).Elem())
+	if got := a.Bytes(); got != want || want == 0 {
+		t.Fatalf("Bytes() = %d, retained slices hold %d bytes", got, want)
 	}
 }
