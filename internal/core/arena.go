@@ -11,7 +11,7 @@ import (
 
 // arena is the per-worker scratch of the label hot path: one expansion
 // builder, one cut arena (flow state + cone walk scratch) and the
-// cone-function evaluation scratch. Every piece retains its backing arrays
+// cone-simulation scratch. Every piece retains its backing arrays
 // across calls, so a warm arena decides a node's label without heap
 // allocation on the structural path.
 //
@@ -25,15 +25,15 @@ type arena struct {
 	xb expand.Builder
 	ca cut.Arena
 
-	// coneFunction scratch, sized to the current expansion.
-	varOf []int // replica id -> cut variable, -1 inside the cone
-	memo  []*logic.TT
-
-	// tt recycles the transient truth tables of cone-function evaluation
-	// (Shannon cofactors, composition intermediates, per-replica memo
-	// entries). Single-owner like the rest of the arena; warm tables survive
-	// probe and run boundaries through the engine's arena pool.
-	tt logic.TTPool
+	// coneFunction scratch. slot[id] is 1 + the index in tabs of replica
+	// id's table, 0 when it has none; every entry is 0 between calls. The
+	// interior tables live in slab; stack is the bottom-up walk and ins the
+	// fanin tables of the gate being simulated.
+	slot  []int32
+	tabs  [][]uint64
+	slab  []uint64
+	stack []coneFrame
+	ins   [][]uint64
 
 	// NPN canonicalization memo (worker-local, so lock-free): cone functions
 	// recur heavily across label iterations and the exact canonicalization of
@@ -41,6 +41,10 @@ type arena struct {
 	// (canon, transform) by raw function. npnKey is the reusable key scratch.
 	npnMemo map[string]npnEntry
 	npnKey  []byte
+
+	// prio and canonPrio are tryDecompose's bound-set priority orders over
+	// the cut and over the canonical cone function's inputs.
+	prio, canonPrio []int
 
 	// witRun is witness.holds' candidate-run scratch, one entry per cone
 	// replica of the witness being checked.
@@ -87,7 +91,8 @@ func (ar *arena) reset() {
 // (the Stats.ArenaPeakBytes high-water mark).
 func (ar *arena) bytes() int {
 	return ar.xb.Bytes() + ar.ca.Bytes() +
-		cap(ar.varOf)*8 + cap(ar.memo)*8 + ar.tt.Bytes() + cap(ar.witRun)*4 +
+		cap(ar.slot)*4 + (cap(ar.tabs)+cap(ar.ins))*24 + cap(ar.slab)*8 +
+		cap(ar.stack)*8 + (cap(ar.prio)+cap(ar.canonPrio))*8 + cap(ar.witRun)*4 +
 		cap(ar.reach) + cap(ar.rqueue)*8 +
 		len(ar.npnMemo)*npnEntryBytes + cap(ar.npnKey)
 }

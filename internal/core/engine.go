@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"turbosyn/internal/graph"
+	"turbosyn/internal/logic"
 	"turbosyn/internal/netlist"
 	"turbosyn/internal/obs"
 	"turbosyn/internal/retime"
@@ -50,6 +51,10 @@ type analysis struct {
 	updates   []int  // updatable members per component
 	trivial   []bool // singleton, acyclic components (inline-chainable)
 	workCount int    // components with at least one updatable member
+
+	// fns[id] is gate id's local function compiled for cone simulation
+	// (coneFunction); nil for PIs and POs.
+	fns []*logic.Compiled
 }
 
 // members returns component comp's members in comb topo order.
@@ -134,6 +139,12 @@ func analyze(c *netlist.Circuit) *analysis {
 				an.sameFlat[scur[f.From]] = int32(node.ID)
 				scur[f.From]++
 			}
+		}
+	}
+	an.fns = make([]*logic.Compiled, n)
+	for _, node := range c.Nodes {
+		if node.Kind == netlist.Gate {
+			an.fns[node.ID] = logic.Compile(node.Func)
 		}
 	}
 	for comp := 0; comp < nc; comp++ {

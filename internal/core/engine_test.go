@@ -182,8 +182,8 @@ func TestArenaPoolCheckinRules(t *testing.T) {
 	if pooled {
 		t.Fatal("empty pool claimed a pooled arena")
 	}
-	ar.varOf = make([]int, 1024) // retained footprint: 8 KiB
-	p.checkin(ar, 0)             // unlimited budget: pooled
+	ar.slab = make([]uint64, 1024) // retained footprint: 8 KiB
+	p.checkin(ar, 0)               // unlimited budget: pooled
 	if ps := p.snapshot(); ps.Free != 1 || ps.FreeBytes != ar.bytes() {
 		t.Fatalf("clean arena not pooled: %+v", ps)
 	}

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"turbosyn/internal/cut"
@@ -734,12 +735,13 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		fn, reps := s.coneFunction(x, res, ar)
 		// Bound-set priority: earliest effective arrival first, so early
 		// signals sink toward the leaves (the paper's FlowSYN ordering).
-		prio := make([]int, len(reps))
-		for i := range prio {
-			prio[i] = i
+		prio := ar.prio[:0]
+		for i := range reps {
+			prio = append(prio, i)
 		}
-		eff := func(r Replica) int { return s.labels[r.Orig] - s.phi*r.W }
-		sort.SliceStable(prio, func(a, b int) bool { return eff(reps[prio[a]]) < eff(reps[prio[b]]) })
+		slices.SortStableFunc(prio, func(a, b int) int {
+			return cmp.Compare(s.labels[reps[a].Orig]-s.phi*reps[a].W, s.labels[reps[b].Orig]-s.phi*reps[b].W)
+		})
 		// Decompose the NPN-canonical form of the cone function, with the
 		// priority order mapped through the same transform, and map the
 		// resulting tree back through the inverse. One cached canonical tree
@@ -749,10 +751,11 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		// function of the canonical key, warm results stay bit-identical to
 		// cold ones.
 		canon, ctr := ar.npnCanon(fn)
-		canonPrio := make([]int, len(prio))
-		for i, p := range prio {
-			canonPrio[i] = ctr.Perm[p]
+		canonPrio := ar.canonPrio[:0]
+		for _, p := range prio {
+			canonPrio = append(canonPrio, ctr.Perm[p])
 		}
+		ar.prio, ar.canonPrio = prio, canonPrio
 		effort := decomp.Effort{MaxBoundSets: s.opts.RothKarpBudget, Stats: &estats}
 		key := decompKey(s.opts.K, h+1, canonPrio, canon, effort)
 		entry, cached := s.cache.lookup(key, s.conc)
@@ -847,67 +850,90 @@ func (s *state) structuralRec(x *expand.Expanded, res *cut.Result, ar *arena) co
 }
 
 // coneFunction computes the cone's Boolean function over the cut signals
-// (variable j = cut replica j) and the replica list. The variable and memo
-// tables live in the arena, indexed by replica id, and every transient table
-// — cut-variable projections, composition intermediates — cycles through the
-// arena's truth-table pool; only the replica list and the returned root
-// function (cloned out of the pool, since callers retain it past the next
-// evaluation) are allocated.
+// (variable j = cut replica j) and the replica list. It simulates the cone
+// bottom-up over m-variable tables: cut replicas read the shared projection
+// tables, each interior gate runs its compiled function (analysis.fns) once
+// into the arena's slab, and a buffer shares its fanin's table. Only the
+// replica list and the returned root table are allocated.
 func (s *state) coneFunction(x *expand.Expanded, res *cut.Result, ar *arena) (*logic.TT, []Replica) {
 	m := len(res.Cut)
 	if m > logic.MaxVars {
 		panic(fmt.Sprintf("core: cone with %d inputs", m))
 	}
-	n := len(x.Nodes)
-	if cap(ar.varOf) < n {
-		ar.varOf = make([]int, n)
-		ar.memo = make([]*logic.TT, n)
+	if n := len(x.Nodes); len(ar.slot) < n {
+		ar.slot = make([]int32, n)
 	}
-	varOf := ar.varOf[:n]
-	memo := ar.memo[:n]
-	for i := 0; i < n; i++ {
-		varOf[i] = -1
-		memo[i] = nil
-	}
+	slot := ar.slot
+	fn := logic.NewTT(m)
+	root := fn.Words()
+	words := len(root)
 	reps := make([]Replica, m)
+	tabs := ar.tabs[:0]
 	for j, repID := range res.Cut {
-		varOf[repID] = j
 		reps[j] = Replica{Orig: x.Nodes[repID].Orig, W: x.Nodes[repID].W}
+		tabs = append(tabs, logic.VarWords(m, j))
+		slot[repID] = int32(len(tabs))
 	}
-	var eval func(repID int) *logic.TT
-	eval = func(repID int) *logic.TT {
-		if tt := memo[repID]; tt != nil {
-			return tt
+	if need := (len(res.Cone) - 1) * words; cap(ar.slab) < need {
+		ar.slab = make([]uint64, need)
+	}
+	slab := ar.slab[:cap(ar.slab)]
+	// Depth-first from the root: a replica is simulated once all its
+	// fanins have tables. Cut replicas have theirs already, so the walk
+	// never leaves the cone.
+	stack := append(ar.stack[:0], coneFrame{id: expand.Root})
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		children := x.Fanins[top.id]
+		if int(top.next) < len(children) {
+			ch := children[top.next]
+			top.next++
+			if slot[ch] == 0 {
+				stack = append(stack, coneFrame{id: int32(ch)})
+			}
+			continue
 		}
-		var tt *logic.TT
-		if j := varOf[repID]; j >= 0 {
-			tt = ar.tt.Get(m).SetVar(j)
-			memo[repID] = tt
-			return tt
-		}
-		orig := s.c.Nodes[x.Nodes[repID].Orig]
-		children := x.Fanins[repID]
-		if len(children) != len(orig.Fanins) {
+		id := int(top.id)
+		stack = stack[:len(stack)-1]
+		orig := x.Nodes[id].Orig
+		if len(children) != len(s.c.Nodes[orig].Fanins) {
 			panic("core: cone interior replica lacks expanded fanins")
 		}
-		subs := make([]*logic.TT, len(children))
-		for i, ch := range children {
-			subs[i] = eval(ch)
+		f := s.an.fns[orig]
+		var tab []uint64
+		switch a := f.Alias(); {
+		case a >= 0 && id != expand.Root:
+			tab = tabs[slot[children[a]]-1]
+		default:
+			if id == expand.Root {
+				tab = root
+			} else {
+				tab, slab = slab[:words:words], slab[words:]
+			}
+			ins := ar.ins[:0]
+			for _, ch := range children {
+				ins = append(ins, tabs[slot[ch]-1])
+			}
+			ar.ins = ins
+			f.EvalWords(tab, ins, m)
 		}
-		if len(subs) == 0 {
-			_, v := orig.Func.IsConst()
-			tt = ar.tt.Get(m).SetConst(v)
-		} else {
-			tt = orig.Func.Compose(subs, &ar.tt)
-		}
-		memo[repID] = tt
-		return tt
+		tabs = append(tabs, tab)
+		slot[id] = int32(len(tabs))
 	}
-	fn := eval(expand.Root).Clone()
-	for i := range memo {
-		ar.tt.Put(memo[i]) // nil-safe; fn is a clone, so the root pools too
+	for _, id := range res.Cut {
+		slot[id] = 0
 	}
+	for _, id := range res.Cone {
+		slot[id] = 0
+	}
+	ar.tabs, ar.stack = tabs, stack
 	return fn, reps
+}
+
+// coneFrame is one replica on coneFunction's walk and the index of its next
+// fanin to visit.
+type coneFrame struct {
+	id, next int32
 }
 
 // sccIsolated reports whether no node of the component is supported from

@@ -193,7 +193,7 @@ func decomposableTT(rng *rand.Rand, n int, bound []int, e int) *logic.TT {
 	for _, v := range free {
 		subs = append(subs, logic.Var(n, v))
 	}
-	return randomTT(rng, e+len(free)).Compose(subs, nil)
+	return randomTT(rng, e+len(free)).Compose(subs)
 }
 
 // TestRothKarpMatchesReference: on random and decomposable tables of 2..16

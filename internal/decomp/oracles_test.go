@@ -35,7 +35,7 @@ func expand(f *logic.TT, n int, vars []int) *logic.TT {
 	for j, v := range vars {
 		subs[j] = logic.Var(n, v)
 	}
-	return f.Compose(subs, nil)
+	return f.Compose(subs)
 }
 
 // TT materializes the tree's function, composing the node tables
@@ -55,7 +55,7 @@ func (t *Tree) TT() *logic.TT {
 		for j, c := range nd.Children {
 			subs[j] = vals[c]
 		}
-		vals[n+i] = nd.Func.Compose(subs, nil)
+		vals[n+i] = nd.Func.Compose(subs)
 	}
 	return vals[t.Root()]
 }

@@ -14,14 +14,10 @@ package logic
 // difference matters when the result ranges over many more variables than
 // t (K-input node functions over cone cuts of up to 15 inputs). When t
 // ranges over nearly as many variables as the result, per-minterm
-// evaluation is the cheaper one.
-//
-// Every transient table — Shannon cofactors, negated substitutions, the
-// per-level partial results — is drawn from and returned to p. The result
-// itself is also pool-owned: the caller must Put it back (or Clone it out)
-// when done. With a nil pool every table, the result included, is owned by
-// the garbage collector.
-func (t *TT) Compose(subs []*TT, p *TTPool) *TT {
+// evaluation is the cheaper one. Neither t nor the substitutions are
+// modified. (Simulating a whole cone of gates is cheaper still with
+// Compiled, which evaluates each gate in one pass.)
+func (t *TT) Compose(subs []*TT) *TT {
 	if len(subs) != t.nvar {
 		panic("logic: Compose: need one substitution per variable")
 	}
@@ -38,7 +34,7 @@ func (t *TT) Compose(subs []*TT, p *TTPool) *TT {
 	var rec func(f *TT) *TT
 	rec = func(f *TT) *TT {
 		if c, v := f.IsConst(); c {
-			return p.Get(nv).SetConst(v)
+			return Const(nv, v)
 		}
 		j := -1
 		for i := 0; i < f.nvar; i++ {
@@ -49,27 +45,15 @@ func (t *TT) Compose(subs []*TT, p *TTPool) *TT {
 		}
 		// One scratch table serves both cofactors: rec is done with it by
 		// the time it returns.
-		f0 := p.Get(f.nvar).CopyFrom(f)
-		f0.CofactorInPlace(j, false)
+		f0 := f.Cofactor(j, false)
 		r0 := rec(f0)
-		f0.CopyFrom(f)
-		f0.CofactorInPlace(j, true)
+		f0.CopyFrom(f).CofactorInPlace(j, true)
 		r1 := rec(f0)
-		p.Put(f0)
 		if negs[j] == nil {
-			negs[j] = p.Get(nv).Not(subs[j])
+			negs[j] = NewTT(nv).Not(subs[j])
 		}
-		lo := p.Get(nv).And(negs[j], r0)
-		hi := p.Get(nv).And(subs[j], r1)
-		lo.Or(lo, hi)
-		p.Put(hi)
-		p.Put(r0)
-		p.Put(r1)
-		return lo
+		r0.And(negs[j], r0)
+		return r0.Or(r0, r1.And(subs[j], r1))
 	}
-	out := rec(t)
-	for _, n := range negs {
-		p.Put(n)
-	}
-	return out
+	return rec(t)
 }

@@ -49,26 +49,27 @@ func NewTT(nvar int) *TT {
 }
 
 // Const returns the constant function of nvar variables with the given value.
-func Const(nvar int, value bool) *TT {
-	t := NewTT(nvar)
-	if value {
-		for i := range t.words {
-			t.words[i] = ^uint64(0)
-		}
-		t.words[len(t.words)-1] &= mask(t.nvar)
-		if t.nvar < 6 {
-			t.words[0] = mask(t.nvar)
-		}
+func Const(nvar int, value bool) *TT { return NewTT(nvar).SetConst(value) }
+
+// Var returns the projection function x_i over nvar variables.
+func Var(nvar, i int) *TT { return NewTT(nvar).SetVar(i) }
+
+// SetConst sets t to the constant function with the given value and returns
+// t.
+func (t *TT) SetConst(value bool) *TT {
+	w := fill(value)
+	for i := range t.words {
+		t.words[i] = w
 	}
+	t.words[len(t.words)-1] &= mask(t.nvar)
 	return t
 }
 
-// Var returns the projection function x_i over nvar variables.
-func Var(nvar, i int) *TT {
-	if i < 0 || i >= nvar {
-		panic(fmt.Sprintf("logic: Var(%d, %d): index out of range", nvar, i))
+// SetVar sets t to the projection function x_i and returns t.
+func (t *TT) SetVar(i int) *TT {
+	if i < 0 || i >= t.nvar {
+		panic(fmt.Sprintf("logic: Var(%d, %d): index out of range", t.nvar, i))
 	}
-	t := NewTT(nvar)
 	if i < 6 {
 		// Pattern within each word.
 		var p uint64
@@ -81,18 +82,22 @@ func Var(nvar, i int) *TT {
 		for w := range t.words {
 			t.words[w] = p
 		}
-		if nvar < 6 {
-			t.words[0] &= mask(nvar)
-		}
+		t.words[0] &= mask(t.nvar)
 	} else {
 		// Whole words alternate in blocks of 2^(i-6).
 		block := 1 << (i - 6)
 		for w := range t.words {
-			if (w/block)%2 == 1 {
-				t.words[w] = ^uint64(0)
-			}
+			t.words[w] = fill((w/block)%2 == 1)
 		}
 	}
+	return t
+}
+
+// CopyFrom sets t to the same function as o (which must have the same
+// variable count) and returns t.
+func (t *TT) CopyFrom(o *TT) *TT {
+	t.checkSame(o)
+	copy(t.words, o.words)
 	return t
 }
 
@@ -101,6 +106,11 @@ func (t *TT) NumVars() int { return t.nvar }
 
 // NumBits returns the table size 2^nvar.
 func (t *TT) NumBits() int { return 1 << t.nvar }
+
+// Words returns the table's backing words: bit i of the table is bit i%64 of
+// word i/64. Writes through it must keep the bits past the table's 2^nvar
+// zero.
+func (t *TT) Words() []uint64 { return t.words }
 
 // Clone returns a deep copy.
 func (t *TT) Clone() *TT {

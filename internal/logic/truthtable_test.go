@@ -266,7 +266,7 @@ func expand(t *TT, nvar int, varMap []int) *TT {
 	for j, v := range varMap {
 		subs[j] = Var(nvar, v)
 	}
-	return t.Compose(subs, nil)
+	return t.Compose(subs)
 }
 
 func TestExpand(t *testing.T) {
@@ -403,7 +403,7 @@ func TestCompose(t *testing.T) {
 	g := AndAll(2)
 	y0 := NewTT(3).Xor(Var(3, 0), Var(3, 1))
 	y1 := Var(3, 2)
-	h := g.Compose([]*TT{y0, y1}, nil)
+	h := g.Compose([]*TT{y0, y1})
 	for i := 0; i < 8; i++ {
 		want := ((i&1 != 0) != (i&2 != 0)) && i&4 != 0
 		if h.Bit(i) != want {
@@ -420,7 +420,7 @@ func TestCompose(t *testing.T) {
 		for i := range subs {
 			subs[i] = randTT(rng, nv)
 		}
-		if got, want := f.Compose(subs, nil), composeBitSerial(f, subs); !got.Equal(want) {
+		if got, want := f.Compose(subs), composeBitSerial(f, subs); !got.Equal(want) {
 			t.Fatalf("round %d: Compose diverged from the bit-serial definition\nwant %s\ngot  %s", round, want, got)
 		}
 	}
