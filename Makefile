@@ -53,7 +53,7 @@ test-full:
 	$(GO) test -timeout 20m ./...
 
 # Full Tables 1 and 2 of the evaluation (16 circuits x 3 algorithms through
-# turbosyn.Synthesize; about 45 s on 2 CPUs). Table 1 fails when TurboSYN's
+# turbosyn.Synthesize; about 6 s on 2 CPUs). Table 1 fails when TurboSYN's
 # phi is worse than TurboMap's or FlowSYN-s's on any row; `make test` checks
 # the same invariants on the quick suite only.
 tables:
@@ -117,7 +117,9 @@ cache-warm:
 # cut witnesses (wherever one holds, a fresh expansion admits a K-cut), then
 # 30s against the K-cut flow kernel (same flow value, verdict, cut and cone as
 # a generic split-network Edmonds-Karp), then 30s against cone simulation
-# (every cone function equal to composing the gates' truth tables).
+# (every cone function equal to composing the gates' truth tables), then 30s
+# against the PLD grounding certificate (the same verdict as the n^2 rule on
+# random small sequential circuits).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadBLIF -fuzztime 30s -run '^$$' ./internal/netlist
 	$(GO) test -fuzz FuzzRecordlogLoad -fuzztime 30s -run '^$$' ./internal/recordlog
@@ -125,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzCutWitness -fuzztime 30s -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzKCut -fuzztime 30s -run '^$$' ./internal/cut
 	$(GO) test -fuzz FuzzConeFunction -fuzztime 30s -run '^$$' ./internal/core
+	$(GO) test -fuzz FuzzGrounding -fuzztime 30s -run '^$$' ./internal/core
 
 # The repository benchmark (tsbench/, BENCHMARK.json): both workloads, plain
 # and traced, on seed 1 for 5 s each. tsbench builds turbosyn and turbosynd

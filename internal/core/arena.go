@@ -50,12 +50,6 @@ type arena struct {
 	// replica of the witness being checked.
 	witRun []int32
 
-	// sccIsolated scratch, sized to the circuit. (The per-component update
-	// lists iterateComp sweeps are precomputed CSR ranges in analysis, not
-	// arena scratch.)
-	reach  []bool
-	rqueue []int
-
 	// built reports whether the builder's expansion is valid for the node
 	// being decided (set by decide and tryDecompose, consumed by the
 	// settle path's Loosen).
@@ -93,7 +87,6 @@ func (ar *arena) bytes() int {
 	return ar.xb.Bytes() + ar.ca.Bytes() +
 		cap(ar.slot)*4 + (cap(ar.tabs)+cap(ar.ins))*24 + cap(ar.slab)*8 +
 		cap(ar.stack)*8 + (cap(ar.prio)+cap(ar.canonPrio))*8 + cap(ar.witRun)*4 +
-		cap(ar.reach) + cap(ar.rqueue)*8 +
 		len(ar.npnMemo)*npnEntryBytes + cap(ar.npnKey)
 }
 

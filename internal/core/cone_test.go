@@ -214,6 +214,45 @@ func TestWarmConeFunctionAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmFastDecomposeAllocs: only a recording pass keeps a resynthesis
+// cover, so only a recording pass maps the cached canonical tree back
+// through the inverse NPN transform. On a warm arena and a warm
+// decomposition cache, a fast-pass tryDecompose that succeeds must allocate
+// less than the recording-pass call on the same node: at least the inverse
+// transform's permutation is saved.
+func TestWarmFastDecomposeAllocs(t *testing.T) {
+	c := fsmCircuit(2, 7, 4)()
+	s := newState(c, 2, witnessOpts(true, 5, 0))
+	if ok, err := s.run(); err != nil || !ok {
+		t.Fatalf("phi=2 must be feasible for the suite FSM (ok=%v err=%v)", ok, err)
+	}
+	ar := s.arenaFor(0)
+	var st Stats
+	checked := 0
+	for _, n := range c.Nodes {
+		if n.Kind != netlist.Gate || len(n.Fanins) == 0 {
+			continue
+		}
+		L := s.computeL(n.ID)
+		if _, ok := s.tryDecompose(n.ID, L, true, &st, ar); !ok {
+			continue
+		}
+		if rec, ok := s.tryDecompose(n.ID, L, false, &st, ar); !ok || rec.tree != nil || rec.cut != nil {
+			t.Fatalf("node %d: fast pass returned ok=%v and a cover %+v", n.ID, ok, rec)
+		}
+		fast := testing.AllocsPerRun(10, func() { s.tryDecompose(n.ID, L, false, &st, ar) })
+		record := testing.AllocsPerRun(10, func() { s.tryDecompose(n.ID, L, true, &st, ar) })
+		if fast >= record {
+			t.Fatalf("node %d: warm fast-pass tryDecompose allocates %.1f objects/run, the recording pass %.1f; want fewer",
+				n.ID, fast, record)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no node resynthesizes at its converged L")
+	}
+}
+
 // TestArenaBytesCountsEveryArray: bytes must charge the capacity of every
 // slice the arena retains, so ArenaPeakBytes and ArenaByteBudget see all
 // of it. The builder and the cut arena report their own footprints (pinned
@@ -225,7 +264,6 @@ func TestArenaBytesCountsEveryArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	ar := s.arenaFor(0)
-	s.sccIsolated(0, ar) // the run hits no positive-loop check
 	want := ar.xb.Bytes() + ar.ca.Bytes() + len(ar.npnMemo)*npnEntryBytes
 	v := reflect.ValueOf(ar).Elem()
 	for i := 0; i < v.NumField(); i++ {

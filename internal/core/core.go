@@ -2,9 +2,10 @@
 // TurboSYN label computations for K-LUT technology mapping of sequential
 // circuits under retiming (TurboMap) and under retiming + pipelining with
 // sequential functional decomposition (TurboSYN), together with the
-// predecessor-graph positive loop detection (PLD) that replaces the n^2
-// stopping rule with a ~6n one, and the mapping generation that turns
-// converged labels into a LUT network.
+// positive loop detection (PLD) that replaces the n^2 stopping rule with a
+// grounding certificate checked once per sweep (it fires once every member
+// of a pumping loop sits far enough above the loop's external support), and
+// the mapping generation that turns converged labels into a LUT network.
 //
 // For a target clock period / MDR ratio phi, node labels l are the optimal
 // LUT-level sequential arrival times: l(PI) = 0, and for a gate v,
@@ -62,8 +63,11 @@ type Options struct {
 	// false gives TurboMap. The paper's label relaxation for area is left
 	// out (DESIGN.md, "Deviation: no label relaxation").
 	Decompose bool
-	// PLD enables predecessor-graph positive loop detection. Without it,
-	// infeasible targets fall back to the conservative per-SCC n^2 bound.
+	// PLD enables positive loop detection: a component stops as infeasible
+	// once no member is grounded, that is, once every member's L(v) (and,
+	// under TurboSYN, its label) sits far enough above the best support
+	// entering the component (DESIGN.md, "PLD"). Without it, infeasible
+	// targets fall back to the conservative per-SCC n^2 bound.
 	PLD bool
 	// Pipelined selects the MDR-ratio objective (critical loops only);
 	// false selects the clock-period objective (outputs must meet phi too).
@@ -187,8 +191,8 @@ type Stats struct {
 	CutWitnessHits int // structural decisions answered by a cut witness
 	Decompositions int // successful sequential decompositions
 	DecompAttempts int // attempted sequential decompositions
-	PLDChecks      int // predecessor-graph reachability checks
-	PLDHits        int // infeasibility detected by PLD
+	PLDChecks      int // grounding checks (one per PLD sweep of a component)
+	PLDHits        int // components certified infeasible by the grounding check
 
 	// Arena effectiveness counters (see DESIGN.md).
 	ExpandBuilds   int // expansions built from scratch

@@ -235,42 +235,84 @@ func TestPLDSpeedsUpInfeasibleProbe(t *testing.T) {
 	}
 }
 
-// TestPLDWalkSeesUpstreamSupport: after a converged run, on the sequential
-// path and under the dataflow scheduler alike, every component is marked
-// complete, so the PLD walk may enter them all. A loop whose only support
-// from the ground arrives through an upstream chain is then not isolated;
-// a walk confined to the loop's own component would certify it infeasible.
+// TestPLDWalkSeesUpstreamSupport: the grounding certificate measures member
+// labels against base, the best support entering the component, not against
+// the ground. A self-loop fed by a chain has labels far above 1 at a feasible
+// phi (high base), and a feasible ring has every member but the first
+// labelled at least base+2; in both the one member still near base keeps
+// the component grounded, so PLD never fires and the verdict is the n^2
+// rule's, on the sequential path and under the dataflow scheduler alike.
 func TestPLDWalkSeesUpstreamSupport(t *testing.T) {
 	// K=2 chain ci = AND(c(i-1), xi), so labels climb 1..6 along it, then
 	// g = AND(c6, g@1): g's label sits above the chain's and its self-loop
 	// cannot support it at phi=2.
-	c := netlist.NewCircuit("chainloop")
-	prev := c.AddPI("x0")
+	chainLoop := netlist.NewCircuit("chainloop")
+	prev := chainLoop.AddPI("x0")
 	for i := 1; i <= 6; i++ {
-		prev = c.AddGate("", logic.AndAll(2),
-			netlist.Fanin{From: prev}, netlist.Fanin{From: c.AddPI("x" + string(rune('0'+i)))})
+		prev = chainLoop.AddGate("", logic.AndAll(2),
+			netlist.Fanin{From: prev}, netlist.Fanin{From: chainLoop.AddPI("x" + string(rune('0'+i)))})
 	}
-	g := c.AddGate("g", logic.AndAll(2), netlist.Fanin{From: prev}, netlist.Fanin{From: prev})
-	c.Nodes[g].Fanins[1] = netlist.Fanin{From: g, Weight: 1}
-	c.InvalidateCaches()
-	c.AddPO("z", g, 0)
-	if err := c.Check(); err != nil {
-		t.Fatal(err)
+	g := chainLoop.AddGate("g", logic.AndAll(2), netlist.Fanin{From: prev}, netlist.Fanin{From: prev})
+	chainLoop.Nodes[g].Fanins[1] = netlist.Fanin{From: g, Weight: 1}
+	chainLoop.InvalidateCaches()
+	chainLoop.AddPO("z", g, 0)
+
+	// An 8-gate ring r1 = AND(r8@1, y1), ri = AND(r(i-1), yi): with K=2 no
+	// LUT covers two ring gates, so at phi 8 the labels converge to 1..8
+	// above base 0.
+	const ringLen = 8
+	ring := netlist.NewCircuit("ring")
+	first := ring.AddGate("r1", logic.AndAll(2), netlist.Fanin{From: ring.AddPI("y1")}, netlist.Fanin{From: ring.AddPI("y0")})
+	prev = first
+	for i := 2; i <= ringLen; i++ {
+		prev = ring.AddGate("", logic.AndAll(2),
+			netlist.Fanin{From: prev}, netlist.Fanin{From: ring.AddPI("y" + string(rune('0'+i)))})
 	}
-	opts := turboMapOpts()
-	opts.K = 2
-	for _, workers := range []int{1, 2} {
-		opts.Workers = workers
-		s := newState(c, 2, opts)
-		ok, err := s.run()
-		if err != nil || !ok {
-			t.Fatalf("workers=%d: phi 2 must be feasible (ok=%v, err=%v)", workers, ok, err)
+	ring.Nodes[first].Fanins[0] = netlist.Fanin{From: prev, Weight: 1}
+	ring.InvalidateCaches()
+	ring.AddPO("z", prev, 0)
+
+	for _, tc := range []struct {
+		c    *netlist.Circuit
+		phi  int
+		node int
+	}{
+		{chainLoop, 2, g},
+		{ring, ringLen, prev},
+	} {
+		if err := tc.c.Check(); err != nil {
+			t.Fatal(err)
 		}
-		if s.labels[g] <= 1 {
-			t.Fatalf("workers=%d: label(g) = %d; g must not be ground itself", workers, s.labels[g])
-		}
-		if s.sccIsolated(s.sccs.Comp[g], s.arenaFor(0)) {
-			t.Errorf("workers=%d: loop reported isolated although the chain supports it", workers)
+		for _, decompose := range []bool{false, true} {
+			opts := turboMapOpts()
+			opts.K = 2
+			opts.Decompose = decompose
+			for _, workers := range []int{1, 2} {
+				opts.Workers = workers
+				s := newState(tc.c, tc.phi, opts)
+				ok, err := s.run()
+				if err != nil || !ok {
+					t.Fatalf("%s decompose=%v workers=%d: phi %d must be feasible (ok=%v, err=%v)",
+						tc.c.Name, decompose, workers, tc.phi, ok, err)
+				}
+				if s.stats.PLDHits != 0 {
+					t.Errorf("%s decompose=%v workers=%d: PLD fired on a feasible loop", tc.c.Name, decompose, workers)
+				}
+				comp := s.sccs.Comp[tc.node]
+				switch {
+				case tc.c == chainLoop && s.labels[g] <= 1:
+					t.Fatalf("decompose=%v workers=%d: label(g) = %d; g must not be ground itself", decompose, workers, s.labels[g])
+				case tc.c == ring && !decompose:
+					for i, id := range s.an.members(comp) {
+						if s.labels[id] != i+1 {
+							t.Fatalf("workers=%d: ring gate %d has label %d, want %d", workers, i+1, s.labels[id], i+1)
+						}
+					}
+				}
+				if !s.grounded(s.an.updatable(comp), s.groundingFor(comp)) {
+					t.Errorf("%s decompose=%v workers=%d: converged loop reported ungrounded", tc.c.Name, decompose, workers)
+				}
+			}
 		}
 	}
 }

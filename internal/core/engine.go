@@ -55,6 +55,13 @@ type analysis struct {
 	// fns[id] is gate id's local function compiled for cone simulation
 	// (coneFunction); nil for PIs and POs.
 	fns []*logic.Compiled
+
+	// loopW[comp] is Delta + 2*Wmax, the structural part of TurboSYN's
+	// grounding margin (see groundingFor): Wmax is the largest register
+	// weight on an edge inside the component, and Delta, the sum over
+	// members of each member's largest in-component out-weight, bounds the
+	// register weight of a shortest path between two members.
+	loopW []int
 }
 
 // members returns component comp's members in comb topo order.
@@ -120,12 +127,24 @@ func analyze(c *netlist.Circuit) *analysis {
 	// comment). Edges are scanned fanin-side, so no fanout lists are built.
 	n := c.NumNodes()
 	an.sameOff = make([]int32, n+1)
+	an.loopW = make([]int, nc)
+	outMax := make([]int, n)
+	wMax := make([]int, nc)
 	for _, node := range c.Nodes {
+		comp := an.sccs.Comp[node.ID]
 		for _, f := range node.Fanins {
-			if an.sccs.Comp[f.From] == an.sccs.Comp[node.ID] {
+			if an.sccs.Comp[f.From] == comp {
 				an.sameOff[f.From+1]++
+				outMax[f.From] = max(outMax[f.From], f.Weight)
+				wMax[comp] = max(wMax[comp], f.Weight)
 			}
 		}
+	}
+	for id, w := range outMax {
+		an.loopW[an.sccs.Comp[id]] += w
+	}
+	for comp, w := range wMax {
+		an.loopW[comp] += 2 * w
 	}
 	for id := 0; id < n; id++ {
 		an.sameOff[id+1] += an.sameOff[id]
@@ -363,7 +382,6 @@ func (e *Engine) checkinState(s *state) {
 	s.conc = nil
 	s.guard = nil
 	s.rec = nil
-	s.compDone = nil
 	e.mu.Lock()
 	e.states = append(e.states, s)
 	e.mu.Unlock()

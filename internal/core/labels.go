@@ -61,12 +61,6 @@ type state struct {
 	// Engine.fullSweep or directly on a newState) to build the sequential,
 	// full-sweep, cold reference every bit-identity test compares against.
 	fullSweep bool
-	// Decomposition backoff: nodes whose label keeps rising (a diverging
-	// or slowly converging loop) skip repeated expensive resynthesis
-	// attempts during fast passes; recording passes always attempt, so the
-	// final labels and covers never depend on the backoff.
-	bumps      []int
-	nextDecomp []int
 	// wits holds each node's cut witness (witness.go), written and read
 	// only by decide, so only by the worker owning the node's component.
 	// Per-probe like the decision cache: resetFor empties every witness
@@ -100,21 +94,13 @@ type state struct {
 	// failed flags an infeasible component so sibling workers stop pumping
 	// labels that no longer matter. Reset at the top of every run.
 	failed atomic.Bool
-	// pendingBuf and compDoneBuf are the dataflow scheduler's per-component
-	// counters (dependency countdowns and completion flags), allocated once
-	// per state and re-initialized at the start of every run. At the
-	// 100k-gate scale the condensation has ~O(gates) components, so
-	// allocating these per probe dominated probe setup; keeping them on the
-	// pooled state amortizes them like every other per-circuit array.
-	pendingBuf  []atomic.Int32
-	compDoneBuf []atomic.Bool
-	// compDone, set by run (pointing at compDoneBuf), flags components
-	// whose labels are final, on the sequential path and under the dataflow
-	// scheduler alike. The PLD walk reads it to restrict itself to finished
-	// components. Completion is a superset of the component's ancestors —
-	// the only part of the graph the verdict depends on — so the
-	// restriction changes nothing observable (see sccIsolated).
-	compDone []atomic.Bool
+	// pendingBuf is the dataflow scheduler's per-component dependency
+	// countdown, allocated once per state and re-initialized at the start of
+	// every parallel run. At the 100k-gate scale the condensation has
+	// ~O(gates) components, so allocating it per probe dominated probe
+	// setup; keeping it on the pooled state amortizes it like every other
+	// per-circuit array.
+	pendingBuf []atomic.Int32
 
 	// arenas holds the per-worker scratch of the label hot path (see
 	// arena.go): arena 0 serves the sequential sweep, arena w serves pool
@@ -135,28 +121,25 @@ func blankState(c *netlist.Circuit, an *analysis, pool *arenaPool) *state {
 	n := c.NumNodes()
 	nc := an.sccs.NumComps()
 	return &state{
-		c:           c,
-		an:          an,
-		pool:        pool,
-		labels:      make([]int, n),
-		order:       an.order,
-		sccs:        an.sccs,
-		lastL:       make([]int, n),
-		decided:     make([]bool, n),
-		dirty:       make([]bool, n),
-		bumps:       make([]int, n),
-		nextDecomp:  make([]int, n),
-		wits:        make([]witness, n),
-		recs:        make([]coverRec, n),
-		pendingBuf:  make([]atomic.Int32, nc),
-		compDoneBuf: make([]atomic.Bool, nc),
+		c:          c,
+		an:         an,
+		pool:       pool,
+		labels:     make([]int, n),
+		order:      an.order,
+		sccs:       an.sccs,
+		lastL:      make([]int, n),
+		decided:    make([]bool, n),
+		dirty:      make([]bool, n),
+		wits:       make([]witness, n),
+		recs:       make([]coverRec, n),
+		pendingBuf: make([]atomic.Int32, nc),
 	}
 }
 
 // resetFor reinitializes every per-probe field for a probe at phi under
 // opts, exactly as a freshly allocated state would start. It deliberately
 // resets everything a previous probe could have touched — labels, the
-// decision cache, backoff counters, cover records, the fail set — so a
+// decision cache, cover records, the fail set — so a
 // pooled state is indistinguishable from a new one even after the previous
 // probe aborted mid-flight. The cache, counters and guard are cleared; the
 // caller attaches its own.
@@ -168,7 +151,6 @@ func (s *state) resetFor(phi int, opts Options) {
 	s.cache = nil
 	s.conc = nil
 	s.guard = nil
-	s.compDone = nil
 	s.fails.reset()
 	s.failed.Store(false)
 	s.stats = Stats{}
@@ -176,8 +158,6 @@ func (s *state) resetFor(phi int, opts Options) {
 		s.lastL[i] = -labelInf
 		s.decided[i] = false
 		s.dirty[i] = false
-		s.bumps[i] = 0
-		s.nextDecomp[i] = 0
 		s.wits[i].reps, s.wits[i].cone = s.wits[i].reps[:0], 0
 		s.recs[i] = coverRec{}
 	}
@@ -292,23 +272,12 @@ func (s *state) run() (bool, error) {
 		}
 	}
 	ar := s.arenaFor(0)
-	s.resetCompDone()
 	for _, comp := range s.sccs.Order {
 		if s.safeRunComp(comp, &s.stats, ar) != compConverged {
 			return s.finishRun(false)
 		}
-		s.compDone[comp].Store(true)
 	}
 	return s.finishRun(s.checkOutputs())
-}
-
-// resetCompDone clears every component's completion flag and points
-// compDone at them, at the start of a run on either path.
-func (s *state) resetCompDone() {
-	for comp := range s.compDoneBuf {
-		s.compDoneBuf[comp].Store(false)
-	}
-	s.compDone = s.compDoneBuf
 }
 
 // checkOutputs enforces the clock-period side condition after convergence.
@@ -405,43 +374,21 @@ func (s *state) runComp(comp int, st *Stats, ar *arena) compOutcome {
 // iterateComp is runComp's body; runComp wraps it to record the arena
 // high-water mark once per component run.
 func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
-	// Sound runaway certificate: in any feasible mapping the needed LUTs
-	// number at most the gate count, simple LUT-level paths bound arrivals
-	// by that count, and loops contribute nothing positive — so a label
-	// beyond NumNodes()+2 certifies a positive loop. This check and the
-	// 6n-iteration PLD below together form the fast detection suite that
-	// Options.PLD toggles; without it only the conservative per-SCC n^2
-	// stopping rule of SeqMapII remains (the paper's 10-50x comparison).
 	phase(ar, obs.OpLabel)
-	maxLabel := s.c.NumNodes() + 2
-	members := s.an.members(comp)
 	updatable := s.an.updatable(comp)
 	if len(updatable) == 0 {
 		return compConverged
 	}
-	n := len(members)
-	// Per-SCC runaway bound: labels inside the component are supported
-	// by at most base (the best external support) plus one unit per
-	// member along a simple path. Tighter than the global bound, so
-	// diverging components stop pumping sooner.
-	base := 0
-	for _, id := range members {
-		for _, f := range s.c.Nodes[id].Fanins {
-			if s.sccs.Comp[f.From] != comp {
-				if v := s.labels[f.From] - s.phi*f.Weight; v > base {
-					base = v
-				}
-			}
-		}
-	}
-	sccCap := base + n + 2
-	if sccCap > maxLabel {
-		sccCap = maxLabel
-	}
-	pldFrom := 6*n + 6 // Theorem 2: isolation is meaningful from 6n on
+	// With PLD, the grounding certificate (see grounded) ends a diverging
+	// component: labels that never converge rise without bound on every
+	// member, so the certificate always fires, and no iteration cap is
+	// needed. Without PLD only the conservative per-SCC n^2 stopping rule of
+	// SeqMapII ends it (the paper's 10-50x comparison).
+	n := len(s.an.members(comp))
 	capIter := n*n + 4
-	if s.opts.PLD && capIter < pldFrom+4 {
-		capIter = pldFrom + 4
+	var g grounding
+	if s.opts.PLD {
+		g = s.groundingFor(comp)
 	}
 	// Seed the dirty-set worklist: every updatable member starts dirty.
 	// Cross-component effects need no marking, because upstream labels are
@@ -455,7 +402,7 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 	}
 	worklist := !s.fullSweep
 	ar.curNode = -1
-	for iter := 0; iter < capIter; iter++ {
+	for iter := 0; s.opts.PLD || iter < capIter; iter++ {
 		faultinject.Sweep()
 		if s.stopped() {
 			return compCancelled
@@ -522,25 +469,63 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 			}
 		}
 		if s.opts.PLD {
-			for _, id := range updatable {
-				if s.labels[id] > sccCap {
-					st.PLDHits++
-					return compInfeasible // runaway labels certify a positive loop
-				}
-			}
-			if iter+1 >= pldFrom {
-				st.PLDChecks++
-				phase(ar, obs.OpPLD)
-				isolated := s.sccIsolated(comp, ar)
-				phase(ar, obs.OpLabel)
-				if isolated {
-					st.PLDHits++
-					return compInfeasible
-				}
+			st.PLDChecks++
+			phase(ar, obs.OpPLD)
+			grounded := s.grounded(updatable, g)
+			phase(ar, obs.OpLabel)
+			if !grounded {
+				st.PLDHits++
+				return compInfeasible // no member is grounded: a positive loop
 			}
 		}
 	}
 	return compInfeasible // conservative stopping rule hit
+}
+
+// grounding is one component's grounding thresholds at the probe's phi:
+// a member is grounded while its L(v) is below minL or its label below
+// minLabel (see grounded).
+type grounding struct {
+	minL, minLabel int
+}
+
+// groundingFor computes component comp's grounding thresholds. They rest on
+// base, the best support entering the component: max(0, l(u) - phi*w(e))
+// over the edges from outside it, whose labels are final when the component
+// starts. TurboMap needs L(v) >= base+2 on every member; TurboSYN's
+// resynthesis probes maxH bounds lower, and its bound-set priority needs
+// member cut leaves to sort after external ones, hence the wider margins.
+func (s *state) groundingFor(comp int) grounding {
+	base := 0
+	for _, id := range s.an.members(comp) {
+		for _, f := range s.c.Nodes[id].Fanins {
+			if s.sccs.Comp[f.From] != comp {
+				base = max(base, s.labels[f.From]-s.phi*f.Weight)
+			}
+		}
+	}
+	if !s.opts.Decompose {
+		return grounding{minL: base + 2, minLabel: -labelInf}
+	}
+	return grounding{minL: base + maxH + 2, minLabel: base + s.phi*s.an.loopW[comp] + maxH + 3}
+}
+
+// grounded reports whether some member of the component is still grounded:
+// its L(v) or its label sits close enough to base that a decision can still
+// depend on labels outside the component. When no member is grounded, every
+// decision depends only on member labels relative to L, so lowering every
+// member label by one would map a fixpoint to a smaller fixpoint; the least
+// fixpoint, which bounds the iteration's labels from above, cannot exist,
+// and phi is infeasible. This is the PLD certificate; DESIGN.md ("PLD")
+// gives the proof and its assumptions. The scan is O(members + fanins) and
+// allocation-free.
+func (s *state) grounded(updatable []int32, g grounding) bool {
+	for _, id := range updatable {
+		if s.labels[id] < g.minLabel || s.computeL(int(id)) < g.minL {
+			return true
+		}
+	}
+	return false
 }
 
 // update re-decides node id's label. record requests cover recording (used
@@ -571,7 +556,6 @@ func (s *state) update(id int, record bool, st *Stats, ar *arena) bool {
 	}
 	if newLabel > s.labels[id] {
 		s.labels[id] = newLabel
-		s.bumps[id]++
 		return true
 	}
 	return false
@@ -625,19 +609,13 @@ func (s *state) decide(id, L int, record bool, st *Stats, ar *arena) (int, cover
 	} else {
 		phase(ar, obs.OpLabel)
 	}
-	// TurboSYN: resynthesize a wider, lower cut. Fast passes back off on
-	// label-pumping nodes (see the field comment); recording passes always
-	// attempt.
-	if s.opts.Decompose && (record || s.bumps[id] < 8 || L >= s.nextDecomp[id]) {
-		if tree, cutReps, ok := s.tryDecompose(id, L, st, ar); ok {
-			s.nextDecomp[id] = 0
-			return L, coverRec{cut: cutReps, tree: tree}
+	// TurboSYN: resynthesize a wider, lower cut. Every pass attempts it, so
+	// a fast pass never settles above the exact decision — the grounding
+	// certificate (iterateComp) relies on that.
+	if s.opts.Decompose {
+		if rec, ok := s.tryDecompose(id, L, record, st, ar); ok {
+			return L, rec
 		}
-		step := s.bumps[id] / 2
-		if step < 1 {
-			step = 1
-		}
-		s.nextDecomp[id] = L + step
 	}
 	// Settle for L+1; the direct-fanin cut realizes it: every direct fanin
 	// replica has eff <= L+1 by the definition of L, and the input netlist
@@ -675,7 +653,9 @@ func (s *state) decide(id, L int, record bool, st *Stats, ar *arena) (int, cover
 
 // tryDecompose searches cuts of heights L-1, L-2, ... (width <= Cmax) whose
 // cone function decomposes into a tree of K-LUTs of depth h+1, realizing
-// label L (the paper's sequential functional decomposition).
+// label L (the paper's sequential functional decomposition). Only a
+// recording pass keeps the cover, so only a recording pass maps the found
+// tree back from its NPN-canonical form; a fast pass needs just the verdict.
 //
 // The resynthesis cuts come from the strict candidate frontier (LowDepth 0),
 // not from decide's structural expansion: expanding through candidates lets
@@ -684,13 +664,13 @@ func (s *state) decide(id, L int, record bool, st *Stats, ar *arena) (int, cover
 // the frontier once; dropping the bound only grows the expanded region, so
 // each probe then Tightens the arena's builder in place instead of
 // re-expanding from scratch.
-func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []Replica, bool) {
+func (s *state) tryDecompose(id, L int, record bool, st *Stats, ar *arena) (coverRec, bool) {
 	if faultinject.BudgetExhausted(id) {
 		// Injected budget exhaustion: behave exactly like a real one — the
 		// node degrades to the structural feasibility check (or aborts under
 		// Strict).
 		s.degrade(st, ar, "injected", id, 0)
-		return nil, nil, false
+		return coverRec{}, false
 	}
 	// estats collects the decomposer's effort counters (bound sets actually
 	// examined, tier outcomes); observability only, never part of the cache
@@ -708,7 +688,7 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		// Every tighter bound expands a superset and fails the same way.
 		ar.built = false
 		phase(ar, obs.OpLabel)
-		return nil, nil, false
+		return coverRec{}, false
 	}
 	ar.built = true
 	for h := 1; h <= maxH; h++ {
@@ -720,7 +700,7 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 			// decide's settle path rebuilds instead of re-marking it.
 			ar.built = false
 			phase(ar, obs.OpLabel)
-			return nil, nil, false
+			return coverRec{}, false
 		}
 		st.ExpandReuses++
 		phase(ar, obs.OpFlow)
@@ -729,7 +709,7 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		phase(ar, obs.OpDecompose)
 		if !okCut {
 			phase(ar, obs.OpLabel)
-			return nil, nil, false // even Cmax-wide cuts are gone; deeper is worse
+			return coverRec{}, false // even Cmax-wide cuts are gone; deeper is worse
 		}
 		st.DecompAttempts++
 		fn, reps := s.coneFunction(x, res, ar)
@@ -795,7 +775,7 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 			// under Strict.
 			if !s.degrade(st, ar, "rothkarp-candidates", id, s.opts.RothKarpBudget) {
 				phase(ar, obs.OpLabel)
-				return nil, nil, false
+				return coverRec{}, false
 			}
 		}
 		if entry.tree == nil {
@@ -803,10 +783,13 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		}
 		st.Decompositions++
 		phase(ar, obs.OpLabel)
-		return decomp.ApplyNPNToTree(entry.tree, ctr.Inverse()), reps, true
+		if !record {
+			return coverRec{}, true
+		}
+		return coverRec{cut: reps, tree: decomp.ApplyNPNToTree(entry.tree, ctr.Inverse())}, true
 	}
 	phase(ar, obs.OpLabel)
-	return nil, nil, false
+	return coverRec{}, false
 }
 
 // decompKey identifies one DecomposeEffort call. The priority order is part
@@ -934,63 +917,4 @@ func (s *state) coneFunction(x *expand.Expanded, res *cut.Result, ar *arena) (*l
 // fanin to visit.
 type coneFrame struct {
 	id, next int32
-}
-
-// sccIsolated reports whether no node of the component is supported from
-// the ground in the predecessor graph: ground nodes are PIs, constants and
-// nodes with label <= 1; a support edge e(u,v) is present when
-// l(u) - phi*w(e) + 1 >= l(v). Total isolation certifies a positive loop
-// (the paper's PLD, Theorem 2).
-//
-// The walk is restricted to the component itself plus completed components
-// (s.compDone), whose labels are final. That set is a superset of the
-// component's ancestors, and support can only reach a member through its
-// ancestors — every edge into the
-// component comes from a direct predecessor, and by induction every path
-// into an ancestor stays within ancestors — so the extra allowed nodes can
-// pick up junk reach marks but never influence whether a member is
-// reached. The restriction therefore never changes the verdict; what it
-// buys is that the walk reads only labels that are final or owned by this
-// component, keeping the check race-free and schedule-independent.
-func (s *state) sccIsolated(comp int, ar *arena) bool {
-	n := s.c.NumNodes()
-	allowed := func(id int) bool {
-		c := s.sccs.Comp[id]
-		return c == comp || s.compDone[c].Load()
-	}
-	if cap(ar.reach) < n {
-		ar.reach = make([]bool, n)
-		ar.rqueue = make([]int, 0, n)
-	}
-	reach := ar.reach[:n]
-	for i := range reach {
-		reach[i] = false
-	}
-	queue := ar.rqueue[:0]
-	for id := 0; id < n; id++ {
-		if allowed(id) && s.labels[id] <= 1 {
-			reach[id] = true
-			queue = append(queue, id)
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, fo := range s.c.Fanouts(u) {
-			if reach[fo.To] || !allowed(fo.To) {
-				continue
-			}
-			if s.labels[u]-s.phi*fo.Weight+1 >= s.labels[fo.To] {
-				reach[fo.To] = true
-				queue = append(queue, fo.To)
-			}
-		}
-	}
-	ar.rqueue = queue[:0]
-	for _, id := range s.sccs.Members[comp] {
-		if reach[id] {
-			return false
-		}
-	}
-	return true
 }

@@ -48,18 +48,16 @@ func (s *state) runParallel(workers int) (bool, error) {
 	trivial := s.an.trivial
 	workCount := s.an.workCount
 
-	// Scheduler bookkeeping lives on the pooled state (pendingBuf,
-	// compDoneBuf): the condensation of a 100k-gate netlist has on the order
-	// of the gate count in components, so allocating these per probe
-	// dominated probe setup at that scale. Both are fully re-initialized
-	// here; per-worker Stats accumulators are worker-pool-sized (small) and
-	// stay per-run.
+	// The dependency countdown lives on the pooled state (pendingBuf): the
+	// condensation of a 100k-gate netlist has on the order of the gate count
+	// in components, so allocating it per probe dominated probe setup at
+	// that scale. It is fully re-initialized here; per-worker Stats
+	// accumulators are worker-pool-sized (small) and stay per-run.
 	indeg := s.an.indeg
 	pending := s.pendingBuf
 	for comp, deg := range indeg {
 		pending[comp].Store(int32(deg))
 	}
-	s.resetCompDone()
 	workerStats := make([]Stats, workers)
 	var (
 		aborted   atomic.Bool
@@ -91,7 +89,6 @@ func (s *state) runParallel(workers int) (bool, error) {
 		for len(cascade) > 0 {
 			c := cascade[len(cascade)-1]
 			cascade = cascade[:len(cascade)-1]
-			s.compDone[c].Store(true)
 			for _, d := range s.sccs.DAG[c] {
 				if pending[d].Add(-1) != 0 {
 					continue

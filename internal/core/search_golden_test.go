@@ -50,11 +50,6 @@ func TestSequentialSearchGolden(t *testing.T) {
 		{"turbosyn", []int{1}, DefaultOptions()},
 		{"turbomap", []int{1}, turbomap},
 	}
-	if testing.Short() {
-		// The race job runs -short: keep the cheapest circuit (dk16 under
-		// TurboSYN alone takes over a minute without the detector).
-		circuits = map[string]bool{"bbara": true}
-	}
 	got := map[string]searchWork{}
 	for _, cs := range bench.Suite() {
 		if !circuits[cs.Name] {
@@ -84,9 +79,6 @@ func TestSequentialSearchGolden(t *testing.T) {
 
 	golden := filepath.Join("testdata", "search.golden.json")
 	if os.Getenv("TURBOSYN_UPDATE_GOLDEN") != "" {
-		if testing.Short() {
-			t.Fatal("regenerate without -short: the golden covers every case")
-		}
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -113,7 +105,7 @@ func TestSequentialSearchGolden(t *testing.T) {
 	} else if !bytes.Equal(b, append(canon, '\n')) {
 		t.Errorf("%s is not what TURBOSYN_UPDATE_GOLDEN=1 writes for its own values; regenerate it", golden)
 	}
-	if !testing.Short() && len(got) != len(want) {
+	if len(got) != len(want) {
 		t.Errorf("%d cases, %s has %d", len(got), golden, len(want))
 	}
 	for key, g := range got {

@@ -153,12 +153,12 @@ func TestProbePanicBecomesInternalError(t *testing.T) {
 	}
 }
 
-// plantBrokenState parks a pooled state without completion flags on e: run()
-// on it panics right after its first component, outside safeRunComp.
+// plantBrokenState parks a pooled state without its SCC decomposition on e:
+// run() on it panics before its first component, outside safeRunComp.
 // Checkin keeps the state shell, so every later checkout that pops it panics
 // the same way.
 func plantBrokenState(e *Engine, opts Options) {
 	s := e.checkoutState(2, opts, &call{conc: &counters{}})
-	s.compDoneBuf = nil
+	s.sccs = nil
 	e.checkinState(s)
 }

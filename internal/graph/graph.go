@@ -5,8 +5,7 @@
 // Graphs are addressed by dense integer node ids in [0, N). Callers supply
 // adjacency through the Adjacency interface so that netlist structures can be
 // traversed without copying; ready-made slice-backed implementations are
-// provided for tests and for derived graphs (predecessor graphs, condensed
-// graphs).
+// provided for tests and for derived graphs (condensed graphs).
 package graph
 
 // Adjacency exposes a directed graph with dense integer nodes.

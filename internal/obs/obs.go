@@ -45,7 +45,7 @@ const (
 	// OpDecompose is a Roth-Karp resynthesis attempt (span arg A = node,
 	// B = bound-set candidates examined).
 	OpDecompose
-	// OpPLD is a predecessor-graph positive-loop-detection walk.
+	// OpPLD is a positive-loop-detection grounding check.
 	OpPLD
 	// OpComp is one SCC component task (span arg A = component id, B = label
 	// iterations it ran).
