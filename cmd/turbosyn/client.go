@@ -17,7 +17,7 @@ import (
 // localOnlyFlags shape a local synthesis run and have no counterpart in a
 // daemon job; clientOnlyFlags only travel with a -server submission.
 var (
-	localOnlyFlags  = []string{"nopld", "j", "repeat", "decomp-cache", "cpuprofile", "memprofile", "trace", "v", "log-json", "metrics-addr"}
+	localOnlyFlags  = []string{"j", "repeat", "decomp-cache", "cpuprofile", "memprofile", "trace", "v", "log-json", "metrics-addr"}
 	clientOnlyFlags = []string{"tenant", "priority"}
 )
 

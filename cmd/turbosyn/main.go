@@ -42,7 +42,6 @@ func main() {
 		repeat     = flag.Int("repeat", 1, "synthesize each input this many times on one reusable engine (reports per-run time; results are identical across runs)")
 		noPack     = flag.Bool("nopack", false, "skip LUT packing")
 		raw        = flag.Bool("mapped", false, "emit the mapped network before retiming instead of the realized one")
-		noPLD      = flag.Bool("nopld", false, "disable positive loop detection (n^2 stopping rule)")
 		workers    = flag.Int("j", 0, "worker pool size (0 = all CPUs, 1 = sequential); results are identical for every setting")
 		timeout    = flag.Duration("timeout", 0, "abort synthesis after this duration (0 = no limit); partial progress is reported")
 		strict     = flag.Bool("strict", false, "treat resource-budget exhaustion as an error instead of degrading gracefully")
@@ -104,7 +103,7 @@ func main() {
 	}
 
 	opts := turbosyn.Options{
-		K: *k, NoPack: *noPack, NoPLD: *noPLD,
+		K: *k, NoPack: *noPack,
 		Workers: *workers,
 		Strict:  *strict, RothKarpBudget: *rkBudget,
 		CacheDir: *cacheDir,

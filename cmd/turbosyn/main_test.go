@@ -13,7 +13,7 @@ import (
 func modeFlagSet() *flag.FlagSet {
 	fs := flag.NewFlagSet("turbosyn", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	for _, name := range []string{"nopld", "v", "log-json"} {
+	for _, name := range []string{"v", "log-json"} {
 		fs.Bool(name, false, "")
 	}
 	for _, name := range []string{"k", "j", "repeat", "priority"} {
@@ -32,7 +32,7 @@ func TestCheckModeFlags(t *testing.T) {
 	}{
 		// Local mode with its own flags, including the benchmark's invocation.
 		{[]string{"-j", "0", "-o", "out.blif", "in.blif"}, ""},
-		{[]string{"-repeat", "3", "-trace", "t.json", "-v", "-nopld", "in.blif"}, ""},
+		{[]string{"-repeat", "3", "-trace", "t.json", "-v", "in.blif"}, ""},
 		// Client mode with the submission flags it forwards.
 		{[]string{"-server", "http://localhost:1", "-tenant", "a", "-priority", "2", "-k", "4", "in.blif"}, ""},
 		// Local-only flags are refused with -server, even at their defaults.
@@ -40,8 +40,8 @@ func TestCheckModeFlags(t *testing.T) {
 			"-trace: not supported with -server (local synthesis only)"},
 		{[]string{"-server", "http://localhost:1", "-repeat", "5", "-v", "-j", "1", "x.blif"},
 			"-j, -repeat, -v: not supported with -server (local synthesis only)"},
-		{[]string{"-server", "http://localhost:1", "-metrics-addr", ":0", "-decomp-cache", "d", "-log-json", "-cpuprofile", "c", "-memprofile", "m", "-nopld", "x.blif"},
-			"-cpuprofile, -decomp-cache, -log-json, -memprofile, -metrics-addr, -nopld: not supported with -server (local synthesis only)"},
+		{[]string{"-server", "http://localhost:1", "-metrics-addr", ":0", "-decomp-cache", "d", "-log-json", "-cpuprofile", "c", "-memprofile", "m", "x.blif"},
+			"-cpuprofile, -decomp-cache, -log-json, -memprofile, -metrics-addr: not supported with -server (local synthesis only)"},
 		// Client-only flags are refused without -server.
 		{[]string{"-tenant", "a", "x.blif"}, "-tenant: supported only with -server"},
 		{[]string{"-priority", "0", "-tenant", "", "x.blif"}, "-priority, -tenant: supported only with -server"},

@@ -13,12 +13,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"time"
 
 	"turbosyn"
+	"turbosyn/internal/core"
 )
 
 // ring builds n 2-input AND gates in a loop around one register, each gate
@@ -45,6 +47,16 @@ func ring(n int) *turbosyn.Circuit {
 	return c
 }
 
+// probe decides target on e under o and times it.
+func probe(e *core.Engine, target int, o core.Options) (bool, core.Stats, time.Duration) {
+	start := time.Now()
+	ok, st, err := e.FeasibleContext(context.Background(), target, o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return ok, st, time.Since(start)
+}
+
 func main() {
 	k := flag.Int("k", 5, "LUT input count")
 	flag.Parse()
@@ -58,22 +70,19 @@ func main() {
 		// impossible for rings much longer than 2(K-1).
 		target := 2
 
-		on := turbosyn.Options{K: *k, Algorithm: turbosyn.TurboMap}
-		start := time.Now()
-		okOn, statsOn, err := turbosyn.Feasible(c, target, on)
+		// TurboMap labels, with and without PLD, on one core engine: the
+		// public options always run PLD, so the n^2 rule is reached through
+		// core.Options, as the PLD ablation table does.
+		on := core.Options{K: *k, PLD: true, Pipelined: true}
+		e, err := core.NewEngine(c, on)
 		if err != nil {
 			log.Fatal(err)
 		}
-		dOn := time.Since(start)
-
+		okOn, statsOn, dOn := probe(e, target, on)
 		off := on
-		off.NoPLD = true
-		start = time.Now()
-		okOff, statsOff, err := turbosyn.Feasible(c, target, off)
-		if err != nil {
-			log.Fatal(err)
-		}
-		dOff := time.Since(start)
+		off.PLD = false
+		okOff, statsOff, dOff := probe(e, target, off)
+		e.Close()
 
 		if okOn || okOff {
 			log.Fatalf("ring%d: target %d unexpectedly feasible", n, target)

@@ -41,6 +41,11 @@ const cmax = 15
 // paper iterates h = 0, 1, ...).
 const maxH = 4
 
+// prioSlack is how far below a resynthesis cut's height L-h the bound-set
+// priority stops telling leaf arrivals apart (see leafPriority). 2, chosen
+// on the full suite: 1 was faster but lost TurboSYN a period on sand.
+const prioSlack = 2
+
 // Options configures the label computation and mapping generation.
 type Options struct {
 	// K is the LUT input count (default 5).
@@ -64,10 +69,10 @@ type Options struct {
 	// out (DESIGN.md, "Deviation: no label relaxation").
 	Decompose bool
 	// PLD enables positive loop detection: a component stops as infeasible
-	// once no member is grounded, that is, once every member's L(v) (and,
-	// under TurboSYN, its label) sits far enough above the best support
-	// entering the component (DESIGN.md, "PLD"). Without it, infeasible
-	// targets fall back to the conservative per-SCC n^2 bound.
+	// once no member is grounded, that is, once every member's L(v) sits
+	// far enough above the best support entering the component (DESIGN.md,
+	// "PLD"). Without it, infeasible targets fall back to the conservative
+	// per-SCC n^2 bound.
 	PLD bool
 	// Pipelined selects the MDR-ratio objective (critical loops only);
 	// false selects the clock-period objective (outputs must meet phi too).

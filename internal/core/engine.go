@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
-	"slices"
 	"sync"
 
 	"turbosyn/internal/graph"
@@ -57,13 +55,6 @@ type analysis struct {
 	// fns[id] is gate id's local function compiled for cone simulation
 	// (coneFunction); nil for PIs and POs.
 	fns []*logic.Compiled
-
-	// loopW[comp] is D + 2*Wmax, the structural part of TurboSYN's
-	// grounding margin (see groundingFor): Wmax is the largest register
-	// weight on an edge inside the component, and D bounds the register
-	// weight of a shortest path between two members, the component's
-	// weighted register diameter (see registerDiameters).
-	loopW []int
 }
 
 // members returns component comp's members in comb topo order.
@@ -129,15 +120,10 @@ func analyze(c *netlist.Circuit) *analysis {
 	// comment). Edges are scanned fanin-side, so no fanout lists are built.
 	n := c.NumNodes()
 	an.sameOff = make([]int32, n+1)
-	outMax := make([]int, n)
-	wMax := make([]int, nc)
 	for _, node := range c.Nodes {
-		comp := an.sccs.Comp[node.ID]
 		for _, f := range node.Fanins {
-			if an.sccs.Comp[f.From] == comp {
+			if an.sccs.Comp[f.From] == an.sccs.Comp[node.ID] {
 				an.sameOff[f.From+1]++
-				outMax[f.From] = max(outMax[f.From], f.Weight)
-				wMax[comp] = max(wMax[comp], f.Weight)
 			}
 		}
 	}
@@ -145,25 +131,15 @@ func analyze(c *netlist.Circuit) *analysis {
 		an.sameOff[id+1] += an.sameOff[id]
 	}
 	an.sameFlat = make([]int32, an.sameOff[n])
-	sameW := make([]int32, an.sameOff[n]) // register weight of each sameFlat edge
 	scur := make([]int32, n)
 	copy(scur, an.sameOff[:n])
 	for _, node := range c.Nodes {
 		for _, f := range node.Fanins {
 			if an.sccs.Comp[f.From] == an.sccs.Comp[node.ID] {
 				an.sameFlat[scur[f.From]] = int32(node.ID)
-				sameW[scur[f.From]] = int32(f.Weight)
 				scur[f.From]++
 			}
 		}
-	}
-	an.loopW = make([]int, nc)
-	for id, w := range outMax {
-		an.loopW[an.sccs.Comp[id]] += w // Delta
-	}
-	an.registerDiameters(c, sameW, wMax)
-	for comp, w := range wMax {
-		an.loopW[comp] += 2 * w
 	}
 	an.fns = make([]*logic.Compiled, n)
 	for _, node := range c.Nodes {
@@ -188,102 +164,6 @@ func analyze(c *netlist.Circuit) *analysis {
 		}
 	}
 	return an
-}
-
-// registerDiameters lowers loopW[comp], which holds Delta on entry, to
-// min(Delta, ecc_in(r) + ecc_out(r)) for every component with an
-// in-component edge. Both bound the register weight of a shortest path
-// between two members: Delta, the sum over members of each member's
-// largest in-component out-weight, bounds any simple path, and
-// dist(x->v) <= dist(x->r) + dist(r->v) for the root r, the component's
-// first member in comb topo order. ecc_out is the largest shortest-path
-// register weight from r to a member (over the sameFlat fanouts, weighted
-// by sameW), ecc_in the largest from a member to r (over in-component
-// fanins). Each search is Dial's algorithm with wMax[comp]+1 circular
-// buckets, so a component costs O(members + edges + ecc); exact all-pairs
-// distances would cost O(members * edges) per component.
-func (an *analysis) registerDiameters(c *netlist.Circuit, sameW []int32, wMax []int) {
-	q := &dial{ // a search pushes at most once per in-component edge, plus its root
-		best:    make([]int32, c.NumNodes()),
-		entNode: make([]int32, 0, len(sameW)+1),
-		entNext: make([]int32, 0, len(sameW)+1),
-		sameW:   sameW,
-	}
-	for comp, w := range wMax {
-		if w > 0 {
-			ecc := q.ecc(c, an, comp, int32(w), false) + q.ecc(c, an, comp, int32(w), true)
-			an.loopW[comp] = min(an.loopW[comp], ecc)
-		}
-	}
-}
-
-// dial is registerDiameters' bucket-queue scratch: tentative distances,
-// circular bucket heads over a shared pool of (node, next) entries, and
-// the register weight of each sameFlat edge.
-type dial struct {
-	best, head, entNode, entNext, sameW []int32
-	pending                             int
-}
-
-// push lowers node id's tentative distance to d, if that improves it.
-func (q *dial) push(id, d int32) {
-	if d >= q.best[id] {
-		return
-	}
-	q.best[id] = d
-	b := d % int32(len(q.head))
-	q.entNode = append(q.entNode, id)
-	q.entNext = append(q.entNext, q.head[b])
-	q.head[b] = int32(len(q.entNode) - 1)
-	q.pending++
-}
-
-// ecc returns the largest shortest-path register weight from component
-// comp's first member to another member over in-component fanouts (out),
-// or from a member to it over in-component fanins. wmax is the largest
-// weight on an in-component edge.
-func (q *dial) ecc(c *netlist.Circuit, an *analysis, comp int, wmax int32, out bool) int {
-	members := an.members(comp)
-	for _, id := range members {
-		q.best[id] = math.MaxInt32
-	}
-	nb := wmax + 1
-	q.head = slices.Grow(q.head[:0], int(nb))[:nb]
-	for i := range q.head {
-		q.head[i] = -1
-	}
-	q.entNode, q.entNext, q.pending = q.entNode[:0], q.entNext[:0], 0
-	q.push(members[0], 0)
-	settled, far := 0, int32(0)
-	// Every entry lies within wmax of d, so bucket d%nb holds only
-	// distance-d entries; weight-0 edges push onto the bucket being
-	// drained.
-	for d := int32(0); q.pending > 0 && settled < len(members); d++ {
-		b := d % nb
-		for q.head[b] >= 0 {
-			e := q.head[b]
-			q.head[b] = q.entNext[e]
-			q.pending--
-			id := q.entNode[e]
-			if q.best[id] != d {
-				continue // superseded by a shorter push
-			}
-			settled++
-			far = d
-			if out {
-				for i := an.sameOff[id]; i < an.sameOff[id+1]; i++ {
-					q.push(an.sameFlat[i], d+q.sameW[i])
-				}
-				continue
-			}
-			for _, f := range c.Nodes[id].Fanins {
-				if an.sccs.Comp[f.From] == comp {
-					q.push(int32(f.From), d+int32(f.Weight))
-				}
-			}
-		}
-	}
-	return int(far)
 }
 
 // arenaPool is the Engine's checkout pool of worker scratch arenas. Arenas

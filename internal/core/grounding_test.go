@@ -1,12 +1,12 @@
 package core
 
 import (
-	"math"
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"turbosyn/internal/bench"
-	"turbosyn/internal/logic"
 	"turbosyn/internal/netlist"
 )
 
@@ -39,7 +39,9 @@ func groundingVerdicts(t *testing.T, c *netlist.Circuit, phi int, opts Options, 
 }
 
 // checkGrounding compares the two verdicts of every phi from 1 to hi under
-// TurboMap and TurboSYN.
+// TurboMap and TurboSYN, and checks that they are monotone in phi: once a
+// phi is feasible under an objective, every larger one is too (the phi
+// search relies on it).
 func checkGrounding(t *testing.T, c *netlist.Circuit, k, hi, extra int) {
 	t.Helper()
 	for _, decompose := range []bool{false, true} {
@@ -47,12 +49,20 @@ func checkGrounding(t *testing.T, c *netlist.Circuit, k, hi, extra int) {
 		opts.K = k
 		opts.Decompose = decompose
 		opts.Workers = 1
+		var prev [2]bool
 		for phi := 1; phi <= hi; phi++ {
 			on, off := groundingVerdicts(t, c, phi, opts, extra)
 			if on != off {
 				t.Fatalf("%s decompose=%v phi=%d: PLD says feasible (ratio, period) = %v, the n^2 rule %v",
 					c.Name, decompose, phi, on, off)
 			}
+			for obj, was := range prev {
+				if was && !on[obj] {
+					t.Fatalf("%s decompose=%v: feasible (ratio, period) = %v at phi=%d but %v at phi=%d",
+						c.Name, decompose, prev, phi-1, on, phi)
+				}
+			}
+			prev = on
 		}
 	}
 }
@@ -66,22 +76,12 @@ func checkGrounding(t *testing.T, c *netlist.Circuit, k, hi, extra int) {
 // iteration count: a feasible probe follows the certificate's trajectory to
 // the same fixpoint, and a certificate that fired on a run converging
 // within those 64 sweeps is caught. FuzzGrounding compares against the
-// uncapped rule. A small ScaleFSM machine, kept under -short, has a
-// component whose TurboSYN margin the register-diameter bound lowers
-// (loopW 7 against Delta + 2*Wmax = 10), so a certificate that fired too
-// early on the moved margin would show there.
+// uncapped rule. A small ScaleFSM machine, kept under -short, adds one
+// large component with many register-driving members. Every case also
+// checks that the verdicts are monotone in phi.
 func TestGroundingMatchesN2Rule(t *testing.T) {
 	short := map[string]bool{"bbara": true, "s420": true, "scale_fsm": true}
 	fsm := bench.ScaleFSM("TestGroundingMatchesN2Rule", 8, 4)
-	an := analyze(fsm)
-	_, delta, wmax := exactLoopBounds(fsm, an)
-	moved := false
-	for comp, lw := range an.loopW {
-		moved = moved || lw < delta[comp]+2*wmax[comp]
-	}
-	if !moved {
-		t.Fatal("scale_fsm: no component's loopW is below Delta + 2*Wmax")
-	}
 	cases := append(bench.Suite(), bench.Case{Name: "scale_fsm", Circuit: fsm})
 	for _, cs := range cases {
 		if testing.Short() && !short[cs.Name] {
@@ -106,12 +106,11 @@ func FuzzGrounding(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(0))
 	f.Add(int64(7), uint8(12), uint8(1))
 	f.Add(int64(42), uint8(16), uint8(2))
-	// TurboSYN feasible at phi 1 with a member label below the label
-	// margin: the TurboMap margins alone would certify it infeasible.
+	// TurboSYN feasible at phi 1: TurboMap's threshold (base+2) alone
+	// would certify it infeasible.
 	f.Add(int64(-97), uint8('n'), uint8(0x15))
-	// A 14-gate K=5 circuit whose 12-member component has loopW 6 against
-	// Delta + 2*Wmax = 15: TurboSYN's certificate fires at phi 1 after 13
-	// sweeps, where Delta's margin took 22.
+	// A 14-gate K=5 circuit with a 12-member component on which
+	// TurboSYN's certificate fires at phi 1.
 	f.Add(int64(3516), uint8(11), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, size, k uint8) {
 		K := 2 + int(k)%4
@@ -123,138 +122,47 @@ func FuzzGrounding(f *testing.F) {
 	})
 }
 
-// exactLoopBounds returns, per component of c, the exact weighted register
-// diameter (the largest shortest-path register weight between two members,
-// over in-component edges), Delta (the sum over members of each member's
-// largest in-component out-weight) and Wmax. The diameter is one
-// array-scan Dijkstra per member, O(members^2) each: an oracle sized for
-// test circuits.
-func exactLoopBounds(c *netlist.Circuit, an *analysis) (diam, delta, wmax []int) {
-	nc := an.sccs.NumComps()
-	diam, delta, wmax = make([]int, nc), make([]int, nc), make([]int, nc)
-	type edge struct{ to, w int }
-	out := make([][]edge, c.NumNodes())
-	outMax := make([]int, c.NumNodes())
-	for _, n := range c.Nodes {
-		for _, f := range n.Fanins {
-			if comp := an.sccs.Comp[n.ID]; an.sccs.Comp[f.From] == comp {
-				out[f.From] = append(out[f.From], edge{n.ID, f.Weight})
-				outMax[f.From] = max(outMax[f.From], f.Weight)
-				wmax[comp] = max(wmax[comp], f.Weight)
-			}
+// TestBoundSetPriorityShiftInvariant: the grounding certificate's proof
+// (DESIGN.md, "PLD") lowers every member label, and so L, by one once no
+// member is grounded (L >= base+maxH+1+prioSlack), and needs every
+// resynthesis cut's bound-set priority order to survive that shift. On
+// random leaf sets, with external leaves arriving at or below base and
+// member leaves anywhere up to the cut's height, it does for every such L
+// and every h the resynthesis loop tries. Sorting by the unclamped arrival
+// fails here: an external and a member leaf at equal arrival swap.
+func TestBoundSetPriorityShiftInvariant(t *testing.T) {
+	order := func(eff []int, L, h int) []int {
+		prio := make([]int, len(eff))
+		for i := range prio {
+			prio[i] = i
 		}
+		slices.SortStableFunc(prio, func(a, b int) int {
+			return cmp.Compare(leafPriority(eff[a], L, h), leafPriority(eff[b], L, h))
+		})
+		return prio
 	}
-	for id, w := range outMax {
-		delta[an.sccs.Comp[id]] += w
-	}
-	dist := make([]int, c.NumNodes())
-	done := make([]bool, c.NumNodes())
-	for comp := 0; comp < nc; comp++ {
-		members := an.members(comp)
-		for _, src := range members {
-			for _, v := range members {
-				dist[v], done[v] = math.MaxInt, false
-			}
-			dist[src] = 0
-			for range members {
-				u := -1
-				for _, v := range members {
-					if !done[v] && dist[v] < math.MaxInt && (u < 0 || dist[v] < dist[u]) {
-						u = int(v)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		base := rng.Intn(6)
+		minL := base + maxH + 1 + prioSlack
+		for L := minL; L <= minL+6; L++ {
+			for h := 1; h <= maxH; h++ {
+				n := 1 + rng.Intn(cmax)
+				eff, lowered := make([]int, n), make([]int, n)
+				for i := range eff {
+					if rng.Intn(2) == 0 { // external: arrival <= base
+						eff[i] = base - rng.Intn(base+6)
+						lowered[i] = eff[i]
+					} else { // member: arrival <= L-h, the cut's height
+						eff[i] = L - h - rng.Intn(L-h+6)
+						lowered[i] = eff[i] - 1
 					}
 				}
-				if u < 0 {
-					break
-				}
-				done[u] = true
-				diam[comp] = max(diam[comp], dist[u])
-				for _, e := range out[u] {
-					dist[e.to] = min(dist[e.to], dist[u]+e.w)
+				if got, want := order(lowered, L-1, h), order(eff, L, h); !slices.Equal(got, want) {
+					t.Fatalf("base=%d L=%d h=%d arrivals %v: order %v, lowered by one %v",
+						base, L, h, eff, want, got)
 				}
 			}
 		}
-	}
-	return diam, delta, wmax
-}
-
-// randomStronglyConnected returns an n-gate ring with register weights 0-3
-// (the closing edge at least 1) plus random chords; a backward chord
-// carries at least one register, so the combinational part stays acyclic.
-func randomStronglyConnected(rng *rand.Rand, n int) *netlist.Circuit {
-	c := netlist.NewCircuit("ring")
-	pi := c.AddPI("a")
-	first := c.AddGate("", logic.AndAll(1), netlist.Fanin{From: pi})
-	gates := []int{first}
-	for i := 1; i < n; i++ {
-		fanins := []netlist.Fanin{{From: gates[i-1], Weight: rng.Intn(4)}}
-		for j := rng.Intn(3); j > 0; j-- {
-			fanins = append(fanins, netlist.Fanin{From: gates[rng.Intn(i)], Weight: rng.Intn(4)})
-		}
-		gates = append(gates, c.AddGate("", logic.OrAll(len(fanins)), fanins...))
-	}
-	c.Nodes[first].Fanins[0] = netlist.Fanin{From: gates[n-1], Weight: 1 + rng.Intn(3)}
-	for i := range gates {
-		if rng.Intn(3) == 0 {
-			g := c.Nodes[gates[i]]
-			g.Fanins = append(g.Fanins, netlist.Fanin{From: gates[i+rng.Intn(n-i)], Weight: 1 + rng.Intn(3)})
-			g.Func = logic.OrAll(len(g.Fanins))
-		}
-	}
-	c.AddPO("o", gates[n-1], 0)
-	c.InvalidateCaches()
-	return c
-}
-
-// checkLoopW asserts D <= loopW[comp] - 2*Wmax <= Delta on every component
-// of c, D being the exact weighted register diameter.
-func checkLoopW(t *testing.T, c *netlist.Circuit) {
-	t.Helper()
-	an := analyze(c)
-	diam, delta, wmax := exactLoopBounds(c, an)
-	for comp, lw := range an.loopW {
-		if d := lw - 2*wmax[comp]; d < diam[comp] || d > delta[comp] {
-			t.Fatalf("%s component %d (%d members): loopW-2*Wmax = %d, want within [diameter %d, Delta %d]",
-				c.Name, comp, len(an.members(comp)), d, diam[comp], delta[comp])
-		}
-	}
-}
-
-// TestLoopWBoundsRegisterDiameter: the structural part of TurboSYN's
-// grounding margin lies between the exact weighted register diameter, which
-// the proof in DESIGN.md ("PLD") needs it to bound, and Delta, the bound it
-// replaced, on random strongly connected circuits and the quick suite. On a
-// register ring the root bound ecc_in + ecc_out exceeds Delta, so the min
-// keeps Delta there.
-func TestLoopWBoundsRegisterDiameter(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		c := randomStronglyConnected(rng, 1+rng.Intn(40))
-		if err := c.Check(); err != nil {
-			t.Fatalf("random circuit %d: %v", i, err)
-		}
-		checkLoopW(t, c)
-	}
-	for _, cs := range bench.Suite() {
-		if c := cs.Circuit; c.NumGates() <= 500 && c.NumFFs() <= 16 { // the -quick tables' suite
-			checkLoopW(t, c)
-		}
-	}
-
-	// Ring of 6 gates with one register per edge: Delta = 6, the diameter
-	// is 5, and ecc_in + ecc_out = 10 from any root.
-	ring := netlist.NewCircuit("register_ring")
-	pi := ring.AddPI("a")
-	first := ring.AddGate("", logic.AndAll(2), netlist.Fanin{From: pi}, netlist.Fanin{From: pi})
-	prev := first
-	for i := 1; i < 6; i++ {
-		prev = ring.AddGate("", logic.AndAll(1), netlist.Fanin{From: prev, Weight: 1})
-	}
-	ring.Nodes[first].Fanins[1] = netlist.Fanin{From: prev, Weight: 1}
-	ring.AddPO("o", prev, 0)
-	ring.InvalidateCaches()
-	checkLoopW(t, ring)
-	an := analyze(ring)
-	if lw := an.loopW[an.sccs.Comp[first]]; lw != 6+2 {
-		t.Fatalf("register ring: loopW = %d, want Delta + 2*Wmax = 8", lw)
 	}
 }

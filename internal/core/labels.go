@@ -386,9 +386,9 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 	// SeqMapII ends it (the paper's 10-50x comparison).
 	n := len(s.an.members(comp))
 	capIter := n*n + 4
-	var g grounding
+	var minL int
 	if s.opts.PLD {
-		g = s.groundingFor(comp)
+		minL = s.groundingFor(comp)
 	}
 	// Seed the dirty-set worklist: every updatable member starts dirty.
 	// Cross-component effects need no marking, because upstream labels are
@@ -471,7 +471,7 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 		if s.opts.PLD {
 			st.PLDChecks++
 			phase(ar, obs.OpPLD)
-			grounded := s.grounded(updatable, g)
+			grounded := s.grounded(updatable, minL)
 			phase(ar, obs.OpLabel)
 			if !grounded {
 				st.PLDHits++
@@ -482,20 +482,16 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 	return compInfeasible // conservative stopping rule hit
 }
 
-// grounding is one component's grounding thresholds at the probe's phi:
-// a member is grounded while its L(v) is below minL or its label below
-// minLabel (see grounded).
-type grounding struct {
-	minL, minLabel int
-}
-
-// groundingFor computes component comp's grounding thresholds. They rest on
-// base, the best support entering the component: max(0, l(u) - phi*w(e))
-// over the edges from outside it, whose labels are final when the component
-// starts. TurboMap needs L(v) >= base+2 on every member; TurboSYN's
-// resynthesis probes maxH bounds lower, and its bound-set priority needs
-// member cut leaves to sort after external ones, hence the wider margins.
-func (s *state) groundingFor(comp int) grounding {
+// groundingFor computes component comp's grounding threshold on L(v) (see
+// grounded). It rests on base, the best support entering the component:
+// max(0, l(u) - phi*w(e)) over the edges from outside it, whose labels are
+// final when the component starts; every non-member replica in a member's
+// E_v has effective arrival at most base. TurboMap's decisions no longer
+// depend on those replicas once L(v) >= base+2. TurboSYN's resynthesis
+// probes maxH bounds lower and its bound-set priority must put every
+// external leaf at the clamp (see leafPriority), hence
+// base+maxH+1+prioSlack.
+func (s *state) groundingFor(comp int) int {
 	base := 0
 	for _, id := range s.an.members(comp) {
 		for _, f := range s.c.Nodes[id].Fanins {
@@ -505,13 +501,13 @@ func (s *state) groundingFor(comp int) grounding {
 		}
 	}
 	if !s.opts.Decompose {
-		return grounding{minL: base + 2, minLabel: -labelInf}
+		return base + 2
 	}
-	return grounding{minL: base + maxH + 2, minLabel: base + s.phi*s.an.loopW[comp] + maxH + 3}
+	return base + maxH + 1 + prioSlack
 }
 
 // grounded reports whether some member of the component is still grounded:
-// its L(v) or its label sits close enough to base that a decision can still
+// its L(v) sits below minL, close enough to base that a decision can still
 // depend on labels outside the component. When no member is grounded, every
 // decision depends only on member labels relative to L, so lowering every
 // member label by one would map a fixpoint to a smaller fixpoint; the least
@@ -519,9 +515,9 @@ func (s *state) groundingFor(comp int) grounding {
 // and phi is infeasible. This is the PLD certificate; DESIGN.md ("PLD")
 // gives the proof and its assumptions. The scan is O(members + fanins) and
 // allocation-free.
-func (s *state) grounded(updatable []int32, g grounding) bool {
+func (s *state) grounded(updatable []int32, minL int) bool {
 	for _, id := range updatable {
-		if s.labels[id] < g.minLabel || s.computeL(int(id)) < g.minL {
+		if s.computeL(int(id)) < minL {
 			return true
 		}
 	}
@@ -663,7 +659,8 @@ func (s *state) decide(id, L int, record bool, st *Stats, ar *arena) (int, cover
 // of flow and cone-function time. So tryDecompose rebuilds E_v at bound L on
 // the frontier once; dropping the bound only grows the expanded region, so
 // each probe then Tightens the arena's builder in place instead of
-// re-expanding from scratch.
+// re-expanding from scratch. The Roth-Karp search takes the cut's leaves
+// in leafPriority order, which the grounding certificate relies on.
 func (s *state) tryDecompose(id, L int, record bool, st *Stats, ar *arena) (coverRec, bool) {
 	if faultinject.BudgetExhausted(id) {
 		// Injected budget exhaustion: behave exactly like a real one — the
@@ -713,14 +710,16 @@ func (s *state) tryDecompose(id, L int, record bool, st *Stats, ar *arena) (cove
 		}
 		st.DecompAttempts++
 		fn, reps := s.coneFunction(x, res, ar)
-		// Bound-set priority: earliest effective arrival first, so early
-		// signals sink toward the leaves (the paper's FlowSYN ordering).
+		// Bound-set priority: earliest clamped arrival first, so early
+		// signals sink toward the leaves (the paper's FlowSYN ordering);
+		// ties keep cut order.
 		prio := ar.prio[:0]
 		for i := range reps {
 			prio = append(prio, i)
 		}
 		slices.SortStableFunc(prio, func(a, b int) int {
-			return cmp.Compare(s.labels[reps[a].Orig]-s.phi*reps[a].W, s.labels[reps[b].Orig]-s.phi*reps[b].W)
+			return cmp.Compare(leafPriority(s.labels[reps[a].Orig]-s.phi*reps[a].W, L, h),
+				leafPriority(s.labels[reps[b].Orig]-s.phi*reps[b].W, L, h))
 		})
 		// Decompose the NPN-canonical form of the cone function, with the
 		// priority order mapped through the same transform, and map the
@@ -790,6 +789,19 @@ func (s *state) tryDecompose(id, L int, record bool, st *Stats, ar *arena) (cove
 	}
 	phase(ar, obs.OpLabel)
 	return coverRec{}, false
+}
+
+// leafPriority is a leaf's bound-set priority key in the resynthesis cut of
+// height L-h: its effective arrival eff = l(u) - phi*w, clamped from below
+// at L-h-prioSlack. Leaves at or below the clamp have slack in any tree the
+// h loop tries, so their arrivals need no ordering ("Practical Boolean
+// Decomposition for Delay-driven LUT Mapping" orders leaves by arrival
+// relative to the required time). The clamp makes the order invariant
+// under the grounding shift: once L >= base+maxH+1+prioSlack every external
+// leaf (arrival <= base) sits at the clamp, so lowering every member label
+// and L by one lowers every key by one (see groundingFor).
+func leafPriority(eff, L, h int) int {
+	return max(eff, L-h-prioSlack)
 }
 
 // decompKey identifies one DecomposeEffort call. The priority order is part

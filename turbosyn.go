@@ -99,9 +99,6 @@ type Options struct {
 	K         int
 	Algorithm Algorithm
 	Objective Objective
-	// NoPLD disables the fast positive-loop detection (the ablation of
-	// Section 4 runs with the conservative n^2 stopping rule instead).
-	NoPLD bool
 	// NoPack skips the area post-pass.
 	NoPack bool
 	// NoRealize skips the final retiming/pipelining step; Result.Realized
@@ -304,7 +301,7 @@ func (o Options) coreOptions(pg *obs.Progress, logger *slog.Logger) core.Options
 	co := core.Options{
 		K:               o.K,
 		Decompose:       o.Algorithm == TurboSYN,
-		PLD:             !o.NoPLD,
+		PLD:             true,
 		Pipelined:       o.Objective == MinRatio,
 		Workers:         o.Workers,
 		CacheDir:        o.CacheDir,
