@@ -119,8 +119,8 @@ func TestOptionsValidation(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
-			if _, _, ferr := Feasible(c, 2, opts); ferr == nil {
-				t.Error("Feasible accepted the same invalid options")
+			if _, err := NewEngine(c, opts); err == nil {
+				t.Error("NewEngine accepted the same invalid options")
 			}
 		})
 	}

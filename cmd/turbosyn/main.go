@@ -108,23 +108,9 @@ func main() {
 		Strict:  *strict, RothKarpBudget: *rkBudget,
 		CacheDir: *cacheDir,
 	}
-	switch *alg {
-	case "turbosyn":
-		opts.Algorithm = turbosyn.TurboSYN
-	case "turbomap":
-		opts.Algorithm = turbosyn.TurboMap
-	case "flowsyns":
-		opts.Algorithm = turbosyn.FlowSYNS
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *alg))
-	}
-	switch *objective {
-	case "ratio":
-		opts.Objective = turbosyn.MinRatio
-	case "period":
-		opts.Objective = turbosyn.MinPeriod
-	default:
-		fatal(fmt.Errorf("unknown objective %q", *objective))
+	var err error
+	if opts.Algorithm, opts.Objective, err = turbosyn.ParseNames(*alg, *objective); err != nil {
+		fatal(err)
 	}
 	opts.NoRealize = *raw
 

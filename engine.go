@@ -17,8 +17,14 @@ import (
 // decomposition cache — including the persisted cross-run log, which is
 // loaded once at construction instead of once per call — and a checkout
 // pool of worker scratch arenas that survive probe and run boundaries.
-// Repeated calls on one engine skip all of that setup; the package-level
-// functions (Synthesize, Feasible) are NewEngine, one call and Close.
+// Repeated runs on one engine skip all of that setup; the package-level
+// Synthesize is NewEngine, one SynthesizeContext and Close.
+//
+// SynthesizeContext is the engine's one entry point: it answers the paper's
+// Problem 1, the minimum phi together with a mapping that meets it. The
+// decision at a given phi (Problem 2) is the inner step of its binary
+// search and is not exported here; core.Engine.FeasibleContext serves the
+// ablations that measure it.
 //
 // An Engine is safe for concurrent use. Close flushes the persistent
 // decomposition log (when Options.CacheDir is set); runs after Close still
@@ -71,81 +77,12 @@ type PoolStats = core.PoolStats
 // poisoned-or-oversized discards). See core.PoolStats and DESIGN.md §10.
 func (e *Engine) PoolStats() core.PoolStats { return e.core.PoolStats() }
 
-// decides reports whether the engine's algorithm answers Problem 2 at a
-// given phi. FlowSYN-s does not: it computes its phi on the merged network
-// after mapping the islands at their own minimum depth.
-func (e *Engine) decides() error {
-	if e.split != nil {
-		return fmt.Errorf("turbosyn: %v has no decision at a given phi: it computes its phi on the merged network", e.opts.Algorithm)
-	}
-	return nil
-}
-
-// Feasible is FeasibleContext with a background context.
-func (e *Engine) Feasible(phi int) (bool, core.Stats, error) {
-	return e.FeasibleContext(context.Background(), phi)
-}
-
-// FeasibleContext decides the paper's Problem 2 on the engine's circuit: can
-// it be mapped with clock period (MinPeriod) or MDR ratio (MinRatio) at most
-// phi? It fails for FlowSYN-s, which has no such decision.
-func (e *Engine) FeasibleContext(ctx context.Context, phi int) (bool, core.Stats, error) {
-	if err := e.decides(); err != nil {
-		return false, core.Stats{}, err
-	}
-	return e.core.FeasibleContext(ctx, phi, e.opts.coreOptions(nil, e.opts.Logger))
-}
-
-// MapAtRatio is MapAtRatioContext with a background context.
-func (e *Engine) MapAtRatio(phi int) (*core.Result, error) {
-	return e.MapAtRatioContext(context.Background(), phi)
-}
-
-// MapAtRatioContext computes labels and a mapped LUT network for a specific
-// feasible phi; it fails when phi is infeasible, and for FlowSYN-s. The
-// result is relative to the K-bounded circuit (Engine's internal working
-// form); use SynthesizeContext for origins remapped to the constructor's
-// circuit plus packing and realization.
-func (e *Engine) MapAtRatioContext(ctx context.Context, phi int) (*core.Result, error) {
-	if err := e.decides(); err != nil {
-		return nil, err
-	}
-	return e.core.MapAtRatioContext(ctx, phi, e.opts.coreOptions(nil, e.opts.Logger))
-}
-
-// Minimize is MinimizeContext with a background context.
-func (e *Engine) Minimize() (*core.Result, error) {
-	return e.MinimizeContext(context.Background())
-}
-
-// MinimizeContext finds the minimum feasible phi by binary search and
-// returns the mapping at that phi, relative to the K-bounded circuit and
-// without the packing/realization post-passes of SynthesizeContext. Every
-// probe of the search checks its state and scratch arenas out of the engine
-// instead of re-deriving the circuit analysis.
-func (e *Engine) MinimizeContext(ctx context.Context) (*core.Result, error) {
-	return e.minimize(ctx, e.opts.coreOptions(nil, e.opts.Logger))
-}
-
-// minimize runs the search under opts and, for FlowSYN-s, merges the
-// island mapping back over the registers.
-func (e *Engine) minimize(ctx context.Context, opts core.Options) (*core.Result, error) {
-	res, err := e.core.MinimizeContext(ctx, opts)
-	if err != nil || e.split == nil {
-		return res, err
-	}
-	return e.split.Merge(res)
-}
-
-// Synthesize is SynthesizeContext with a background context.
-func (e *Engine) Synthesize() (*Result, error) {
-	return e.SynthesizeContext(context.Background())
-}
-
-// SynthesizeContext runs the full flow — search, LUT packing, realization
-// by retiming and pipelining, full observability — on the engine, reusing
-// its analysis, decomposition cache and arena pool. Results are
-// bit-identical on every run and at every Workers setting.
+// SynthesizeContext runs the full flow — the binary search for the minimum
+// phi and the mapping at it (for FlowSYN-s, the island mapping merged back
+// over the registers), LUT packing, realization by retiming and pipelining,
+// full observability — on the engine, reusing its analysis, decomposition
+// cache and arena pool. Results are bit-identical on every run and at every
+// Workers setting.
 func (e *Engine) SynthesizeContext(ctx context.Context) (out *Result, err error) {
 	o, c := e.opts, e.orig
 	// Observability setup: one run id shared by logs, trace and progress; a
@@ -175,7 +112,10 @@ func (e *Engine) SynthesizeContext(ctx context.Context) (out *Result, err error)
 		logger.Info("synthesis start", "algorithm", o.Algorithm.String(),
 			"k", o.K, "workers", o.Workers, "nodes", c.NumNodes(), "gates", c.NumGates())
 	}
-	res, err := e.minimize(ctx, o.coreOptions(pg, logger))
+	res, err := e.core.MinimizeContext(ctx, o.coreOptions(pg, logger))
+	if err == nil && e.split != nil {
+		res, err = e.split.Merge(res)
+	}
 	if err != nil {
 		if logger != nil {
 			logger.Warn("synthesis aborted", "err", err)

@@ -2,10 +2,20 @@ package turbosyn
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"turbosyn/internal/bench"
+	"turbosyn/internal/core"
 )
+
+// feasible decides the paper's Problem 2 at phi on e's circuit: one probe of
+// the core engine e wraps, under the core options e lowers its Options into.
+// The public API answers Problem 1 only; this is the decision step its
+// binary search runs.
+func feasible(e *Engine, phi int) (bool, core.Stats, error) {
+	return e.core.FeasibleContext(context.Background(), phi, e.opts.coreOptions(nil, e.opts.Logger))
+}
 
 func blifString(t *testing.T, c *Circuit) []byte {
 	t.Helper()
@@ -19,8 +29,8 @@ func blifString(t *testing.T, c *Circuit) []byte {
 // TestEngineFacade pins a reused Engine against the package-level
 // Synthesize, which builds a fresh engine per call: repeated runs on one
 // engine reuse its analysis, cache and arena pool and still produce
-// byte-identical realized netlists, and the probe/map entry points agree
-// with their package-level counterparts.
+// byte-identical realized netlists, and a probe on the reused engine decides
+// the optimum and the phi below it as a fresh engine does.
 func TestEngineFacade(t *testing.T) {
 	c := bench.ScaleFSM("TestEngineFacade", 7, 4)
 	opts := Options{K: 5}
@@ -36,7 +46,7 @@ func TestEngineFacade(t *testing.T) {
 	}
 	defer eng.Close()
 	for run := 1; run <= 3; run++ {
-		res, err := eng.Synthesize()
+		res, err := eng.SynthesizeContext(context.Background())
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -55,26 +65,24 @@ func TestEngineFacade(t *testing.T) {
 		t.Error("three engine runs never reused a pooled arena")
 	}
 
-	okWant, _, err := Feasible(c, want.Phi, opts)
+	fresh, err := NewEngine(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	okGot, _, err := eng.Feasible(want.Phi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if okGot != okWant || !okGot {
-		t.Fatalf("Feasible(%d): engine %v, one-shot %v", want.Phi, okGot, okWant)
-	}
-	mr, err := eng.Minimize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mr.Phi != want.Phi {
-		t.Fatalf("Minimize phi = %d, want %d", mr.Phi, want.Phi)
-	}
-	if _, err := eng.MapAtRatio(mr.Phi); err != nil {
-		t.Fatalf("MapAtRatio(%d): %v", mr.Phi, err)
+	defer fresh.Close()
+	for phi := max(want.Phi-1, 1); phi <= want.Phi; phi++ {
+		okWant, _, err := feasible(fresh, phi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		okGot, _, err := feasible(eng, phi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if okGot != okWant || okGot != (phi == want.Phi) {
+			t.Fatalf("phi %d: reused engine says %v, fresh engine %v, Synthesize found %d",
+				phi, okGot, okWant, want.Phi)
+		}
 	}
 }
 

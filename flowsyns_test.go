@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
-
-	"turbosyn/internal/bench"
 )
 
 // FlowSYN-s runs on the same Engine as the sequential algorithms, so every
@@ -88,29 +85,5 @@ func TestFlowSYNSCacheDir(t *testing.T) {
 	}
 	if !bytes.Equal(blifString(t, warm.Realized), blifString(t, cold.Realized)) {
 		t.Fatal("warm-cache FlowSYN-s BLIF differs from the cold run")
-	}
-}
-
-// TestFlowSYNSHasNoDecision: FlowSYN-s computes its phi on the merged
-// network, so it cannot answer "is phi feasible?"; the decision entry
-// points say so instead of deciding another algorithm's question.
-func TestFlowSYNSHasNoDecision(t *testing.T) {
-	var s838 *Circuit
-	for _, cs := range bench.Suite() {
-		if cs.Name == "s838" {
-			s838 = cs.Circuit
-		}
-	}
-	o := Options{Algorithm: FlowSYNS, Workers: 1}
-	if _, _, err := Feasible(s838, 10, o); err == nil || !strings.Contains(err.Error(), "FlowSYN-s") {
-		t.Fatalf("Feasible(FlowSYN-s) err = %v, want an error naming FlowSYN-s", err)
-	}
-	e, err := NewEngine(s838, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := e.MapAtRatio(10); err == nil || !strings.Contains(err.Error(), "FlowSYN-s") {
-		t.Fatalf("MapAtRatio(FlowSYN-s) err = %v, want an error naming FlowSYN-s", err)
 	}
 }

@@ -243,7 +243,7 @@ type Stats struct {
 	CacheShardMisses   int // sharded decomposition-cache misses
 	CachePersistedHits int // hits served by entries loaded from a CacheDir log
 	CacheNPNHits       int // hits reached through a non-identity NPN transform
-	ProbesLaunched     int // probes started: one per search step, Feasible or MapAtRatio call
+	ProbesLaunched     int // probes started: one per search step or FeasibleContext call
 	// ProbesCancelled is always 0: the search runs one probe at a time and
 	// never abandons one. The field stays because tools that read Stats
 	// (the repository benchmark among them) report it.

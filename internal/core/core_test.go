@@ -49,16 +49,6 @@ func feasibleOnceContext(ctx context.Context, c *netlist.Circuit, phi int, opts 
 	return e.FeasibleContext(ctx, phi, opts)
 }
 
-// mapOnce maps c at phi on a throwaway engine.
-func mapOnce(c *netlist.Circuit, phi int, opts Options) (*Result, error) {
-	e, err := NewEngine(c, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	return e.MapAtRatioContext(context.Background(), phi, opts)
-}
-
 // toggler: g = XOR(pi, g@1).
 func toggler(t *testing.T) *netlist.Circuit {
 	t.Helper()
@@ -361,13 +351,6 @@ func TestClockPeriodObjectiveDiffersFromRatio(t *testing.T) {
 	}
 	if res.LUTs != 1 {
 		t.Errorf("buffer chain should collapse to 1 LUT, got %d", res.LUTs)
-	}
-}
-
-func TestMapAtRatioInfeasibleFails(t *testing.T) {
-	c := loop6(t)
-	if _, err := mapOnce(c, 1, turboMapOpts()); err == nil {
-		t.Fatal("expected infeasibility error")
 	}
 }
 

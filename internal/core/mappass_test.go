@@ -21,41 +21,6 @@ func labelWorkOf(st Stats) labelWork {
 		st.ExpandBuilds, st.DecompAttempts, st.SweepNodeVisits}
 }
 
-// TestMapPassIsOneProbe pins the mapping pass to one cold probe plus
-// generation: at the minimum phi, MapAtRatioContext does exactly the label
-// work of a cold FeasibleContext on the same engine.
-func TestMapPassIsOneProbe(t *testing.T) {
-	circuits := map[string]bool{"bbara": true, "keyb": true}
-	opts := turboSYNOpts()
-	opts.Workers = 1
-	for _, cs := range bench.Suite() {
-		if !circuits[cs.Name] {
-			continue
-		}
-		best, err := minimizeOnce(cs.Circuit, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", cs.Name, err)
-		}
-		e, err := NewEngine(cs.Circuit, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ok, probe, err := e.FeasibleContext(context.Background(), best.Phi, opts)
-		if err != nil || !ok {
-			t.Fatalf("%s: phi %d: feasible=%v err=%v", cs.Name, best.Phi, ok, err)
-		}
-		res, err := e.MapAtRatioContext(context.Background(), best.Phi, opts)
-		e.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", cs.Name, err)
-		}
-		if got, want := labelWorkOf(res.Stats), labelWorkOf(probe); got != want {
-			t.Errorf("%s: mapping pass at phi %d did %+v, one probe does %+v",
-				cs.Name, best.Phi, got, want)
-		}
-	}
-}
-
 // TestMinimizeIsItsProbes pins Minimize to exactly the work of its search
 // probes: every probe is cold and the mapping comes from the best probe's
 // state, so replaying the same bisection with cold FeasibleContext calls on

@@ -27,8 +27,8 @@ var (
 // compares against. It is sequential (Workers 1), full-sweep (the dirty-set
 // worklist off, through Engine.fullSweep) and cold like every probe:
 // instead of the production binary search it scans phi upward with
-// single-probe Feasible calls and maps at the first feasible phi with
-// MapAtRatio. Feasibility is monotone in phi, so the scan reaches the phi
+// single-probe FeasibleContext calls and maps at the first feasible phi with
+// mapAt. Feasibility is monotone in phi, so the scan reaches the phi
 // the search finds by a different route, and neither the worklist, the
 // dataflow scheduler nor the binary search can leak into the baseline.
 //
@@ -68,7 +68,7 @@ func reference(t *testing.T, c *netlist.Circuit, opts Options) *refResult {
 		if !ok {
 			continue
 		}
-		res, err := e.MapAtRatioContext(context.Background(), phi, opts)
+		res, err := mapAt(e, phi, opts)
 		if err != nil {
 			t.Fatalf("reference: map phi=%d: %v", phi, err)
 		}
@@ -78,6 +78,35 @@ func reference(t *testing.T, c *netlist.Circuit, opts Options) *refResult {
 	}
 	t.Fatalf("reference: no feasible phi up to %d for %s", ub, c.Name)
 	return nil
+}
+
+// mapAt maps e's circuit at phi through the steps MinimizeContext ends
+// with: one cold probe whose state is kept (withState under a call from
+// begin), then mapStep's generation from that state. It fails when phi is
+// infeasible.
+func mapAt(e *Engine, phi int, opts Options) (*Result, error) {
+	c, err := e.begin(context.Background(), opts)
+	if err != nil {
+		return nil, err
+	}
+	var st Stats
+	s, err := e.withState(phi, c.opts, c, "probe", func(s *state) (bool, error) {
+		defer func() { st = s.stats }()
+		ok, err := s.run()
+		if err == nil && !ok {
+			err = fmt.Errorf("target %d is infeasible for %s", phi, e.c.Name)
+		}
+		return true, err
+	})
+	var res *Result
+	if err == nil {
+		res, err = e.mapStep(c.opts, phi, s)
+	}
+	if err := c.end(&st, err, "map", -1); err != nil {
+		return nil, err
+	}
+	res.Stats = st
+	return res, nil
 }
 
 // checkMatchesReference fails the test unless got reproduces the reference

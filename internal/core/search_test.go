@@ -63,8 +63,8 @@ func TestSearchProbesOnlyMidpoints(t *testing.T) {
 
 // TestProbePanicBecomesInternalError: a panic that escapes the label
 // engine's per-component boundary is contained where the state is used —
-// by the search probe, by MapAtRatioContext's probe-and-generate step, or
-// by the generation step that ends MinimizeContext. The call returns an
+// by a probe (FeasibleContext's, or one of MinimizeContext's search) or by
+// the generation step that ends MinimizeContext. The call returns an
 // *InternalError of op "probe" or "map" instead of crashing. A panic inside
 // a run poisons the state's arena rather than pooling it; MinimizeContext's
 // generation runs after the best probe's arenas are back in the pool, so
@@ -111,11 +111,6 @@ func TestProbePanicBecomesInternalError(t *testing.T) {
 		{"Minimize", "probe", "turbomap-ub", 1, func(e *Engine) error {
 			plantBrokenState(e, opts)
 			_, err := e.MinimizeContext(ctx, opts)
-			return err
-		}},
-		{"MapAtRatio", "map", "map", 1, func(e *Engine) error {
-			plantBrokenState(e, opts)
-			_, err := e.MapAtRatioContext(ctx, 2, opts)
 			return err
 		}},
 		{"MinimizeMap", "map", "map", 0, func(e *Engine) error {

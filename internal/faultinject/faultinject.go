@@ -141,9 +141,6 @@ func (e *Injected) Error() string {
 // every hook.
 var active atomic.Pointer[Plan]
 
-// Enabled reports whether a plan is currently activated.
-func Enabled() bool { return active.Load() != nil }
-
 // Activate installs the plan and returns its deactivation function. It
 // panics if another plan is already active: injection tests are exclusive
 // by design.

@@ -6,7 +6,7 @@ import (
 )
 
 func TestHooksNoOpWhenDisabled(t *testing.T) {
-	if Enabled() {
+	if active.Load() != nil {
 		t.Fatal("plan active at test start")
 	}
 	// None of these may panic, sleep or report anything without a plan.
@@ -83,7 +83,7 @@ func TestActivateIsExclusive(t *testing.T) {
 		Activate(Config{})
 	}()
 	off()
-	if Enabled() {
+	if active.Load() != nil {
 		t.Fatal("plan still active after deactivation")
 	}
 	// A fresh activation must now succeed.

@@ -59,7 +59,7 @@ func init() {
 }
 
 // Enable turns phase labelling on (or off). Not safe to toggle while label
-// sweeps run; call it before Synthesize/Minimize, as cmd/turbosyn does when
+// sweeps run; call it before the first synthesis run, as cmd/turbosyn does when
 // -cpuprofile is set.
 func Enable(on bool) { enabled = on }
 

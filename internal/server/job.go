@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -109,7 +110,26 @@ func (s *JobSpec) buildCircuit() (*netlist.Circuit, error) {
 	}
 }
 
+// maxGeneratorNodes bounds the circuit a generator spec may describe. It
+// admits several times the 100k-gate scale circuits the engine is measured
+// on, and stops a spec of a few bytes from asking a worker for more memory
+// than the daemon has before admission can account for it.
+const maxGeneratorNodes = 1 << 20
+
+// build checks the spec's parameters and size before anything is allocated,
+// then generates the circuit.
 func (g *GeneratorSpec) build() (*netlist.Circuit, error) {
+	for _, p := range []struct {
+		name  string
+		value int
+	}{
+		{"state_bits", g.StateBits}, {"inputs", g.Inputs}, {"outputs", g.Outputs},
+		{"cubes", g.Cubes}, {"span", g.Span}, {"cores", g.Cores},
+	} {
+		if p.value < 0 {
+			return nil, fmt.Errorf("generator: %s = %d is negative", p.name, p.value)
+		}
+	}
 	switch g.Kind {
 	case "suite":
 		for _, cs := range bench.Suite() {
@@ -126,6 +146,13 @@ func (g *GeneratorSpec) build() (*netlist.Circuit, error) {
 		if spec.StateBits <= 0 || spec.Cubes <= 0 || spec.Span <= 0 {
 			return nil, fmt.Errorf("generator: fsm needs positive state_bits, cubes and span")
 		}
+		// Inputs, outputs, placeholder state buffers and one SOP per state
+		// bit and output.
+		n := float64(spec.Inputs) + float64(spec.Outputs) + float64(spec.StateBits) +
+			(float64(spec.StateBits)+float64(spec.Outputs))*sopNodes(spec.Cubes, spec.Span)
+		if err := checkNodes(n); err != nil {
+			return nil, err
+		}
 		name := g.Name
 		if name == "" {
 			name = fmt.Sprintf("fsm-s%d", g.Seed)
@@ -136,23 +163,41 @@ func (g *GeneratorSpec) build() (*netlist.Circuit, error) {
 		if g.Cores <= 0 || g.StateBits <= 0 {
 			return nil, fmt.Errorf("generator: multicore needs positive cores and state_bits")
 		}
+		spec := bench.MultiCoreSpec{Cores: g.Cores, StateBits: g.StateBits, Cubes: g.Cubes, Span: g.Span}
+		if spec.Cubes == 0 {
+			spec.Cubes = 6
+		}
+		if spec.Span == 0 {
+			spec.Span = 6
+		}
+		// Eight inputs; per core its placeholder state buffers, two
+		// interconnect taps, one output and one SOP per state bit.
+		n := 8 + float64(spec.Cores)*(3+float64(spec.StateBits)*(1+sopNodes(spec.Cubes, spec.Span)))
+		if err := checkNodes(n); err != nil {
+			return nil, err
+		}
 		name := g.Name
 		if name == "" {
 			name = fmt.Sprintf("multicore-%d", g.Cores)
 		}
-		cubes, span := g.Cubes, g.Span
-		if cubes <= 0 {
-			cubes = 6
-		}
-		if span <= 0 {
-			span = 6
-		}
-		return bench.MultiCore(name, bench.MultiCoreSpec{
-			Cores: g.Cores, StateBits: g.StateBits, Cubes: cubes, Span: span,
-		}), nil
+		return bench.MultiCore(name, spec), nil
 	default:
 		return nil, fmt.Errorf("generator: unknown kind %q (want suite, fsm or multicore)", g.Kind)
 	}
+}
+
+// sopNodes bounds the gates of one generated SOP: per cube up to span
+// literals, each an inverter and a buffer or AND gate, and one OR gate. It
+// is a float64 so that no parameter value can overflow the bound.
+func sopNodes(cubes, span int) float64 { return float64(cubes) * (2*float64(span) + 1) }
+
+// checkNodes rejects a generator whose node bound n exceeds
+// maxGeneratorNodes.
+func checkNodes(n float64) error {
+	if n > maxGeneratorNodes {
+		return fmt.Errorf("generator: spec describes up to %.3g nodes, over the limit of %d", n, maxGeneratorNodes)
+	}
+	return nil
 }
 
 // engineOptions lowers the job options onto the server's engine defaults.
@@ -168,23 +213,11 @@ func (s *JobSpec) engineOptions(cfg Config) (turbosyn.Options, error) {
 		Workers:        cfg.WorkersPerJob,
 		CacheDir:       cfg.CacheDir,
 	}
-	switch s.Options.Algorithm {
-	case "", "turbosyn":
-		o.Algorithm = turbosyn.TurboSYN
-	case "turbomap":
-		o.Algorithm = turbosyn.TurboMap
-	case "flowsyns":
-		o.Algorithm = turbosyn.FlowSYNS
-	default:
-		return o, fmt.Errorf("unknown algorithm %q", s.Options.Algorithm)
-	}
-	switch s.Options.Objective {
-	case "", "ratio":
-		o.Objective = turbosyn.MinRatio
-	case "period":
-		o.Objective = turbosyn.MinPeriod
-	default:
-		return o, fmt.Errorf("unknown objective %q", s.Options.Objective)
+	// The empty names are the defaults, as in turbosyn.Options.
+	var err error
+	o.Algorithm, o.Objective, err = turbosyn.ParseNames(cmp.Or(s.Options.Algorithm, "turbosyn"), cmp.Or(s.Options.Objective, "ratio"))
+	if err != nil {
+		return o, err
 	}
 	// Every job runs under the server's per-job arena reservation; a job may
 	// ask for less, never more (admission reserved exactly cfg.PerJobArena).

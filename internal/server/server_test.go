@@ -387,20 +387,75 @@ func TestNewRejectsNegativeWorkersPerJob(t *testing.T) {
 	}
 }
 
-// TestDaemonInvalidOptions: a spec whose options Synthesize would reject is
-// accepted, then fails typed KindInvalid and not retryable — the same path a
-// malformed BLIF takes — rather than surfacing as an internal error.
+// TestGeneratorSpecBounds: a generator spec with a negative parameter, or
+// one describing more than maxGeneratorNodes nodes, fails typed KindInvalid
+// before any circuit is built — a few bytes of JSON cannot make a worker
+// allocate without bound — and the daemon keeps serving.
+func TestGeneratorSpecBounds(t *testing.T) {
+	s := testServer(t, Config{Fleet: 1})
+	s.Start()
+	for _, tc := range []struct {
+		name string
+		gen  GeneratorSpec
+		want string // substring of the error message
+	}{
+		{"fsm state bits", GeneratorSpec{Kind: "fsm", StateBits: 2000000000, Cubes: 1, Span: 1}, "over the limit"},
+		{"fsm outputs", GeneratorSpec{Kind: "fsm", StateBits: 1, Outputs: 1 << 30, Cubes: 1, Span: 1}, "over the limit"},
+		{"fsm cubes and span", GeneratorSpec{Kind: "fsm", StateBits: 1, Cubes: 1 << 62, Span: 1 << 62}, "over the limit"},
+		{"multicore cores", GeneratorSpec{Kind: "multicore", Cores: 1000000000, StateBits: 1}, "over the limit"},
+		{"multicore state bits", GeneratorSpec{Kind: "multicore", Cores: 1, StateBits: 1 << 20}, "over the limit"},
+		{"fsm negative inputs", GeneratorSpec{Kind: "fsm", StateBits: 2, Inputs: -1, Cubes: 1, Span: 1}, "inputs = -1 is negative"},
+		{"fsm negative outputs", GeneratorSpec{Kind: "fsm", StateBits: 2, Outputs: -3, Cubes: 1, Span: 1}, "outputs = -3 is negative"},
+		{"fsm negative state bits", GeneratorSpec{Kind: "fsm", StateBits: -2, Cubes: 1, Span: 1}, "state_bits = -2 is negative"},
+		{"multicore negative cubes", GeneratorSpec{Kind: "multicore", Cores: 1, StateBits: 1, Cubes: -1}, "cubes = -1 is negative"},
+		{"multicore negative span", GeneratorSpec{Kind: "multicore", Cores: 1, StateBits: 1, Span: -1}, "span = -1 is negative"},
+		{"multicore negative cores", GeneratorSpec{Kind: "multicore", Cores: -1, StateBits: 1}, "cores = -1 is negative"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := tc.gen
+			job, err := s.Submit(JobSpec{Tenant: "t", Generator: &gen})
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			st := waitDone(t, job)
+			if st.State != StateFailed || st.Error == nil {
+				t.Fatalf("state %s (%+v), want failed", st.State, st.Error)
+			}
+			if st.Error.Kind != KindInvalid || st.Error.Retryable {
+				t.Errorf("error %+v, want kind %s, not retryable", st.Error, KindInvalid)
+			}
+			if !strings.Contains(st.Error.Message, tc.want) {
+				t.Errorf("error %q does not mention %q", st.Error.Message, tc.want)
+			}
+		})
+	}
+	job, err := s.Submit(quickSpec("t"))
+	if err != nil {
+		t.Fatalf("submit after the rejected specs: %v", err)
+	}
+	if st := waitDone(t, job); st.State != StateDone {
+		t.Fatalf("quick job after the rejected specs: state %s (%+v)", st.State, st.Error)
+	}
+}
+
+// TestDaemonInvalidOptions: a spec whose options Synthesize would reject, or
+// that names an unknown algorithm or objective, is accepted, then fails typed
+// KindInvalid and not retryable — the same path a malformed BLIF takes —
+// rather than surfacing as an internal error.
 func TestDaemonInvalidOptions(t *testing.T) {
 	s := testServer(t, Config{Fleet: 1})
 	s.Start()
 	for _, tc := range []struct {
 		name string
 		opts JobOptions
+		want string // substring of the error message; "" = any
 	}{
-		{"K too small", JobOptions{K: 1}},
-		{"K too large", JobOptions{K: 99}},
-		{"negative Roth-Karp budget", JobOptions{RothKarpBudget: -1}},
-		{"FlowSYN-s period", JobOptions{Algorithm: "flowsyns", Objective: "period"}},
+		{"K too small", JobOptions{K: 1}, ""},
+		{"K too large", JobOptions{K: 99}, ""},
+		{"negative Roth-Karp budget", JobOptions{RothKarpBudget: -1}, ""},
+		{"FlowSYN-s period", JobOptions{Algorithm: "flowsyns", Objective: "period"}, ""},
+		{"unknown algorithm", JobOptions{Algorithm: "flowmap"}, `unknown algorithm "flowmap"`},
+		{"unknown objective", JobOptions{Objective: "area"}, `unknown objective "area"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := quickSpec("t")
@@ -415,6 +470,9 @@ func TestDaemonInvalidOptions(t *testing.T) {
 			}
 			if st.Error.Kind != KindInvalid || st.Error.Retryable {
 				t.Errorf("error %+v, want kind %s, not retryable", st.Error, KindInvalid)
+			}
+			if !strings.Contains(st.Error.Message, tc.want) {
+				t.Errorf("error %q does not mention %q", st.Error.Message, tc.want)
 			}
 		})
 	}

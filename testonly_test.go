@@ -12,21 +12,25 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 )
 
-// testOnlyAllowlist names the non-test functions that may lack a production
-// caller. A key is either a function's types.Func.FullName or a package path
-// followed by "." and "*", which covers every exported function and method of
-// that package.
+// testOnlyAllowlist names, by types.Func.FullName, the non-test functions
+// that may lack a production caller, one function per entry.
 var testOnlyAllowlist = map[string]string{
-	"turbosyn.*":                            "the public library API, for callers outside this repository",
-	"turbosyn/internal/faultinject.*":       "test hooks: the chaos tests activate and inspect injection plans",
-	"(*turbosyn/internal/decomp.Tree).Eval": "oracle that core's record-identity test evaluates covers with, across the package line",
-	"turbosyn/internal/bench.Pipeline":      "workload of BenchmarkPipeline",
-	"turbosyn/internal/bench.LFSR":          "workload of the parallel golden test",
-	"turbosyn/internal/bench.Scale10k":      "workload of BenchmarkScale10k",
+	"turbosyn.Nand":                                  "gate vocabulary of the public API, beside And, Or, Xor, Buf and ConstFunc",
+	"turbosyn.Nor":                                   "gate vocabulary of the public API, beside And, Or, Xor, Buf and ConstFunc",
+	"turbosyn.Inv":                                   "gate vocabulary of the public API, beside And, Or, Xor, Buf and ConstFunc",
+	"turbosyn.Mux":                                   "gate vocabulary of the public API, beside And, Or, Xor, Buf and ConstFunc",
+	"turbosyn.FunctionFromBits":                      "gate vocabulary of the public API, beside And, Or, Xor, Buf and ConstFunc",
+	"turbosyn/internal/faultinject.Activate":         "test hook: the chaos tests activate injection plans",
+	"(*turbosyn/internal/faultinject.Plan).Fired":    "test hook: the chaos tests count fired injection points",
+	"(*turbosyn/internal/faultinject.Plan).Hits":     "test hook: the chaos tests count reached injection points",
+	"turbosyn/internal/faultinject.RandomizedConfig": "test hook: the randomized chaos test draws its plans",
+	"(*turbosyn/internal/decomp.Tree).Eval":          "oracle that core's record-identity test evaluates covers with, across the package line",
+	"turbosyn/internal/bench.Pipeline":               "workload of BenchmarkPipeline",
+	"turbosyn/internal/bench.LFSR":                   "workload of the parallel golden test",
+	"turbosyn/internal/bench.Scale10k":               "workload of BenchmarkScale10k",
 }
 
 // stdProtocols are the standard-library interfaces whose methods the
@@ -271,16 +275,11 @@ func (sc *scan) unreachable(t *testing.T) []string {
 		mark(fn)
 	}
 	for _, fn := range sc.decls {
-		isMethod := fn.Type().(*types.Signature).Recv() != nil
-		_, wholePkg := testOnlyAllowlist[fn.Pkg().Path()+".*"]
-		if (isMethod && satisfiesInterface(fn, ifaces)) || (wholePkg && fn.Exported()) {
+		if fn.Type().(*types.Signature).Recv() != nil && satisfiesInterface(fn, ifaces) {
 			mark(fn)
 		}
 	}
 	for key := range testOnlyAllowlist {
-		if strings.HasSuffix(key, ".*") {
-			continue
-		}
 		fn := sc.byName[key]
 		if fn == nil || live[fn] {
 			t.Errorf("allowlist entry %s is stale: no such function, or production code reaches it", key)

@@ -92,6 +92,28 @@ const (
 	MinPeriod
 )
 
+// algorithmNames and objectiveNames are the names the turbosyn command's
+// -alg and -objective flags and turbosynd job options give the algorithms
+// and objectives.
+var (
+	algorithmNames = map[string]Algorithm{"turbosyn": TurboSYN, "turbomap": TurboMap, "flowsyns": FlowSYNS}
+	objectiveNames = map[string]Objective{"ratio": MinRatio, "period": MinPeriod}
+)
+
+// ParseNames returns the algorithm named alg ("turbosyn", "turbomap" or
+// "flowsyns") and the objective named objective ("ratio" or "period").
+func ParseNames(alg, objective string) (Algorithm, Objective, error) {
+	a, ok := algorithmNames[alg]
+	if !ok {
+		return 0, 0, fmt.Errorf("unknown algorithm %q", alg)
+	}
+	o, ok := objectiveNames[objective]
+	if !ok {
+		return 0, 0, fmt.Errorf("unknown objective %q", objective)
+	}
+	return a, o, nil
+}
+
 // Options configures Synthesize. The zero value requests the paper's
 // defaults: TurboSYN, K = 5, resynthesis cuts up to 15 inputs, PLD on, MDR
 // objective, packing and realization enabled.
@@ -180,10 +202,7 @@ type (
 // recent ringCap events, counting older ones as dropped).
 func NewTraceRecorder(ringCap int) *TraceRecorder { return obs.NewRecorder(ringCap) }
 
-// NewRunID returns a fresh random run id (12 hex digits).
-func NewRunID() string { return obs.NewRunID() }
-
-// Structured errors surfaced by Synthesize and Feasible. CancelError wraps
+// Structured errors surfaced by Synthesize. CancelError wraps
 // context cancellation (errors.Is reaches context.Canceled /
 // context.DeadlineExceeded through it) and carries the aborting phase, the
 // best feasible phi proven before the abort and the partial statistics;
@@ -348,25 +367,6 @@ func remapOrigins(origOf []int, bounded, orig *Circuit) []int {
 		}
 	}
 	return out
-}
-
-// Feasible answers the paper's decision problem directly: can circuit c be
-// mapped with clock period (MinPeriod) or MDR ratio (MinRatio) at most phi?
-// The returned statistics expose the label-computation work, which is how
-// the PLD speedup of Section 4 is measured.
-func Feasible(c *Circuit, phi int, o Options) (bool, core.Stats, error) {
-	return FeasibleContext(context.Background(), c, phi, o)
-}
-
-// FeasibleContext is Feasible under a context (see SynthesizeContext):
-// NewEngine, the engine's FeasibleContext and Close.
-func FeasibleContext(ctx context.Context, c *Circuit, phi int, o Options) (bool, core.Stats, error) {
-	e, err := NewEngine(c, o)
-	if err != nil {
-		return false, core.Stats{}, err
-	}
-	defer e.Close()
-	return e.FeasibleContext(ctx, phi)
 }
 
 // ClockPeriod returns the clock period of a circuit as-is (unit delay per

@@ -202,27 +202,6 @@ func TestSynthesizeBLIFRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFeasibleFacade(t *testing.T) {
-	c := buildLoop6(t)
-	ok, _, err := Feasible(c, 1, Options{Algorithm: TurboMap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("TurboMap ratio 1 must be infeasible on loop6")
-	}
-	ok, st, err := Feasible(c, 1, Options{Algorithm: TurboSYN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("TurboSYN ratio 1 must be feasible on loop6")
-	}
-	if st.Iterations == 0 {
-		t.Fatal("stats missing")
-	}
-}
-
 func TestFunctionHelpers(t *testing.T) {
 	f, err := FunctionFromBits(2, "0110")
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 // through Synthesize — binary search, dirty-set worklist, dataflow
 // scheduler — on the sequential path (Workers 1) and on a parallel pool, and
 // requires byte-identical realized BLIF, phi and LUT counts per circuit.
-// The phi must also be the one an upward scan of cold single-probe Feasible
-// calls reaches first, and both runs must report the visits the worklist
+// The phi must also be the one an upward scan of cold single probes reaches
+// first, and both runs must report the visits the worklist
 // elided. This is the end-to-end face of the invariant
 // TestWorklistMatchesFullSweep pins inside internal/core against the
 // full-sweep reference: the worklist skips only visits that full sweeps
@@ -48,8 +48,13 @@ func TestWorklistSuiteBitIdentical(t *testing.T) {
 			if !bytes.Equal(seqBLIF, parBLIF) {
 				t.Error("parallel run's realized BLIF differs from the sequential run")
 			}
+			e, err := NewEngine(cs.Circuit, Options{K: 5, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
 			for phi := 1; phi <= seq.Phi; phi++ {
-				ok, _, err := Feasible(cs.Circuit, phi, Options{K: 5, Workers: 1})
+				ok, _, err := feasible(e, phi)
 				if err != nil {
 					t.Fatalf("phi=%d: %v", phi, err)
 				}
