@@ -79,10 +79,11 @@ func (e *Engine) PoolStats() core.PoolStats { return e.core.PoolStats() }
 
 // SynthesizeContext runs the full flow — the binary search for the minimum
 // phi and the mapping at it (for FlowSYN-s, the island mapping merged back
-// over the registers), LUT packing, realization by retiming and pipelining,
-// full observability — on the engine, reusing its analysis, decomposition
-// cache and arena pool. Results are bit-identical on every run and at every
-// Workers setting.
+// over the registers), LUT packing, the period the packed mapping achieves
+// (at most the search's phi) and its realization by retiming and
+// pipelining, full observability — on the engine, reusing its analysis,
+// decomposition cache and arena pool. Results are bit-identical on every
+// run and at every Workers setting.
 func (e *Engine) SynthesizeContext(ctx context.Context) (out *Result, err error) {
 	o, c := e.opts, e.orig
 	// Observability setup: one run id shared by logs, trace and progress; a
@@ -158,12 +159,14 @@ func (e *Engine) SynthesizeContext(ctx context.Context) (out *Result, err error)
 	if err := phaseCancelled(ctx, "realize", out); err != nil {
 		return nil, err
 	}
+	// Phi is the delivered mapping's own period: the search's phi bounds it
+	// from above, and packing and the cover choices may beat that bound.
+	phi, r, ok := retime.MinPeriod(out.Mapped, res.Phi, o.Objective == MinRatio)
+	if !ok {
+		return nil, fmt.Errorf("turbosyn: internal error: phi=%d not realizable", res.Phi)
+	}
+	out.Phi = phi
 	if !o.NoRealize {
-		pipeline := o.Objective == MinRatio
-		r, ok := retime.RetimeForPeriod(out.Mapped, out.Phi, pipeline)
-		if !ok {
-			return nil, fmt.Errorf("turbosyn: internal error: phi=%d not realizable", out.Phi)
-		}
 		realized, rerr := retime.Apply(out.Mapped, r)
 		if rerr != nil {
 			return nil, rerr
@@ -177,7 +180,7 @@ func (e *Engine) SynthesizeContext(ctx context.Context) (out *Result, err error)
 		out.Stats.TraceEvents, out.Stats.TraceDropped = o.Trace.Totals()
 	}
 	if logger != nil {
-		logger.Info("synthesis done", "phi", out.Phi, "luts", out.LUTs,
+		logger.Info("synthesis done", "phi", out.Phi, "searchPhi", res.Phi, "luts", out.LUTs,
 			"iterations", out.Stats.Iterations, "degradations", out.Stats.Degradations)
 	}
 	return out, nil

@@ -324,7 +324,9 @@ type Replica struct {
 
 // Result is a complete mapping run outcome.
 type Result struct {
-	// Phi is the achieved target (clock period or MDR ratio).
+	// Phi is the search's target (clock period or MDR ratio): the smallest
+	// phi whose labels converged. Mapped meets it and may beat it; the
+	// turbosyn engine reports the period Mapped itself achieves.
 	Phi int
 	// Labels holds the converged labels at Phi.
 	Labels []int

@@ -38,7 +38,7 @@ func (s *state) generate() (*Result, error) {
 		stack = stack[:len(stack)-1]
 		neededIDs = append(neededIDs, id)
 		rec := s.recs[id]
-		if rec.tree == nil {
+		if rec.tree == nil && len(c.Nodes[id].Fanins) > 0 {
 			return nil, fmt.Errorf("core: no cover recorded for needed gate %q", c.Nodes[id].Name)
 		}
 		for _, r := range rec.cut {
@@ -100,6 +100,12 @@ func (s *state) generate() (*Result, error) {
 func (s *state) materialize(m *netlist.Circuit, mapped []int, id int) error {
 	rec := s.recs[id]
 	tree := rec.tree
+	if tree == nil {
+		// A gate without fanins is a constant source: never updated, so
+		// never covered, it is its own 0-input LUT.
+		m.Nodes[mapped[id]].Func = s.c.Nodes[id].Func
+		return nil
+	}
 	// Tree references: leaves 0..NumInputs-1 are cut replicas; internal
 	// node i is tree.NumInputs+i. refFanin maps a reference to the fanin
 	// realizing it in m.

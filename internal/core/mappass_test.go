@@ -103,7 +103,7 @@ func TestMapPreservesFeasibilityOnRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if got := retime.MaxCycleRatioCeil(res.Mapped); got > res.Phi {
+		if got := mdrCeil(res.Mapped); got > res.Phi {
 			t.Fatalf("seed %d: mapped ratio %d > phi %d", seed, got, res.Phi)
 		}
 		vecs := sim.RandomVectors(rng, 120, len(c.PIs))

@@ -312,7 +312,14 @@ func TableK(cfg Config) error {
 				err = fmt.Errorf("%s low=%d: %v", cs.Name, low, err)
 				break
 			}
-			row = append(row, res.Phi, res.LUTs)
+			// The mapping's own ratio, as turbosyn.Result reports it; the
+			// search's phi only bounds it.
+			phi, _, ok := retime.MinPeriod(res.Mapped, res.Phi, true)
+			if !ok {
+				err = fmt.Errorf("%s low=%d: phi=%d not realizable", cs.Name, low, res.Phi)
+				break
+			}
+			row = append(row, phi, res.LUTs)
 		}
 		e.Close()
 		if err != nil {
@@ -380,7 +387,8 @@ func TablePeriod(cfg Config) error {
 			continue
 		}
 		p0 := retime.Period(cs.Circuit)
-		pr, _ := retime.MinPeriod(cs.Circuit)
+		// The identity retiming meets p0, so the search always succeeds.
+		pr, _, _ := retime.MinPeriod(cs.Circuit, p0, false)
 		// No LUT column: the wall time is the mapping's alone.
 		res, d, err := synthesize(cs.Circuit, turbosyn.Options{
 			K: cfg.K, Algorithm: turbosyn.TurboMap, Objective: turbosyn.MinPeriod, NoPack: true,

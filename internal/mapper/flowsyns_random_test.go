@@ -102,7 +102,7 @@ func TestPackRandomEndToEnd(t *testing.T) {
 		if packed.NumGates() > res.Mapped.NumGates() {
 			t.Fatalf("seed %d: pack grew the network", seed)
 		}
-		if got := retime.MaxCycleRatioCeil(packed); got > res.Phi {
+		if got := mdrCeil(packed); got > res.Phi {
 			t.Fatalf("seed %d: pack broke the ratio: %d > %d", seed, got, res.Phi)
 		}
 		vecs := sim.RandomVectors(rng, 150, len(c.PIs))

@@ -13,7 +13,6 @@ import (
 	"turbosyn/internal/core"
 	"turbosyn/internal/logic"
 	"turbosyn/internal/netlist"
-	"turbosyn/internal/retime"
 )
 
 // IslandOptions returns o with FlowSYN's overrides for exact combinational
@@ -116,9 +115,10 @@ func Cut(c *netlist.Circuit) *Split {
 
 // Merge rewires res, a mapping of s.Islands, back into a sequential circuit
 // over the original circuit's registers. The merged result's Phi is the
-// minimum clock period of the merged network under retiming and pipelining,
-// its OrigOf points into the original circuit, and its Stats are the island
-// mapping's.
+// island mapping's: every register-to-register path of the merged network
+// is one island path, so Phi bounds its period, and the caller reads the
+// exact period off the network it delivers. Its OrigOf points into the
+// original circuit and its Stats are the island mapping's.
 func (s *Split) Merge(res *core.Result) (*core.Result, error) {
 	c, split := s.orig, s.Islands
 	mapped := res.Mapped
@@ -246,9 +246,8 @@ func (s *Split) Merge(res *core.Result) (*core.Result, error) {
 			realPOs++
 		}
 	}
-	phi, _ := retime.MinPeriodPipelined(m)
 	return &core.Result{
-		Phi:    phi,
+		Phi:    res.Phi,
 		Mapped: m,
 		LUTs:   m.NumGates(),
 		OrigOf: origOf,

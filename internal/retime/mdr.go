@@ -134,25 +134,6 @@ func (ctx *sccContext) hasCriticalCycle(a, b int64) bool {
 	return false
 }
 
-// MaxCycleRatioCeil returns the smallest integer phi with no cycle of
-// delay/register ratio above phi, i.e. ceil(MDR). Acyclic circuits return 0.
-func MaxCycleRatioCeil(c *netlist.Circuit) int {
-	ctx := newSCCContext(c)
-	if len(ctx.comps) == 0 {
-		return 0
-	}
-	lo, hi := 0, totalDelay(c)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ctx.ratioAbove(int64(mid), 1) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 func totalDelay(c *netlist.Circuit) int {
 	d := 0
 	for _, nd := range c.Nodes {

@@ -44,8 +44,9 @@ func ringForMDR(t *testing.T, k, w int) *netlist.Circuit {
 }
 
 // TestMDRRandomConsistency: on random circuits, ceil(MaxCycleRatio) must
-// equal MaxCycleRatioCeil, and the critical-cycle verification must accept
-// exactly the returned fraction.
+// equal the pipelined optimum the arrival labels find (the two share no
+// code), and the critical-cycle verification must accept exactly the
+// returned fraction.
 func TestMDRRandomConsistency(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -54,16 +55,12 @@ func TestMDRRandomConsistency(t *testing.T) {
 			continue
 		}
 		num, den := MaxCycleRatio(c)
-		ceil := MaxCycleRatioCeil(c)
-		if num == 0 {
-			if ceil != 0 {
-				t.Fatalf("seed %d: acyclic mismatch", seed)
-			}
-			continue
+		phi, _, _ := MinPeriod(c, Period(c), true)
+		if want := max(1, mdrCeil(c)); phi != want {
+			t.Fatalf("seed %d: pipelined period %d vs fraction %d/%d", seed, phi, num, den)
 		}
-		want := int((num + den - 1) / den)
-		if ceil != want {
-			t.Fatalf("seed %d: ceil %d vs fraction %d/%d", seed, ceil, num, den)
+		if num == 0 {
+			continue
 		}
 		ctx := newSCCContext(c)
 		if ctx.ratioAbove(num, den) {
@@ -112,8 +109,8 @@ func TestMDRBelowPeriod(t *testing.T) {
 		if c.Check() != nil {
 			continue
 		}
-		if MaxCycleRatioCeil(c) > Period(c) {
-			t.Fatalf("seed %d: MDR ceil %d > period %d", seed, MaxCycleRatioCeil(c), Period(c))
+		if mdrCeil(c) > Period(c) {
+			t.Fatalf("seed %d: MDR ceil %d > period %d", seed, mdrCeil(c), Period(c))
 		}
 	}
 }

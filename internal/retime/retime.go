@@ -232,55 +232,26 @@ func Latency(c *netlist.Circuit, r []int) []int {
 	return out
 }
 
-// MinPeriod finds the smallest clock period achievable by pure retiming
-// (outputs pinned) together with a retiming that achieves it.
-func MinPeriod(c *netlist.Circuit) (int, []int) {
-	hi := Period(c)
-	if hi == 0 {
-		return 0, make([]int, c.NumNodes())
+// MinPeriod returns the smallest clock period in [1, hi] that
+// RetimeForPeriod accepts under the given pipeline setting, together with
+// the retiming that realizes it; ok is false when hi itself is infeasible.
+// Feasibility is monotone in the period. The search steps down from hi in
+// doubling steps and bisects once a step fails: an infeasible period costs
+// the full n+2 label sweeps, and when hi is already the optimum this way
+// probes only hi-1.
+func MinPeriod(c *netlist.Circuit, hi int, pipeline bool) (phi int, r []int, ok bool) {
+	if r, ok = RetimeForPeriod(c, hi, pipeline); !ok {
+		return 0, nil, false
 	}
-	lo := 1
-	best := hi
-	bestR := make([]int, c.NumNodes())
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if r, ok := RetimeForPeriod(c, mid, false); ok {
-			best, bestR = mid, r
-			hi = mid - 1
+	phi, lo := hi, 1 // phi is feasible; every period below lo is not
+	for step := 1; lo < phi; {
+		mid := phi - min(step, (phi-lo+1)/2)
+		if rm, feasible := RetimeForPeriod(c, mid, pipeline); feasible {
+			phi, r = mid, rm
+			step *= 2
 		} else {
 			lo = mid + 1
 		}
 	}
-	return best, bestR
-}
-
-// MinPeriodPipelined finds the smallest clock period achievable with
-// retiming plus pipelining (outputs may lag). By the classic theory the
-// result equals max(1, ceil(MDR)); the returned retiming realizes it.
-func MinPeriodPipelined(c *netlist.Circuit) (int, []int) {
-	hi := Period(c)
-	if hi == 0 {
-		return 0, make([]int, c.NumNodes())
-	}
-	lo := MaxCycleRatioCeil(c)
-	if lo < 1 {
-		lo = 1
-	}
-	best := hi
-	var bestR []int
-	if r, ok := RetimeForPeriod(c, hi, true); ok {
-		bestR = r
-	} else {
-		bestR = make([]int, c.NumNodes())
-	}
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if r, ok := RetimeForPeriod(c, mid, true); ok {
-			best, bestR = mid, r
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-	}
-	return best, bestR
+	return phi, r, true
 }

@@ -49,6 +49,12 @@ func ring(t *testing.T, k, w int) *netlist.Circuit {
 	return c
 }
 
+// mdrCeil is ceil(MaxCycleRatio(c)): 0 on acyclic circuits.
+func mdrCeil(c *netlist.Circuit) int {
+	num, den := MaxCycleRatio(c)
+	return int((num + den - 1) / den)
+}
+
 func TestPeriod(t *testing.T) {
 	c := chain(t)
 	if got := Period(c); got != 3 {
@@ -61,8 +67,8 @@ func TestPeriod(t *testing.T) {
 
 func TestMinPeriodChain(t *testing.T) {
 	c := chain(t)
-	phi, r := MinPeriod(c)
-	if phi != 1 {
+	phi, r, ok := MinPeriod(c, Period(c), false)
+	if !ok || phi != 1 {
 		t.Fatalf("min period = %d, want 1", phi)
 	}
 	d, err := Apply(c, r)
@@ -88,8 +94,8 @@ func TestMinPeriodRing(t *testing.T) {
 	// registers, so behaviour-preserving retiming cannot beat the current
 	// period 4. (Pipelining can: see the pipelined tests.)
 	c := ring(t, 4, 2)
-	phi, r := MinPeriod(c)
-	if phi != 4 {
+	phi, r, ok := MinPeriod(c, Period(c), false)
+	if !ok || phi != 4 {
 		t.Fatalf("ring min period = %d, want 4", phi)
 	}
 	d, err := Apply(c, r)
@@ -100,8 +106,8 @@ func TestMinPeriodRing(t *testing.T) {
 		t.Fatal("retiming does not achieve claimed period")
 	}
 	// With pipelining the loop bound (MDR = 2) governs.
-	phiP, rp := MinPeriodPipelined(c)
-	if phiP != 2 {
+	phiP, rp, ok := MinPeriod(c, Period(c), true)
+	if !ok || phiP != 2 {
 		t.Fatalf("pipelined ring period = %d, want 2", phiP)
 	}
 	dp, err := Apply(c, rp)
@@ -124,6 +130,27 @@ func TestRetimeForPeriodInfeasible(t *testing.T) {
 	}
 	if _, ok := RetimeForPeriod(c, 0, true); ok {
 		t.Fatal("period 0 must be rejected")
+	}
+}
+
+// TestMinPeriodBound: MinPeriod searches [1, hi] only, so a bound below the
+// optimum fails and a bound at it returns it unchanged.
+func TestMinPeriodBound(t *testing.T) {
+	c := ring(t, 4, 2) // pinned optimum 4, pipelined optimum 2
+	for _, tc := range []struct {
+		hi       int
+		pipeline bool
+		want     int
+	}{{3, false, 0}, {4, false, 4}, {9, false, 4}, {0, true, 0}, {1, true, 0}, {2, true, 2}, {9, true, 2}} {
+		phi, r, ok := MinPeriod(c, tc.hi, tc.pipeline)
+		if ok != (tc.want > 0) || phi != tc.want {
+			t.Errorf("MinPeriod(hi=%d, pipeline=%v) = %d, %v; want %d", tc.hi, tc.pipeline, phi, ok, tc.want)
+		}
+		if ok {
+			if d, err := Apply(c, r); err != nil || Period(d) > phi {
+				t.Errorf("hi=%d pipeline=%v: retiming misses period %d", tc.hi, tc.pipeline, phi)
+			}
+		}
 	}
 }
 
@@ -165,8 +192,8 @@ func TestPipelinePIsAndLatency(t *testing.T) {
 	if Period(c) != 3 {
 		t.Fatalf("period = %d", Period(c))
 	}
-	phi, r := MinPeriodPipelined(c)
-	if phi != 1 {
+	phi, r, ok := MinPeriod(c, Period(c), true)
+	if !ok || phi != 1 {
 		t.Fatalf("pipelined min period = %d, want 1", phi)
 	}
 	lat := Latency(c, r)
@@ -191,8 +218,8 @@ func TestPipelinePIsAndLatency(t *testing.T) {
 func TestMinPeriodPipelinedBoundedByLoops(t *testing.T) {
 	// ring(6,2): MDR = 3; pipelining cannot beat the loop bound.
 	c := ring(t, 6, 2)
-	phi, _ := MinPeriodPipelined(c)
-	if phi != 3 {
+	phi, _, ok := MinPeriod(c, Period(c), true)
+	if !ok || phi != 3 {
 		t.Fatalf("pipelined period = %d, want 3 (the loop bound)", phi)
 	}
 }
@@ -215,10 +242,11 @@ func TestMaxCycleRatio(t *testing.T) {
 			t.Errorf("ring(%d,%d): MDR = %d/%d, want %d/%d",
 				tc.k, tc.w, num, den, tc.num, tc.den)
 		}
-		ceil := MaxCycleRatioCeil(c)
+		// The pipelined optimum is the loop bound, ceil(MDR).
+		phi, _, _ := MinPeriod(c, Period(c), true)
 		want := int((tc.num + tc.den - 1) / tc.den)
-		if ceil != want {
-			t.Errorf("ring(%d,%d): ceil = %d, want %d", tc.k, tc.w, ceil, want)
+		if phi != want {
+			t.Errorf("ring(%d,%d): pipelined period = %d, want ceil(MDR) = %d", tc.k, tc.w, phi, want)
 		}
 	}
 }
@@ -228,8 +256,8 @@ func TestMaxCycleRatioAcyclic(t *testing.T) {
 	if num, den := MaxCycleRatio(c); num != 0 || den != 1 {
 		t.Fatalf("acyclic MDR = %d/%d", num, den)
 	}
-	if MaxCycleRatioCeil(c) != 0 {
-		t.Fatal("acyclic ceil must be 0")
+	if phi, _, _ := MinPeriod(c, Period(c), true); phi != 1 {
+		t.Fatalf("acyclic pipelined period = %d, want 1", phi)
 	}
 }
 
@@ -300,9 +328,13 @@ func TestRetimingPropertiesQuick(t *testing.T) {
 			return true // generator may create comb cycles; skip those
 		}
 		p0 := Period(c)
-		phi, r := MinPeriod(c)
-		if phi > p0 {
+		phi, r, ok := MinPeriod(c, p0, false)
+		if !ok || phi > p0 {
 			t.Logf("seed %d: min period %d exceeds current %d", seed, phi, p0)
+			return false
+		}
+		if _, ok := RetimeForPeriod(c, phi-1, false); ok {
+			t.Logf("seed %d: min period %d, but %d is feasible", seed, phi, phi-1)
 			return false
 		}
 		d, err := Apply(c, r)
@@ -322,12 +354,8 @@ func TestRetimingPropertiesQuick(t *testing.T) {
 			return false
 		}
 		// Pipelined optimum equals the loop bound.
-		phiP, rp := MinPeriodPipelined(c)
-		ceil := MaxCycleRatioCeil(c)
-		want := ceil
-		if want < 1 {
-			want = 1
-		}
+		phiP, rp, _ := MinPeriod(c, p0, true)
+		want := max(1, mdrCeil(c))
 		if phiP != want {
 			t.Logf("seed %d: pipelined period %d, loop bound %d", seed, phiP, want)
 			return false
@@ -348,7 +376,7 @@ func TestCycleWeightInvariant(t *testing.T) {
 	// Retiming must preserve every cycle's register count; spot-check via
 	// total FF count on the ring (single cycle + acyclic rest).
 	c := ring(t, 5, 3)
-	_, r := MinPeriod(c)
+	_, r, _ := MinPeriod(c, Period(c), false)
 	d, err := Apply(c, r)
 	if err != nil {
 		t.Fatal(err)

@@ -123,8 +123,9 @@ type Options struct {
 	Objective Objective
 	// NoPack skips the area post-pass.
 	NoPack bool
-	// NoRealize skips the final retiming/pipelining step; Result.Realized
-	// is then nil and only the mapped network is returned.
+	// NoRealize skips applying the final retiming/pipelining; Result.Realized
+	// is then nil and only the mapped network is returned (Phi is still its
+	// own period).
 	NoRealize bool
 	// Workers bounds the worker pool of the parallel label engine; the phi
 	// search runs one probe at a time on the whole pool. 0 means
@@ -248,8 +249,10 @@ func (o Options) validate() error {
 
 // Result is the outcome of Synthesize.
 type Result struct {
-	// Phi is the achieved objective value: minimum MDR ratio (MinRatio)
-	// or minimum clock period (MinPeriod).
+	// Phi is the achieved objective value of the delivered mapping, Mapped:
+	// its own minimum MDR ratio (MinRatio, rounded up and at least 1) or
+	// minimum clock period under retiming (MinPeriod). The label search's
+	// phi bounds it from above; the mapping may beat that bound.
 	Phi int
 	// LUTs counts the K-LUTs of the mapped network (after packing).
 	LUTs int
